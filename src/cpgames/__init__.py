@@ -56,6 +56,7 @@ from .dynamics import (
     FieldSample,
     Trajectory,
     integrate,
+    integrate_batch,
     rd_coupled_field,
     rd_counterpart_fields,
     rd_single_field,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -61,19 +60,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def thread_cap() -> int | None:
-    """Optional CPG_THREADS cap on internal parallelism.  The current
-    implementation is sequential, so the value is validated and recorded only."""
-    raw = os.environ.get("CPG_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
 
 
 def load_game(spec: str) -> BimatrixGame:
@@ -322,7 +308,6 @@ def run_cli(argv) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    thread_cap()
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

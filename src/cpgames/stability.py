@@ -35,44 +35,25 @@ class StabilityClassification:
 
 
 def _single_jacobian(s: SingleGame, x: np.ndarray) -> np.ndarray:
+    """J = diag(x)(M - 1(Mx + M^T x)^T) + diag(Mx - x.Mx)."""
     m = s.m_float()
-    n = s.n
     mx = m @ x
-    mtx = m.T @ x
-    avg = x @ mx
-    jac = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            jac[i, j] = x[i] * (m[i, j] - mx[j] - mtx[j])
-            if i == j:
-                jac[i, j] += mx[i] - avg
+    jac = x[:, None] * (m - mx - m.T @ x)
+    jac[np.diag_indices(s.n)] += mx - x @ mx
     return jac
 
 
 def _coupled_jacobian(g: BimatrixGame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Block Jacobian over the stacked (x, y): d(vx)/dx = -x (Ay)^T + diag(Ay - x.Ay),
+    d(vx)/dy = diag(x)(A - 1 (xA)^T), and the mirror blocks for y on B."""
     a, b = g.a_float(), g.b_float()
-    n, m = g.n_rows, g.n_cols
+    n = g.n_rows
     ay = a @ y
-    xa = x @ a
-    by = b @ y
     xb = x @ b
-    avg_a = x @ ay
-    avg_b = xb @ y
-    jac = np.zeros((n + m, n + m))
-    for i in range(n):
-        for j in range(n):
-            jac[i, j] = -x[i] * ay[j]
-            if i == j:
-                jac[i, j] += ay[i] - avg_a
-        for j in range(m):
-            jac[i, n + j] = x[i] * (a[i, j] - xa[j])
-    for i in range(m):
-        for j in range(m):
-            jac[n + i, n + j] = -y[i] * xb[j]
-            if i == j:
-                jac[n + i, n + j] += xb[i] - avg_b
-        for j in range(n):
-            jac[n + i, j] = y[i] * (b[j, i] - by[j])
+    jac = np.block([[-x[:, None] * ay, x[:, None] * (a - x @ a)],
+                    [y[:, None] * (b.T - b @ y), -y[:, None] * xb]])
+    jac[np.diag_indices(n)] += ay - x @ ay
+    jac[n:, n:][np.diag_indices(g.n_cols)] += xb - xb @ y
     return jac
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UnsupportedDimension
 from .games import BimatrixGame, SingleGame
-from .dynamics import FieldSample, Trajectory, integrate, sample_field_grid
+from .dynamics import FieldSample, Trajectory, _n_steps, integrate_batch, sample_field_grid
 from .solver import enumerate_nash_bimatrix, enumerate_rest_points
 from .stability import classify_rest_point
 
@@ -113,8 +113,8 @@ def _plot_coords(sample: FieldSample):
 def _plot_velocity(sample: FieldSample):
     if len(sample.velocities) == 2:
         return sample.velocities[0][0], sample.velocities[1][0]
-    v = sample.velocities[0]
-    return _bary_to_xy_linear(v)
+    # Tangent vectors map by the linear part, all of _bary_to_xy (corner 0 = origin).
+    return _bary_to_xy(sample.velocities[0])
 
 
 # Equilateral triangle with unit side: corner 0 bottom-left, corner 1
@@ -126,11 +126,6 @@ def _bary_to_xy(p):
     x = p[0] * _TRI[0][0] + p[1] * _TRI[1][0] + p[2] * _TRI[2][0]
     y = p[0] * _TRI[0][1] + p[1] * _TRI[1][1] + p[2] * _TRI[2][1]
     return x, y
-
-
-def _bary_to_xy_linear(v):
-    # Tangent vectors (sum zero) transform by the linear part only.
-    return _bary_to_xy(v)
 
 
 def _square_lattice_starts():
@@ -147,12 +142,21 @@ def _simplex_lattice_starts(step: int = 5):
     return starts
 
 
-def _subsample(points):
-    stride = max(1, (len(points) - 1) // TRAJ_MAX_POINTS)
-    kept = points[::stride]
-    if not np.array_equal(kept[-1], points[-1]):
-        kept = list(kept) + [points[-1]]
-    return kept
+def _trajectories(system: str, game, spec: PlotSpec, lattice):
+    """Every (steps // TRAJ_MAX_POINTS)-th state and the final state of each
+    trajectory start (`lattice()` by default), integrated together."""
+    starts = spec.trajectory_starts
+    if starts == "lattice":
+        starts = lattice()
+    if starts is None or len(starts) == 0:
+        return []
+    stride = max(1, _n_steps(spec.dt, spec.t_max) // TRAJ_MAX_POINTS)
+    return integrate_batch(system, game, starts, spec.dt, spec.t_max, stride).swapaxes(0, 1)
+
+
+def _trim(points):
+    """Drop the final point when it repeats the last strided one."""
+    return points[:-1] if np.array_equal(points[-2], points[-1]) else points
 
 
 def _polyline(lines, coords_px):
@@ -190,23 +194,14 @@ def plot_unit_square(g: BimatrixGame, spec: PlotSpec | None = None) -> str:
     samples = sample_field_grid("coupled", g, res)
     _render_arrows(lines, samples, to_px, side / (res - 1))
 
-    for start in _resolve_square_starts(spec):
-        traj = integrate("coupled", g, start, dt=spec.dt, t_max=spec.t_max)
-        pts = np.column_stack([traj.xs[:, 0], traj.ys[:, 0]])
-        _polyline(lines, [to_px(u, v) for u, v in _subsample(pts)])
+    for states in _trajectories("coupled", g, spec, _square_lattice_starts):
+        pts = states[:, [0, 2]]  # P(first action) of each player
+        _polyline(lines, [to_px(u, v) for u, v in _trim(pts)])
 
     for coords, cls in _square_markers(g, spec):
         _marker(lines, cls, *to_px(*coords))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _resolve_square_starts(spec: PlotSpec):
-    if spec.trajectory_starts is None:
-        return []
-    if spec.trajectory_starts == "lattice":
-        return _square_lattice_starts()
-    return spec.trajectory_starts
 
 
 def _square_markers(g: BimatrixGame, spec: PlotSpec):
@@ -246,23 +241,14 @@ def plot_simplex(s: SingleGame, spec: PlotSpec | None = None) -> str:
     samples = sample_field_grid("single", s, res)
     _render_arrows(lines, samples, to_px, side / res)
 
-    for start in _resolve_simplex_starts(spec):
-        traj = integrate("single", s, start, dt=spec.dt, t_max=spec.t_max)
-        coords = [_bary_to_xy(p) for p in _subsample(traj.xs)]
+    for states in _trajectories("single", s, spec, _simplex_lattice_starts):
+        coords = [_bary_to_xy(p) for p in _trim(states)]
         _polyline(lines, [to_px(u, v) for u, v in coords])
 
     for coords, cls in _simplex_markers(s, spec):
         _marker(lines, cls, *to_px(*_bary_to_xy(coords)))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _resolve_simplex_starts(spec: PlotSpec):
-    if spec.trajectory_starts is None:
-        return []
-    if spec.trajectory_starts == "lattice":
-        return _simplex_lattice_starts()
-    return spec.trajectory_starts
 
 
 def _simplex_markers(s: SingleGame, spec: PlotSpec):

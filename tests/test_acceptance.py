@@ -22,6 +22,7 @@ from cpgames import (
     enumerate_nash_single,
     enumerate_rest_points,
     integrate,
+    integrate_batch,
     pad_to_square,
     rd_coupled_field,
     rd_jacobian,
@@ -68,13 +69,10 @@ def test_criterion_1_bos_equilibria(bos):
 def test_criterion_2_pd_unique_and_absorbing(pd):
     eqs = enumerate_nash_bimatrix(pd)
     assert profiles(eqs) == {((F(0), F(1)), (F(0), F(1)))}
-    target = np.array([0.0, 1.0])
-    for i in range(1, 6):
-        for j in range(1, 6):
-            start = ([i / 6, 1 - i / 6], [j / 6, 1 - j / 6])
-            traj = integrate("coupled", pd, start, dt=0.01, t_max=50)
-            assert np.abs(traj.xs[-1] - target).max() < 1e-3
-            assert np.abs(traj.ys[-1] - target).max() < 1e-3
+    starts = [([i / 6, 1 - i / 6], [j / 6, 1 - j / 6]) for i in range(1, 6) for j in range(1, 6)]
+    final = integrate_batch("coupled", pd, starts, dt=0.01, t_max=50, stride=5000)[-1]
+    assert final.shape == (25, 4)
+    assert np.abs(final - [0.0, 1.0, 0.0, 1.0]).max() < 1e-3  # (x, y) of every start
     report("criterion 2 (PD unique equilibrium absorbs 25 lattice starts): PASS")
 
 

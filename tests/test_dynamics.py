@@ -13,6 +13,7 @@ from cpgames import (
     counterpart_games,
     enumerate_nash_bimatrix,
     integrate,
+    integrate_batch,
     rd_coupled_field,
     rd_counterpart_fields,
     rd_single_field,
@@ -24,6 +25,41 @@ def rand_simplex(rng, n):
     cuts = sorted(rng.random() for _ in range(n - 1))
     parts = [cuts[0]] + [b - a for a, b in zip(cuts, cuts[1:])] + [1 - cuts[-1]]
     return np.array(parts)
+
+
+def reference_field(system, game):
+    """The field as 1-D products on one state, the arithmetic that batched
+    evaluation must reproduce bit for bit; returns (field, dims)."""
+    if system == "coupled":
+        a, b, n = game.a_float(), game.b_float(), game.n_rows
+
+        def f(s):
+            x, y = s[:n], s[n:]
+            ay, xb = a @ y, x @ b
+            return np.concatenate([x * (ay - x @ ay), y * (xb - xb @ y)])
+
+        return f, (n, game.n_cols)
+    cp1, cp2 = counterpart_games(game)
+    m = (cp1 if system == "cp1" else cp2).m_float()
+    return (lambda x: x * (m @ x - x @ (m @ x))), (m.shape[0],)
+
+
+def reference_rk4(system, game, start, dt, steps):
+    """RK4 on one start with 1-D products, as integration ran before batching."""
+    f, dims = reference_field(system, game)
+    state = np.hstack(start).astype(np.float64)
+    states = [state]
+    for _ in range(steps):
+        k1 = f(state)
+        k2 = f(state + 0.5 * dt * k1)
+        k3 = f(state + 0.5 * dt * k2)
+        k4 = f(state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert state.min() >= -1e-9
+        state = np.where((state < 0.0) & (state >= -1e-12), 0.0, state)
+        state = np.concatenate([p / p.sum() for p in np.split(state, np.cumsum(dims)[:-1])])
+        states.append(state)
+    return np.array(states)
 
 
 class TestFields:
@@ -154,6 +190,49 @@ class TestIntegrate:
         with pytest.raises(DomainEscape):
             integrate("coupled", pd, ([0.9, 0.1], [0.9, 0.1]), dt=40.0, t_max=4000.0)
 
+    def test_batch_matches_single_starts_bit_for_bit(self, bos, leduc, fullsupport):
+        # BoS lattice starts such as ((1/2, 1/2), (1/2, 1/2)) lie on the
+        # separatrix, where one ulp decides which equilibrium is reached.
+        # The last start begins 1e-13 below the face, so the clamp runs.
+        lattice = [([i / 6, 1 - i / 6], [j / 6, 1 - j / 6]) for i in range(1, 6) for j in range(1, 6)]
+        simplex = [(i / 5, j / 5, (5 - i - j) / 5) for i in range(1, 5) for j in range(1, 5 - i)]
+        mixed = [([0.2, 0.5, 0.3], [0.4, 0.4, 0.2]), ([0.6, 0.1, 0.3], [0.1, 0.1, 0.8]),
+                 ([1 + 1e-13, -1e-13, 0.0], [0.3, 0.3, 0.4])]
+        for system, game, starts in (("coupled", bos, lattice), ("cp1", leduc, simplex),
+                                     ("cp2", leduc, simplex), ("coupled", fullsupport, mixed)):
+            rec = integrate_batch(system, game, starts, dt=0.01, t_max=3)
+            for k, start in enumerate(starts):
+                traj = integrate(system, game, start, dt=0.01, t_max=3)
+                one = traj.xs if traj.ys is None else np.hstack([traj.xs, traj.ys])
+                assert np.array_equal(rec[:-1, k], one), (system, start)
+                assert np.array_equal(rec[-1, k], one[-1])
+                assert np.array_equal(one, reference_rk4(system, game, start, 0.01, 300)), (system, start)
+        assert integrate("coupled", fullsupport, mixed[2], t_max=0.01).xs[1, 1] == 0.0
+
+    def test_strided_record(self, pd, rps):
+        for system, game, start in (("coupled", pd, ([0.9, 0.1], [0.2, 0.8])),
+                                    ("cp1", rps, [0.5, 0.3, 0.2])):
+            traj = integrate(system, game, start, dt=0.01, t_max=1)
+            full = traj.xs if traj.ys is None else np.hstack([traj.xs, traj.ys])
+            for stride in (1, 7, 10, 100, 150):
+                rec = integrate_batch(system, game, [start], dt=0.01, t_max=1, stride=stride)
+                assert np.array_equal(rec[:, 0], np.vstack([full[::stride], full[-1:]]))
+
+    def test_batch_escape_of_one_start(self, pd):
+        rest, escaping = ([1.0, 0.0], [1.0, 0.0]), ([0.9, 0.1], [0.9, 0.1])
+        integrate_batch("coupled", pd, [rest, rest], dt=40.0, t_max=4000.0)
+        for starts in ([rest, escaping], [escaping, rest]):
+            with pytest.raises(DomainEscape):
+                integrate_batch("coupled", pd, starts, dt=40.0, t_max=4000.0)
+
+    def test_batch_validation(self, pd):
+        with pytest.raises(ValidationError):
+            integrate_batch("coupled", pd, [([0.5, 0.5], [0.5, 0.5]), ([0.5, 0.6], [0.5, 0.5])])
+        with pytest.raises(ValidationError):
+            integrate_batch("coupled", pd, [])
+        with pytest.raises(ValidationError):
+            integrate_batch("coupled", pd, [([0.5, 0.5], [0.5, 0.5])], stride=0)
+
     def test_states_stay_on_simplex(self, fullsupport):
         traj = integrate("coupled", fullsupport,
                          ([0.2, 0.5, 0.3], [0.4, 0.4, 0.2]), dt=0.01, t_max=30)
@@ -190,6 +269,23 @@ class TestGrids:
                 break
         else:
             pytest.fail("centroid missing from resolution-21 lattice")
+
+    def test_grid_matches_pointwise_fields(self, pd, bos, rps, leduc):
+        for g in (pd, bos):
+            f, _ = reference_field("coupled", g)
+            for sample in sample_field_grid("coupled", g, 15):
+                vx, vy = rd_coupled_field(g, *sample.points)
+                assert np.array_equal(sample.velocities[0], vx)
+                assert np.array_equal(sample.velocities[1], vy)
+                assert np.array_equal(np.hstack([vx, vy]), f(np.hstack(sample.points)))
+        for g in (rps, leduc):
+            for system, s in zip(("cp1", "cp2"), counterpart_games(g)):
+                f, _ = reference_field(system, g)
+                for grid in (sample_field_grid(system, g, 20), sample_field_grid("single", s, 7)):
+                    for sample in grid:
+                        v = rd_single_field(s, sample.points[0])
+                        assert np.array_equal(sample.velocities[0], v)
+                        assert np.array_equal(v, f(sample.points[0]))
 
     def test_unsupported_dimensions(self, fullsupport, bos):
         with pytest.raises(UnsupportedDimension):
