@@ -26,6 +26,7 @@ from .games import (
     fraction_str,
     is_nash_bimatrix,
     is_nash_single,
+    is_strict_equilibrium,
     make_bimatrix,
     make_single,
     pad_to_square,
@@ -40,6 +41,7 @@ from .solver import (
     DegeneracyWitness,
     EquilibriumCandidate,
     RestPoint,
+    SupportTable,
     detect_degeneracy,
     enumerate_nash_bimatrix,
     enumerate_nash_single,

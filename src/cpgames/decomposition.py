@@ -5,6 +5,13 @@ every column permutation of the padded game, single-population equilibria of
 the two counterparts with identical supports combine into equilibria of the
 original bimatrix game; scanning all permutations covers every configuration
 of equal-size supports, which is exhaustive for non-degenerate games.
+
+Under a column permutation sigma, counterpart 1's indifference system on a
+support S is the y half of the support pair (S, sigma(S)) of the padded game,
+and counterpart 2's is the x half of the same pair.  The scan therefore reads
+both counterparts' equilibria from one `SupportTable` instead of building
+and solving n! permuted games; the degeneracy report and the direct solution
+read the same table.
 """
 
 from __future__ import annotations
@@ -21,22 +28,21 @@ from .games import (
     MixedStrategy,
     PaddingRecord,
     Permutation,
-    counterpart_games,
     expected_payoffs,
     fraction_str,
     is_nash_bimatrix,
+    is_strict_equilibrium,
     make_bimatrix,
     pad_to_square,
-    permute_columns,
     serialize_game,
 )
 from .solver import (
     DegeneracyReport,
     EquilibriumCandidate,
+    SupportTable,
     candidate_json,
     detect_degeneracy,
     enumerate_nash_bimatrix,
-    enumerate_nash_single,
 )
 
 MAX_DECOMPOSE_ACTIONS = 5  # n! permutations are scanned; 120 is the ceiling
@@ -121,56 +127,78 @@ def _strip_padding(cand: EquilibriumCandidate, padding: PaddingRecord) -> Equili
 
 
 def _finalize(cand: EquilibriumCandidate, g: BimatrixGame) -> EquilibriumCandidate:
-    from .solver import _bimatrix_strict  # strictness shares the solver's definition
     return replace(cand,
                    payoffs=expected_payoffs(g, cand.x, cand.y),
-                   is_strict=_bimatrix_strict(g, cand.x, cand.y))
+                   is_strict=is_strict_equilibrium(g, cand.x, cand.y))
 
 
-def decompose(g: BimatrixGame, verify: bool = True) -> DecompositionReport:
+def _single(n: int, probs: dict, half, support) -> EquilibriumCandidate:
+    """A counterpart equilibrium read from its half of a support pair;
+    `probs` maps each index of the support to its probability."""
+    x = MixedStrategy(tuple(probs.get(i, Fraction(0)) for i in range(n)), "exact")
+    return EquilibriumCandidate(
+        kind="single", x=x, y=None, support_x=support, support_y=None,
+        is_strict=len(support) == 1 and half.best == 1, payoffs=half.solution[-1])
+
+
+def decompose(g: BimatrixGame, verify: bool = True, *,
+              table: SupportTable | None = None) -> DecompositionReport:
     """Run the full counterpart pipeline on a (possibly non-square) game.
 
-    Pads to square, scans all column permutations, enumerates both
-    counterparts' symmetric equilibria per permutation, reconstructs matching
-    pairs, strips dummies and deduplicates.  Every reconstructed candidate is
-    verified exactly against the game; a failure raises TheoremViolation
-    since the counterpart correspondence guarantees it cannot happen.  With
-    `verify` the direct support-enumeration solution is computed as well and
-    compared (over equal-size supports) to set `agreement`.
+    Pads to square, scans all column permutations, reads both counterparts'
+    symmetric equilibria per permutation from the padded game's support
+    table, reconstructs matching pairs, strips dummies and deduplicates.
+    Every reconstructed candidate is verified exactly against the game; a
+    failure raises TheoremViolation since the counterpart correspondence
+    guarantees it cannot happen.  With `verify` the direct
+    support-enumeration solution is computed as well and compared (over
+    equal-size supports) to set `agreement`.  `table`, an exact SupportTable
+    of `g`, shares solved systems with other calls on the same game.
     """
     padded, padding = pad_to_square(g)
     n = padded.n_rows
     if n > MAX_DECOMPOSE_ACTIONS:
         raise TooLarge(f"decomposition capped at {MAX_DECOMPOSE_ACTIONS} actions after padding, got {n}")
-    degeneracy = detect_degeneracy(padded)
+    table = table or SupportTable(g)
+    padded_table = table if padded is g else SupportTable(padded)
+    degeneracy = padded_table.degeneracy()
 
+    supports = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+    row_mixes: dict = {}  # (S, sigma(S)) -> counterpart 2's equilibrium
+    verified: dict = {}  # profile -> matched pair, verified on the padded game once
     entries = []
-    pool: list[EquilibriumCandidate] = []
     for mapping in itertools.permutations(range(n)):
         perm = Permutation(mapping)
-        gp = permute_columns(padded, perm)
-        cp1, cp2 = counterpart_games(gp)
-        eqs1 = enumerate_nash_single(cp1)
-        eqs2 = enumerate_nash_single(cp2)
-        matched = [
-            _finalize(c, padded) for c in reconstruct_candidates(eqs1, eqs2, perm)
-        ]
-        for cand in matched:
-            if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
-                raise TheoremViolation(
-                    f"candidate x={cand.x.probs} y={cand.y.probs} from permutation "
-                    f"{mapping} is not an equilibrium of the padded game")
+        eqs1, eqs2 = [], []
+        for s in supports:
+            cols = tuple(sorted(mapping[j] for j in s))
+            yh, xh = padded_table.y_half(s, cols), padded_table.x_half(s, cols)
+            if yh.nash:  # counterpart 1's state is y in permuted column order
+                y = dict(zip(cols, yh.solution))
+                eqs1.append(_single(n, {j: y[mapping[j]] for j in s}, yh, s))
+            if xh.nash:  # counterpart 2's state is x, the same for every sigma
+                if (s, cols) not in row_mixes:
+                    row_mixes[(s, cols)] = _single(n, dict(zip(s, xh.solution)), xh, s)
+                eqs2.append(row_mixes[(s, cols)])
+        matched = []
+        for cand in reconstruct_candidates(eqs1, eqs2, perm):
+            if cand.key() not in verified:
+                if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
+                    raise TheoremViolation(
+                        f"candidate x={cand.x.probs} y={cand.y.probs} from permutation "
+                        f"{mapping} is not an equilibrium of the padded game")
+                verified[cand.key()] = _finalize(cand, padded)
+            matched.append(verified[cand.key()])
         entries.append(PermutationAnalysis(
             permutation=perm,
             cp1_equilibria=tuple(eqs1),
             cp2_equilibria=tuple(eqs2),
             matched_pairs=tuple(matched),
         ))
-        pool.extend(matched)
 
     seen = set()
     reconstructed = []
-    for cand in pool:
+    for cand in verified.values():
         stripped = _strip_padding(cand, padding)
         if stripped.key() in seen:
             continue
@@ -185,7 +213,7 @@ def decompose(g: BimatrixGame, verify: bool = True) -> DecompositionReport:
     direct = None
     agreement = None
     if verify:
-        direct = enumerate_nash_bimatrix(g)
+        direct = enumerate_nash_bimatrix(g, table=table)
         equal_support = {c.key() for c in direct if len(c.support_x) == len(c.support_y)}
         agreement = {c.key() for c in reconstructed} == equal_support
 
@@ -232,10 +260,11 @@ def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
     counterexample = None
     for i in range(trials):
         g = random_game(rng, size, name=f"random-{seed}-{i}")
-        if detect_degeneracy(g).degenerate:
+        table = SupportTable(g)
+        if detect_degeneracy(g, table=table).degenerate:
             discarded += 1
             continue
-        report = decompose(g, verify=True)
+        report = decompose(g, verify=True, table=table)
         tested += 1
         if not report.agreement:
             counterexample = {

@@ -468,6 +468,19 @@ def is_nash_bimatrix(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy,
     return max(ay) <= _dot(x.probs, ay) and max(xb) <= _dot(xb, y.probs)
 
 
+def is_strict_equilibrium(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -> bool:
+    """True for a strict Nash equilibrium: a pure profile from which every
+    unilateral deviation is strictly worse.  Decided on the exact payoffs
+    whatever the strategies' mode."""
+    sx, sy = x.support(), y.support()
+    if len(sx) != 1 or len(sy) != 1:
+        return False
+    i, j = sx[0], sy[0]
+    a, b = g.row_payoffs, g.col_payoffs
+    return (all(a[k][j] < a[i][j] for k in range(g.n_rows) if k != i)
+            and all(b[i][l] < b[i][j] for l in range(g.n_cols) if l != j))
+
+
 def is_nash_single(s: SingleGame, x: MixedStrategy, tol: float = NASH_TOL_DEFAULT) -> bool:
     """Single-population equilibrium check: no action beats x against x."""
     if len(x) != s.n:

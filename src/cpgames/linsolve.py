@@ -1,12 +1,19 @@
-"""Rank-revealing Gaussian elimination for small indifference systems.
+"""Rank-revealing Gauss–Jordan elimination for small indifference systems.
 
 All equilibrium and rest-point enumeration reduces to systems of at most
-seven equations.  The same elimination runs over exact Fractions (the
-default) or float64, differing only in the pivot test.
+seven equations.  Exact mode (the default) scales each row of the augmented
+matrix to integers by the least common multiple of its denominators and runs
+fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
+exact, so the work stays in Python integers and converts to `Fraction` only
+when the solution is read off.  The reduced row echelon form is unique, so
+the status, solution and null space equal those of `Fraction` elimination.
+Float mode runs the same elimination on float64 with partial pivoting and a
+scaled pivot threshold; it exists to cross-check the exact results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,36 +33,76 @@ class LinearResult:
 
 def solve_linear(matrix, rhs, exact: bool = True) -> LinearResult:
     """Solve matrix @ z = rhs for any shape, reporting the solution structure."""
+    if not exact:
+        return _solve_float(matrix, rhs)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if exact:
-        aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-        zero = lambda v: v == 0
-    else:
-        aug = [[float(v) for v in row] + [float(rhs[i])] for i, row in enumerate(matrix)]
-        scale = max((abs(v) for row in aug for v in row), default=1.0)
-        eps = _FLOAT_PIVOT_EPS * max(1.0, scale)
-        zero = lambda v: abs(v) <= eps
+    aug = [_integer_row([*row, rhs[i]]) for i, row in enumerate(matrix)]
+
+    # After each pivot every entry is a minor of the scaled matrix, so the
+    # division by the previous pivot is exact; all pivots end equal to `d`.
+    pivot_cols = []
+    d = 1
+    r = 0
+    for c in range(n):
+        for pivot in range(r, m):
+            if aug[pivot][c]:
+                break
+        else:
+            continue
+        prow = aug[pivot]
+        aug[pivot], aug[r] = aug[r], prow
+        pv = prow[c]
+        for i in range(m):
+            if i != r:
+                f = aug[i][c]
+                if f or pv != d:
+                    aug[i] = [(pv * v - f * w) // d for v, w in zip(aug[i], prow)]
+        d = pv
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+
+    if any(aug[i][n] for i in range(r, m)):
+        return LinearResult(INCONSISTENT, None, [])
+    return _read_off(aug, pivot_cols, n, d, lambda v: Fraction(v, d))
+
+
+def _integer_row(values) -> list[int]:
+    """The row times the least common multiple of its denominators."""
+    try:
+        dens = [v.denominator for v in values]
+    except AttributeError:  # floats count at their exact binary value
+        values = [Fraction(v) for v in values]
+        dens = [v.denominator for v in values]
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return [v.numerator for v in values]
+    return [v.numerator * (scale // den) for v, den in zip(values, dens)]
+
+
+def _solve_float(matrix, rhs) -> LinearResult:
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    aug = [[float(v) for v in row] + [float(rhs[i])] for i, row in enumerate(matrix)]
+    scale = max((abs(v) for row in aug for v in row), default=1.0)
+    eps = _FLOAT_PIVOT_EPS * max(1.0, scale)
 
     pivot_cols = []
     r = 0
     for c in range(n):
-        if exact:
-            pivot = next((i for i in range(r, m) if not zero(aug[i][c])), None)
-        else:
-            pivot, best = None, 0.0
-            for i in range(r, m):
-                if abs(aug[i][c]) > best:
-                    pivot, best = i, abs(aug[i][c])
-            if pivot is not None and zero(aug[pivot][c]):
-                pivot = None
-        if pivot is None:
+        pivot, best = None, 0.0
+        for i in range(r, m):
+            if abs(aug[i][c]) > best:
+                pivot, best = i, abs(aug[i][c])
+        if pivot is None or best <= eps:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][c]
         aug[r] = [v / pv for v in aug[r]]
         for i in range(m):
-            if i != r and not zero(aug[i][c]):
+            if i != r and abs(aug[i][c]) > eps:
                 f = aug[i][c]
                 aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
         pivot_cols.append(c)
@@ -63,25 +110,25 @@ def solve_linear(matrix, rhs, exact: bool = True) -> LinearResult:
         if r == m:
             break
 
-    for i in range(r, m):
-        if not zero(aug[i][n]):
-            return LinearResult(INCONSISTENT, None, [])
+    if any(abs(aug[i][n]) > eps for i in range(r, m)):
+        return LinearResult(INCONSISTENT, None, [])
+    return _read_off(aug, pivot_cols, n, 1.0, float)
 
-    zero_val = Fraction(0) if exact else 0.0
-    one_val = Fraction(1) if exact else 1.0
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    particular = [zero_val] * n
-    for row_idx, c in enumerate(pivot_cols):
-        particular[c] = aug[row_idx][n]
 
-    if not free_cols:
-        return LinearResult(UNIQUE, particular, [])
-
+def _read_off(aug, pivot_cols, n, d, div) -> LinearResult:
+    """Particular solution (free variables 0) and null-space basis of a
+    reduced system whose pivot entries all equal `d`; `div(v)` is v / d."""
+    zero = div(0 * d)
+    particular = [zero] * n
+    for row, c in zip(aug, pivot_cols):
+        particular[c] = div(row[n])
     basis = []
-    for fc in free_cols:
-        vec = [zero_val] * n
-        vec[fc] = one_val
-        for row_idx, c in enumerate(pivot_cols):
-            vec[c] = -aug[row_idx][fc]
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
+        vec = [zero] * n
+        vec[fc] = div(d)
+        for row, c in zip(aug, pivot_cols):
+            vec[c] = div(-row[fc])
         basis.append(vec)
-    return LinearResult(UNDERDETERMINED, particular, basis)
+    return LinearResult(UNDERDETERMINED if basis else UNIQUE, particular, basis)

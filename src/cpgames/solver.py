@@ -3,15 +3,25 @@ and single-population games, replicator rest points, and degeneracy detection.
 
 For every candidate support the in-support indifference conditions form a
 small linear system; solutions with strictly positive in-support entries that
-survive the best-response test are equilibria.  Exact Fraction arithmetic is
-the default so ties are classified correctly; float mode exists to cross-check.
+survive the best-response test are equilibria.  A support pair (rows, cols)
+of a bimatrix game (A, B) has two halves: the y half makes the rows in `rows`
+indifferent against a column mix on `cols` in A, and the x half is the y half
+of B transposed at (cols, rows).  A `SupportTable` solves each half of each
+equal-size pair once, on first read, and keeps the facts its readers need:
+status, solution, common payoff and, in exact mode, the best responses
+counted in integers.  Degeneracy detection, direct enumeration and the
+decomposition's permutation scan all read one table per game.  Exact
+arithmetic is the default so ties are classified correctly; float mode
+exists to cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TooLarge
 from .games import (
@@ -22,6 +32,7 @@ from .games import (
     fraction_str,
     is_nash_bimatrix,
     is_nash_single,
+    is_strict_equilibrium,
     expected_payoffs,
 )
 from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
@@ -81,8 +92,8 @@ def _single_matrix(s: SingleGame, exact: bool):
 
 
 def _positive(values, exact: bool) -> bool:
-    if exact:
-        return all(v > 0 for v in values)
+    if exact:  # a Fraction's sign is its numerator's
+        return all(v.numerator > 0 for v in values)
     return all(v > FLOAT_SUPPORT_EPS for v in values)
 
 
@@ -98,20 +109,126 @@ def _full_vector(n: int, support, values, exact: bool) -> MixedStrategy:
     return MixedStrategy(tuple(probs), "exact" if exact else "float")
 
 
-def _y_system(a_mat, rows, cols):
-    """Indifference system for the column-side vector: all rows in `rows`
-    earn the same payoff u against y supported on `cols`, and y sums to 1."""
-    sys_rows = [[a_mat[i][j] for j in cols] + [-1] for i in rows]
-    sys_rows.append([1] * len(cols) + [0])
-    rhs = [0] * len(rows) + [1]
-    return sys_rows, rhs
+class Half(NamedTuple):
+    """The solved indifference system of one half of a support pair."""
+
+    status: str
+    solution: list | None  # the mix in support order, then the common payoff
+    nullspace: list  # underdetermined systems only
+    positive: bool  # every in-support entry of `solution` is positive
+    best: int = 0  # exact, unique and positive: rows earning the top payoff
+    nash: bool = False  # ... and the support rows are among them
+
+    @property
+    def mixed(self) -> bool:
+        """A unique, strictly positive mix on the support."""
+        return self.status == UNIQUE and self.positive
 
 
-def _x_system(b_mat, rows, cols):
-    sys_rows = [[b_mat[i][j] for i in rows] + [-1] for j in cols]
-    sys_rows.append([1] * len(rows) + [0])
-    rhs = [0] * len(cols) + [1]
-    return sys_rows, rhs
+# Shared halves without a mix: no reader needs a non-positive solution, and
+# not keeping one per entry keeps a 6x6 game's table near half a megabyte.
+_NO_MIX = {status: Half(status, None, [], False) for status in (UNIQUE, INCONSISTENT)}
+
+
+class HalfTable:
+    """The y halves of one payoff matrix M by sorted support pair: every row
+    in `rows` earns the same payoff u against a column mix y on `cols`, and y
+    sums to one.  Equal-size pairs are solved once, on first read; unequal
+    ones are read once by their only reader and are not kept.
+
+    In exact mode M is scaled to integers by the common denominator of its
+    entries, which leaves every system's solutions unchanged, and the
+    best-response facts are counted in integers too, with y scaled by the
+    common denominator of its entries.
+    """
+
+    def __init__(self, mat, exact: bool = True):
+        self.exact = exact
+        self.entries: dict[tuple, Half] = {}
+        self.scale = 1
+        self.mat = mat
+        if exact:
+            self.scale = math.lcm(*(v.denominator for row in mat for v in row))
+            self.mat = [[v.numerator * (self.scale // v.denominator) for v in row] for row in mat]
+
+    def get(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Half:
+        half = self.entries.get((rows, cols))
+        if half is None:
+            half = self._solve(rows, cols)
+            if len(rows) == len(cols):
+                self.entries[(rows, cols)] = half
+        return half
+
+    def _solve(self, rows, cols) -> Half:
+        # The payoff rows scaled by `scale`: the same solutions, in integers.
+        system = [[self.mat[i][j] for j in cols] + [-self.scale] for i in rows]
+        system.append([1] * len(cols) + [0])
+        res = solve_linear(system, [0] * len(rows) + [1], exact=self.exact)
+        if res.status == INCONSISTENT:
+            return _NO_MIX[INCONSISTENT]
+        positive = _positive(res.solution[:-1], self.exact)
+        if res.status == UNDERDETERMINED:
+            return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
+        if not positive:
+            return _NO_MIX[UNIQUE]
+        if not self.exact:
+            return Half(UNIQUE, res.solution, [], True)
+        y = res.solution[:-1]
+        scale = math.lcm(*(v.denominator for v in y))
+        weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
+        payoffs = [sum(row[j] * w for j, w in weights) for row in self.mat]
+        top = max(payoffs)
+        return Half(UNIQUE, res.solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
+
+
+class SupportTable:
+    """Both halves of every support pair of one bimatrix game, each solved
+    once, and the game's degeneracy report, scanned once.  Pass one table to
+    `detect_degeneracy`, `enumerate_nash_bimatrix` and `decompose` to share
+    the solved systems between them."""
+
+    def __init__(self, g: BimatrixGame, exact: bool = True):
+        a, b = _matrices(g, exact)
+        self.game = g
+        self.exact = exact
+        self._y = HalfTable(a, exact)
+        self._x = HalfTable(tuple(zip(*b)), exact)
+        self._degeneracy = None
+
+    def y_half(self, rows, cols) -> Half:
+        """Rows indifferent in A against the column mix on `cols`."""
+        return self._y.get(rows, cols)
+
+    def x_half(self, rows, cols) -> Half:
+        """Columns indifferent in B against the row mix on `rows`."""
+        return self._x.get(cols, rows)
+
+    def degeneracy(self) -> DegeneracyReport:
+        """Scan every equal-size support pair's halves (exact tables only).
+
+        The game is degenerate when some valid mixed strategy admits more
+        pure best responses than its support size, or when a support system
+        is singular with a whole continuum of solutions.
+        """
+        if self._degeneracy is None:
+            g = self.game
+            witnesses = []
+            for k in range(1, min(g.n_rows, g.n_cols) + 1):
+                for rows in itertools.combinations(range(g.n_rows), k):
+                    for cols in itertools.combinations(range(g.n_cols), k):
+                        reasons = []
+                        for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
+                            if half.status == UNDERDETERMINED:
+                                reason = "continuum" if half.positive else "singular-system"
+                            elif half.mixed and half.best > k:
+                                reason = "excess-best-responses"
+                            else:
+                                continue
+                            if reason not in reasons:
+                                reasons.append(reason)
+                        witnesses += [DegeneracyWitness((rows, cols), r) for r in reasons]
+            self._degeneracy = DegeneracyReport(bool(witnesses), tuple(witnesses))
+        return self._degeneracy
 
 
 def _guard_bimatrix(g: BimatrixGame) -> None:
@@ -122,18 +239,6 @@ def _guard_bimatrix(g: BimatrixGame) -> None:
 def _guard_single(s: SingleGame) -> None:
     if s.n > MAX_ACTIONS:
         raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game has {s.n}")
-
-
-def _bimatrix_strict(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -> bool:
-    # Strictness is decided on the exact payoffs regardless of solve mode.
-    sx, sy = x.support(), y.support()
-    if len(sx) != 1 or len(sy) != 1:
-        return False
-    i, j = sx[0], sy[0]
-    a, b = g.row_payoffs, g.col_payoffs
-    row_ok = all(a[k][j] < a[i][j] for k in range(g.n_rows) if k != i)
-    col_ok = all(b[i][l] < b[i][j] for l in range(g.n_cols) if l != j)
-    return row_ok and col_ok
 
 
 def _single_strict(s: SingleGame, x: MixedStrategy) -> bool:
@@ -172,106 +277,62 @@ def _dedup_and_sort(candidates, exact: bool):
     return kept
 
 
-def _bimatrix_candidate_from_supports(g, a_mat, b_mat, rows, cols, exact, tol):
-    """Solve both indifference systems for one support pair; return the
-    verified candidate or None (with the linear results for witness callers)."""
-    yres = solve_linear(*_y_system(a_mat, rows, cols), exact=exact)
-    xres = solve_linear(*_x_system(b_mat, rows, cols), exact=exact)
-    if yres.status != UNIQUE or xres.status != UNIQUE:
-        return None, yres, xres
-    y_vals, x_vals = yres.solution[:-1], xres.solution[:-1]
-    if not (_positive(y_vals, exact) and _positive(x_vals, exact)):
-        return None, yres, xres
-    x = _full_vector(g.n_rows, rows, x_vals, exact)
-    y = _full_vector(g.n_cols, cols, y_vals, exact)
-    if not is_nash_bimatrix(g, x, y, tol=tol):
-        return None, yres, xres
-    cand = EquilibriumCandidate(
+def _bimatrix_candidate(table: SupportTable, rows, cols):
+    """The verified equilibrium on one support pair, or None."""
+    g, exact = table.game, table.exact
+    yh, xh = table.y_half(rows, cols), table.x_half(rows, cols)
+    if not (yh.mixed and xh.mixed) or (exact and not (yh.nash and xh.nash)):
+        return None
+    x = _full_vector(g.n_rows, rows, xh.solution[:-1], exact)
+    y = _full_vector(g.n_cols, cols, yh.solution[:-1], exact)
+    if not exact and not is_nash_bimatrix(g, x, y, tol=FLOAT_SUPPORT_EPS):
+        return None
+    return EquilibriumCandidate(
         kind="bimatrix",
         x=x,
         y=y,
         support_x=x.support(),
         support_y=y.support(),
-        is_strict=_bimatrix_strict(g, x, y),
+        is_strict=is_strict_equilibrium(g, x, y),
         payoffs=expected_payoffs(g, x, y),
     )
-    return cand, yres, xres
 
 
-def detect_degeneracy(g: BimatrixGame) -> DegeneracyReport:
-    """Scan every equal-size support pair's indifference systems.
+def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> DegeneracyReport:
+    """Degeneracy report of the game: see `SupportTable.degeneracy`.
 
-    The game is degenerate when some valid mixed strategy admits more pure
-    best responses than its support size, or when a support system is
-    singular with a whole continuum of solutions.
+    `table`, an exact SupportTable of `g`, shares its solved systems and its
+    report with other calls on the same game.
     """
     _guard_bimatrix(g)
-    a_mat, b_mat = _matrices(g, exact=True)
-    witnesses: list[DegeneracyWitness] = []
-    seen = set()
-
-    def add(rows, cols, reason):
-        key = (rows, cols, reason)
-        if key not in seen:
-            seen.add(key)
-            witnesses.append(DegeneracyWitness(supports=(rows, cols), reason=reason))
-
-    for k in range(1, min(g.n_rows, g.n_cols) + 1):
-        for rows in itertools.combinations(range(g.n_rows), k):
-            for cols in itertools.combinations(range(g.n_cols), k):
-                yres = solve_linear(*_y_system(a_mat, rows, cols), exact=True)
-                if yres.status == UNDERDETERMINED:
-                    pos = _positive(yres.solution[:-1], True)
-                    add(rows, cols, "continuum" if pos else "singular-system")
-                elif yres.status == UNIQUE and _positive(yres.solution[:-1], True):
-                    y = _full_vector(g.n_cols, cols, yres.solution[:-1], True)
-                    ay = [sum(a_mat[i][j] * y.probs[j] for j in range(g.n_cols)) for i in range(g.n_rows)]
-                    best = max(ay)
-                    if sum(1 for v in ay if v == best) > k:
-                        add(rows, cols, "excess-best-responses")
-                xres = solve_linear(*_x_system(b_mat, rows, cols), exact=True)
-                if xres.status == UNDERDETERMINED:
-                    pos = _positive(xres.solution[:-1], True)
-                    add(rows, cols, "continuum" if pos else "singular-system")
-                elif xres.status == UNIQUE and _positive(xres.solution[:-1], True):
-                    x = _full_vector(g.n_rows, rows, xres.solution[:-1], True)
-                    xb = [sum(x.probs[i] * b_mat[i][j] for i in range(g.n_rows)) for j in range(g.n_cols)]
-                    best = max(xb)
-                    if sum(1 for v in xb if v == best) > k:
-                        add(rows, cols, "excess-best-responses")
-    return DegeneracyReport(degenerate=bool(witnesses), witnesses=tuple(witnesses))
+    return (table or SupportTable(g)).degeneracy()
 
 
-def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact") -> list[EquilibriumCandidate]:
+def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
+                            table: SupportTable | None = None) -> list[EquilibriumCandidate]:
     """All Nash equilibria found by support enumeration, sorted by support.
 
     Equal-cardinality support pairs are always scanned; unequal pairs are
     scanned in addition when the game is degenerate (only then can equilibria
     have supports of different sizes).  Continuum solution sets are skipped;
-    they show up as witnesses in detect_degeneracy instead.
+    they show up as witnesses in detect_degeneracy instead.  `table` is an
+    exact SupportTable of `g` to share (as in detect_degeneracy).
     """
     _guard_bimatrix(g)
     exact = mode == "exact"
-    tol = 0.0 if exact else FLOAT_SUPPORT_EPS
-    a_mat, b_mat = _matrices(g, exact)
+    table = table or SupportTable(g)
+    solved = table if exact else SupportTable(g, exact=False)
+    sizes = [(k, k) for k in range(1, min(g.n_rows, g.n_cols) + 1)]
+    if table.degeneracy().degenerate:
+        sizes += [(k1, k2) for k1 in range(1, g.n_rows + 1) for k2 in range(1, g.n_cols + 1)
+                  if k1 != k2]
     found = []
-    for k in range(1, min(g.n_rows, g.n_cols) + 1):
-        for rows in itertools.combinations(range(g.n_rows), k):
-            for cols in itertools.combinations(range(g.n_cols), k):
-                cand, _, _ = _bimatrix_candidate_from_supports(g, a_mat, b_mat, rows, cols, exact, tol)
+    for k1, k2 in sizes:
+        for rows in itertools.combinations(range(g.n_rows), k1):
+            for cols in itertools.combinations(range(g.n_cols), k2):
+                cand = _bimatrix_candidate(solved, rows, cols)
                 if cand is not None:
                     found.append(cand)
-    if detect_degeneracy(g).degenerate:
-        for k1 in range(1, g.n_rows + 1):
-            for k2 in range(1, g.n_cols + 1):
-                if k1 == k2:
-                    continue
-                for rows in itertools.combinations(range(g.n_rows), k1):
-                    for cols in itertools.combinations(range(g.n_cols), k2):
-                        cand, _, _ = _bimatrix_candidate_from_supports(
-                            g, a_mat, b_mat, rows, cols, exact, tol)
-                        if cand is not None:
-                            found.append(cand)
     return _dedup_and_sort(found, exact)
 
 
@@ -284,19 +345,15 @@ def enumerate_nash_single(s: SingleGame, mode: str = "exact") -> list[Equilibriu
     """
     _guard_single(s)
     exact = mode == "exact"
-    tol = 0.0 if exact else FLOAT_SUPPORT_EPS
-    m_mat = _single_matrix(s, exact)
+    table = HalfTable(_single_matrix(s, exact), exact)
     found = []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
-            res = solve_linear(*_y_system(m_mat, supp, supp), exact=exact)
-            if res.status != UNIQUE:
+            half = table.get(supp, supp)
+            if not half.mixed or (exact and not half.nash):
                 continue
-            vals = res.solution[:-1]
-            if not _positive(vals, exact):
-                continue
-            x = _full_vector(s.n, supp, vals, exact)
-            if not is_nash_single(s, x, tol=tol):
+            x = _full_vector(s.n, supp, half.solution[:-1], exact)
+            if not exact and not is_nash_single(s, x, tol=FLOAT_SUPPORT_EPS):
                 continue
             found.append(EquilibriumCandidate(
                 kind="single",
@@ -305,7 +362,7 @@ def enumerate_nash_single(s: SingleGame, mode: str = "exact") -> list[Equilibriu
                 support_x=x.support(),
                 support_y=None,
                 is_strict=_single_strict(s, x),
-                payoffs=res.solution[-1],
+                payoffs=half.solution[-1],
             ))
     return _dedup_and_sort(found, exact)
 
@@ -341,22 +398,22 @@ def enumerate_rest_points(s: SingleGame, mode: str = "exact") -> list[RestPoint]
     _guard_single(s)
     exact = mode == "exact"
     m_mat = _single_matrix(s, exact)
+    table = HalfTable(m_mat, exact)
     found = []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
-            res = solve_linear(*_y_system(m_mat, supp, supp), exact=exact)
-            if res.status == INCONSISTENT:
-                continue
-            continuum = False
-            if res.status == UNDERDETERMINED:
-                if len(res.nullspace) != 1:
+            half = table.get(supp, supp)
+            continuum = half.status == UNDERDETERMINED
+            if continuum:
+                if len(half.nullspace) != 1:
                     continue
-                sol = _segment_barycentre(res.solution, res.nullspace[0])
+                sol = _segment_barycentre(half.solution, half.nullspace[0])
                 if sol is None:
                     continue
-                continuum = True
+            elif half.mixed:
+                sol = half.solution
             else:
-                sol = res.solution
+                continue
             vals = sol[:-1]
             if not _positive(vals, exact):
                 continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNash, NotRestPoint, ValidationError
-from .games import BimatrixGame, MixedStrategy, SingleGame, is_nash_bimatrix
+from .games import BimatrixGame, MixedStrategy, SingleGame, is_nash_bimatrix, is_strict_equilibrium
 from .dynamics import _as_state, rd_coupled_field, rd_single_field
 
 REST_TOL = 1e-9
@@ -138,13 +138,7 @@ def two_species_ess_check(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
     tol = 0.0 if x.mode == "exact" and y.mode == "exact" else 1e-9
     if not is_nash_bimatrix(g, x, y, tol=tol):
         raise NotNash("two-species ESS check requires a Nash equilibrium")
-    sx, sy = x.support(), y.support()
-    if len(sx) != 1 or len(sy) != 1:
-        return False
-    i, j = sx[0], sy[0]
-    a, b = g.row_payoffs, g.col_payoffs
-    return (all(a[k][j] < a[i][j] for k in range(g.n_rows) if k != i)
-            and all(b[i][l] < b[i][j] for l in range(g.n_cols) if l != j))
+    return is_strict_equilibrium(g, x, y)
 
 
 def classify_rest_point(system: str, game, point, nash_status: bool) -> StabilityClassification:

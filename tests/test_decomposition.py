@@ -1,5 +1,6 @@
 """Counterpart reconstruction: matching, permutations, round-trip agreement."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cpgames import (
     TooLarge,
     counterpart_games,
     decompose,
+    detect_degeneracy,
     enumerate_nash_single,
     is_nash_bimatrix,
     make_bimatrix,
@@ -18,6 +20,7 @@ from cpgames import (
     reconstruct_candidates,
     verify_roundtrip,
 )
+import cpgames.solver
 from cpgames.decomposition import random_game, report_json
 
 
@@ -190,3 +193,50 @@ class TestRoundtrip:
             if detect_degeneracy(g).degenerate:
                 found_degenerate = True
         assert found_degenerate
+
+
+def _wide_game(seed, n):
+    """Square game with payoffs in [-1000, 1000]: non-degenerate for these seeds."""
+    rng = random.Random(seed)
+    a = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
+    b = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
+    return make_bimatrix(f"wide-{seed}", [f"R{i}" for i in range(n)],
+                         [f"C{j}" for j in range(n)], a, b)
+
+
+class TestPermutationScan:
+    def test_each_half_system_solved_at_most_once(self, monkeypatch):
+        # a machine-independent work gate: decompose(verify=True) solves each
+        # of the 2 * sum_k C(n, k)^2 equal-size half-systems at most once
+        solve = cpgames.solver.solve_linear
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
+        for n, g in ((4, random_game(random.Random(1), 4)), (5, _wide_game(0, 5))):
+            assert not detect_degeneracy(g).degenerate
+            calls.clear()
+            report = decompose(g, verify=True)
+            assert report.agreement is True
+            bound = 2 * sum(math.comb(n, k) ** 2 for k in range(1, n + 1))
+            assert bound == {4: 138, 5: 502}[n]
+            assert 0 < len(calls) <= bound, (n, len(calls))
+
+    def test_scan_matches_single_enumeration(self, all_games):
+        # each permutation's counterpart equilibria, read from the support
+        # table, equal enumerate_nash_single on the permuted counterparts
+        rng = random.Random(2718)
+        games = list(all_games.values())
+        games += [random_game(rng, n, name=f"scan-{n}-{i}") for n in (3, 4) for i in range(20)]
+        degenerate = 0
+        for g in games:
+            padded, _ = pad_to_square(g)
+            degenerate += detect_degeneracy(padded).degenerate
+            for entry in decompose(g, verify=False).per_permutation:
+                cp1, cp2 = counterpart_games(permute_columns(padded, entry.permutation))
+                assert list(entry.cp1_equilibria) == enumerate_nash_single(cp1), (g.name, entry.permutation)
+                assert list(entry.cp2_equilibria) == enumerate_nash_single(cp2), (g.name, entry.permutation)
+        assert 0 < degenerate < len(games)

@@ -191,7 +191,8 @@ class TestTwoSpeciesEss:
 
     def test_strict_pure_correspondence_random(self):
         # e_i strict in both counterparts <=> (e_i, e_i) strict in the game
-        from cpgames.solver import _single_strict, _bimatrix_strict
+        from cpgames.games import is_strict_equilibrium
+        from cpgames.solver import _single_strict
         rng = random.Random(41)
         for _ in range(100):
             n = rng.choice([2, 3])
@@ -200,7 +201,7 @@ class TestTwoSpeciesEss:
             for i in range(n):
                 e = MixedStrategy.exact([1 if k == i else 0 for k in range(n)])
                 both_strict = _single_strict(cp1, e) and _single_strict(cp2, e)
-                assert both_strict == _bimatrix_strict(g, e, e)
+                assert both_strict == is_strict_equilibrium(g, e, e)
 
 
 class TestEigenvalueInvariance:
