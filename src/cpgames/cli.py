@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--float", action="store_true")
+    mode.add_argument("--float", action="store_true",
+                      help="report the exact equilibria rounded to float64")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_solve)
 

@@ -86,13 +86,10 @@ def reconstruct_candidates(cp1_eqs, cp2_eqs, perm: Permutation) -> list[Equilibr
                 continue
             y_perm = y_cand.x
             n = len(y_perm)
-            if y_perm.mode == "exact":
-                probs = [Fraction(0)] * n
-            else:
-                probs = [0.0] * n
+            probs = [Fraction(0)] * n
             for j in range(n):
                 probs[perm(j)] = y_perm.probs[j]
-            y = MixedStrategy(tuple(probs), y_perm.mode)
+            y = MixedStrategy(tuple(probs), "exact")
             out.append(EquilibriumCandidate(
                 kind="bimatrix",
                 x=x_cand.x,
@@ -152,7 +149,7 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     failure raises TheoremViolation since the counterpart correspondence
     guarantees it cannot happen.  With `verify` the direct
     support-enumeration solution is computed as well and compared (over
-    equal-size supports) to set `agreement`.  `table`, an exact SupportTable
+    equal-size supports) to set `agreement`.  `table`, a SupportTable
     of `g`, shares solved systems with other calls on the same game.
     """
     padded, padding = pad_to_square(g)

@@ -7,8 +7,10 @@ fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
 exact, so the work stays in Python integers and converts to `Fraction` only
 when the solution is read off.  The reduced row echelon form is unique, so
 the status, solution and null space equal those of `Fraction` elimination.
-Float mode runs the same elimination on float64 with partial pivoting and a
-scaled pivot threshold; it exists to cross-check the exact results.
+Float mode runs Gauss–Jordan elimination on float64 with partial pivoting
+and a scaled pivot threshold.  It decides nothing: it exists only to render
+the digits of `cpg solve --float`, re-solving each exact equilibrium's
+support pair.
 """
 
 from __future__ import annotations

@@ -8,37 +8,35 @@ of a bimatrix game (A, B) has two halves: the y half makes the rows in `rows`
 indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
-status, solution, common payoff and, in exact mode, the best responses
-counted in integers.  Degeneracy detection, direct enumeration and the
-decomposition's permutation scan all read one table per game.  Exact
-arithmetic is the default so ties are classified correctly; float mode
-exists to cross-check.
+status, solution, common payoff and the best responses counted in
+integers.  Degeneracy detection, direct enumeration and the decomposition's
+permutation scan all read one table per game.  Every decision is made in
+exact arithmetic, so ties are classified correctly; float mode
+(`enumerate_nash_bimatrix(g, "float")`, `cpg solve --float`) only renders the
+exact equilibria in float64.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import TooLarge
+from .errors import TooLarge, ValidationError
 from .games import (
     FLOAT_SUPPORT_EPS,
     BimatrixGame,
     MixedStrategy,
     SingleGame,
     fraction_str,
-    is_nash_bimatrix,
-    is_nash_single,
     is_strict_equilibrium,
     expected_payoffs,
 )
 from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 
 MAX_ACTIONS = 6
-FLOAT_DEDUP_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,32 +79,23 @@ class DegeneracyReport:
     witnesses: tuple[DegeneracyWitness, ...]
 
 
-def _matrices(g: BimatrixGame, exact: bool):
-    if exact:
-        return g.row_payoffs, g.col_payoffs
-    return g.a_float().tolist(), g.b_float().tolist()
+def _positive(values) -> bool:
+    return all(v.numerator > 0 for v in values)  # a Fraction's sign is its numerator's
 
 
-def _single_matrix(s: SingleGame, exact: bool):
-    return s.payoffs if exact else s.m_float().tolist()
-
-
-def _positive(values, exact: bool) -> bool:
-    if exact:  # a Fraction's sign is its numerator's
-        return all(v.numerator > 0 for v in values)
-    return all(v > FLOAT_SUPPORT_EPS for v in values)
-
-
-def _full_vector(n: int, support, values, exact: bool) -> MixedStrategy:
-    if exact:
-        probs = [Fraction(0)] * n
-    else:
-        probs = [0.0] * n
-        total = sum(values)
-        values = [v / total for v in values]  # remove elimination roundoff
+def _full_vector(n: int, support, values) -> MixedStrategy:
+    probs = [Fraction(0)] * n
     for idx, v in zip(support, values):
         probs[idx] = v
-    return MixedStrategy(tuple(probs), "exact" if exact else "float")
+    return MixedStrategy(tuple(probs), "exact")
+
+
+def _indifference(mat, rows, cols, scale=1):
+    """The system of the y half at (rows, cols) of `scale` times M: the rows
+    earn the common payoff u against y, and y sums to one."""
+    system = [[mat[i][j] for j in cols] + [-scale] for i in rows]
+    system.append([1] * len(cols) + [0])
+    return system, [0] * len(rows) + [1]
 
 
 class Half(NamedTuple):
@@ -116,7 +105,7 @@ class Half(NamedTuple):
     solution: list | None  # the mix in support order, then the common payoff
     nullspace: list  # underdetermined systems only
     positive: bool  # every in-support entry of `solution` is positive
-    best: int = 0  # exact, unique and positive: rows earning the top payoff
+    best: int = 0  # unique and positive: rows earning the top payoff
     nash: bool = False  # ... and the support rows are among them
 
     @property
@@ -136,20 +125,16 @@ class HalfTable:
     sums to one.  Equal-size pairs are solved once, on first read; unequal
     ones are read once by their only reader and are not kept.
 
-    In exact mode M is scaled to integers by the common denominator of its
-    entries, which leaves every system's solutions unchanged, and the
-    best-response facts are counted in integers too, with y scaled by the
-    common denominator of its entries.
+    M is scaled to integers by the common denominator of its entries, which
+    leaves every system's solutions unchanged, and the best-response facts
+    are counted in integers too, with y scaled by the common denominator of
+    its entries.
     """
 
-    def __init__(self, mat, exact: bool = True):
-        self.exact = exact
+    def __init__(self, mat):
         self.entries: dict[tuple, Half] = {}
-        self.scale = 1
-        self.mat = mat
-        if exact:
-            self.scale = math.lcm(*(v.denominator for row in mat for v in row))
-            self.mat = [[v.numerator * (self.scale // v.denominator) for v in row] for row in mat]
+        self.scale = math.lcm(*(v.denominator for row in mat for v in row))
+        self.mat = [[v.numerator * (self.scale // v.denominator) for v in row] for row in mat]
 
     def get(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Half:
         half = self.entries.get((rows, cols))
@@ -160,19 +145,14 @@ class HalfTable:
         return half
 
     def _solve(self, rows, cols) -> Half:
-        # The payoff rows scaled by `scale`: the same solutions, in integers.
-        system = [[self.mat[i][j] for j in cols] + [-self.scale] for i in rows]
-        system.append([1] * len(cols) + [0])
-        res = solve_linear(system, [0] * len(rows) + [1], exact=self.exact)
+        res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
         if res.status == INCONSISTENT:
             return _NO_MIX[INCONSISTENT]
-        positive = _positive(res.solution[:-1], self.exact)
+        positive = _positive(res.solution[:-1])
         if res.status == UNDERDETERMINED:
             return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
         if not positive:
             return _NO_MIX[UNIQUE]
-        if not self.exact:
-            return Half(UNIQUE, res.solution, [], True)
         y = res.solution[:-1]
         scale = math.lcm(*(v.denominator for v in y))
         weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
@@ -187,12 +167,10 @@ class SupportTable:
     `detect_degeneracy`, `enumerate_nash_bimatrix` and `decompose` to share
     the solved systems between them."""
 
-    def __init__(self, g: BimatrixGame, exact: bool = True):
-        a, b = _matrices(g, exact)
+    def __init__(self, g: BimatrixGame):
         self.game = g
-        self.exact = exact
-        self._y = HalfTable(a, exact)
-        self._x = HalfTable(tuple(zip(*b)), exact)
+        self._y = HalfTable(g.row_payoffs)
+        self._x = HalfTable(tuple(zip(*g.col_payoffs)))
         self._degeneracy = None
 
     def y_half(self, rows, cols) -> Half:
@@ -204,7 +182,7 @@ class SupportTable:
         return self._x.get(cols, rows)
 
     def degeneracy(self) -> DegeneracyReport:
-        """Scan every equal-size support pair's halves (exact tables only).
+        """Scan every equal-size support pair's halves.
 
         The game is degenerate when some valid mixed strategy admits more
         pure best responses than its support size, or when a support system
@@ -249,25 +227,14 @@ def _single_strict(s: SingleGame, x: MixedStrategy) -> bool:
     return all(s.payoffs[k][i] < s.payoffs[i][i] for k in range(s.n) if k != i)
 
 
-def _dedup_and_sort(candidates, exact: bool):
+def _dedup_and_sort(candidates):
     kept = []
     seen = set()
     for cand in candidates:
-        if exact:
-            k = cand.key()
-            if k in seen:
-                continue
-            seen.add(k)
-        else:
-            flat = list(cand.x.probs) + (list(cand.y.probs) if cand.y is not None else [])
-            dup = False
-            for other in kept:
-                oflat = list(other.x.probs) + (list(other.y.probs) if other.y is not None else [])
-                if max(abs(a - b) for a, b in zip(flat, oflat)) < FLOAT_DEDUP_EPS:
-                    dup = True
-                    break
-            if dup:
-                continue
+        k = cand.key()
+        if k in seen:
+            continue
+        seen.add(k)
         kept.append(cand)
     def sort_key(c):
         sy = c.support_y if c.support_y is not None else ()
@@ -279,14 +246,12 @@ def _dedup_and_sort(candidates, exact: bool):
 
 def _bimatrix_candidate(table: SupportTable, rows, cols):
     """The verified equilibrium on one support pair, or None."""
-    g, exact = table.game, table.exact
+    g = table.game
     yh, xh = table.y_half(rows, cols), table.x_half(rows, cols)
-    if not (yh.mixed and xh.mixed) or (exact and not (yh.nash and xh.nash)):
+    if not (yh.mixed and xh.mixed and yh.nash and xh.nash):
         return None
-    x = _full_vector(g.n_rows, rows, xh.solution[:-1], exact)
-    y = _full_vector(g.n_cols, cols, yh.solution[:-1], exact)
-    if not exact and not is_nash_bimatrix(g, x, y, tol=FLOAT_SUPPORT_EPS):
-        return None
+    x = _full_vector(g.n_rows, rows, xh.solution[:-1])
+    y = _full_vector(g.n_cols, cols, yh.solution[:-1])
     return EquilibriumCandidate(
         kind="bimatrix",
         x=x,
@@ -298,10 +263,30 @@ def _bimatrix_candidate(table: SupportTable, rows, cols):
     )
 
 
+def _float_mix(mat, rows, cols, exact: MixedStrategy) -> MixedStrategy:
+    """The float64 mix on `cols` of the y half at (rows, cols) of M, solved
+    and renormalised in float64; the rounded exact mix when that solve finds
+    no unique positive mix."""
+    res = solve_linear(*_indifference(mat, rows, cols), exact=False)
+    if res.status != UNIQUE or not all(v > FLOAT_SUPPORT_EPS for v in res.solution[:-1]):
+        return MixedStrategy.from_floats(exact.probs)
+    values = dict(zip(cols, res.solution[:-1]))
+    total = sum(values.values())  # renormalise away elimination roundoff
+    return MixedStrategy.from_floats(values.get(j, 0.0) / total for j in range(len(exact)))
+
+
+def _render_float(g: BimatrixGame, cand: EquilibriumCandidate) -> EquilibriumCandidate:
+    """An exact equilibrium in float64, for `cpg solve --float`."""
+    rows, cols = cand.support_x, cand.support_y
+    x = _float_mix(g.b_float().T.tolist(), cols, rows, cand.x)
+    y = _float_mix(g.a_float().tolist(), rows, cols, cand.y)
+    return replace(cand, x=x, y=y, payoffs=expected_payoffs(g, x, y))
+
+
 def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> DegeneracyReport:
     """Degeneracy report of the game: see `SupportTable.degeneracy`.
 
-    `table`, an exact SupportTable of `g`, shares its solved systems and its
+    `table`, a SupportTable of `g`, shares its solved systems and its
     report with other calls on the same game.
     """
     _guard_bimatrix(g)
@@ -315,13 +300,16 @@ def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
     Equal-cardinality support pairs are always scanned; unequal pairs are
     scanned in addition when the game is degenerate (only then can equilibria
     have supports of different sizes).  Continuum solution sets are skipped;
-    they show up as witnesses in detect_degeneracy instead.  `table` is an
-    exact SupportTable of `g` to share (as in detect_degeneracy).
+    they show up as witnesses in detect_degeneracy instead.  `table` is a
+    SupportTable of `g` to share (as in detect_degeneracy).
+
+    Mode "float" finds the same equilibria and renders each in float64; the
+    supports and strictness stay those of the exact equilibrium.
     """
+    if mode not in ("exact", "float"):
+        raise ValidationError(f"unknown arithmetic mode {mode!r}")
     _guard_bimatrix(g)
-    exact = mode == "exact"
     table = table or SupportTable(g)
-    solved = table if exact else SupportTable(g, exact=False)
     sizes = [(k, k) for k in range(1, min(g.n_rows, g.n_cols) + 1)]
     if table.degeneracy().degenerate:
         sizes += [(k1, k2) for k1 in range(1, g.n_rows + 1) for k2 in range(1, g.n_cols + 1)
@@ -330,13 +318,16 @@ def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
     for k1, k2 in sizes:
         for rows in itertools.combinations(range(g.n_rows), k1):
             for cols in itertools.combinations(range(g.n_cols), k2):
-                cand = _bimatrix_candidate(solved, rows, cols)
+                cand = _bimatrix_candidate(table, rows, cols)
                 if cand is not None:
                     found.append(cand)
-    return _dedup_and_sort(found, exact)
+    found = _dedup_and_sort(found)
+    if mode == "float":
+        return [_render_float(g, c) for c in found]
+    return found
 
 
-def enumerate_nash_single(s: SingleGame, mode: str = "exact") -> list[EquilibriumCandidate]:
+def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
     """All symmetric Nash equilibria of a single-population game.
 
     Only single-strategy (symmetric) equilibria are considered: for each
@@ -344,17 +335,14 @@ def enumerate_nash_single(s: SingleGame, mode: str = "exact") -> list[Equilibriu
     out-of-support fitnesses do not exceed the common payoff.
     """
     _guard_single(s)
-    exact = mode == "exact"
-    table = HalfTable(_single_matrix(s, exact), exact)
+    table = HalfTable(s.payoffs)
     found = []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
             half = table.get(supp, supp)
-            if not half.mixed or (exact and not half.nash):
+            if not (half.mixed and half.nash):
                 continue
-            x = _full_vector(s.n, supp, half.solution[:-1], exact)
-            if not exact and not is_nash_single(s, x, tol=FLOAT_SUPPORT_EPS):
-                continue
+            x = _full_vector(s.n, supp, half.solution[:-1])
             found.append(EquilibriumCandidate(
                 kind="single",
                 x=x,
@@ -364,7 +352,7 @@ def enumerate_nash_single(s: SingleGame, mode: str = "exact") -> list[Equilibriu
                 is_strict=_single_strict(s, x),
                 payoffs=half.solution[-1],
             ))
-    return _dedup_and_sort(found, exact)
+    return _dedup_and_sort(found)
 
 
 def _segment_barycentre(particular, direction):
@@ -386,7 +374,7 @@ def _segment_barycentre(particular, direction):
     return [p + t * d for p, d in zip(particular, direction)]
 
 
-def enumerate_rest_points(s: SingleGame, mode: str = "exact") -> list[RestPoint]:
+def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     """Every interior-of-support rest point of the replicator dynamics.
 
     A state is a rest point exactly when all in-support fitnesses are equal,
@@ -396,9 +384,7 @@ def enumerate_rest_points(s: SingleGame, mode: str = "exact") -> list[RestPoint]
     segment's midpoint flagged `continuum`.
     """
     _guard_single(s)
-    exact = mode == "exact"
-    m_mat = _single_matrix(s, exact)
-    table = HalfTable(m_mat, exact)
+    table = HalfTable(s.payoffs)
     found = []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
@@ -415,15 +401,12 @@ def enumerate_rest_points(s: SingleGame, mode: str = "exact") -> list[RestPoint]
             else:
                 continue
             vals = sol[:-1]
-            if not _positive(vals, exact):
+            if not _positive(vals):
                 continue
-            x = _full_vector(s.n, supp, vals, exact)
+            x = _full_vector(s.n, supp, vals)
             c = sol[-1]
-            fitness = [sum(m_mat[i][j] * x.probs[j] for j in range(s.n)) for i in range(s.n)]
-            if exact:
-                nash = max(fitness) <= c
-            else:
-                nash = max(fitness) <= c + FLOAT_SUPPORT_EPS
+            fitness = [sum(s.payoffs[i][j] * x.probs[j] for j in range(s.n)) for i in range(s.n)]
+            nash = max(fitness) <= c
             found.append(RestPoint(point=x, support=x.support(), is_nash=nash,
                                    common_payoff=c, continuum=continuum))
     found.sort(key=lambda r: (len(r.support), r.support, r.point.probs))

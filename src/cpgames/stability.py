@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNash, NotRestPoint, ValidationError
-from .games import BimatrixGame, MixedStrategy, SingleGame, is_nash_bimatrix, is_strict_equilibrium
+from .games import (NASH_TOL_DEFAULT, BimatrixGame, MixedStrategy, SingleGame, is_nash_bimatrix,
+                    is_strict_equilibrium)
 from .dynamics import _as_state, rd_coupled_field, rd_single_field
 
 REST_TOL = 1e-9
@@ -135,7 +136,7 @@ def two_species_ess_check(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
     """Two-species evolutionary stability via its strict-equilibrium
     characterization: true exactly for pure profiles where every unilateral
     deviation is strictly worse.  Requires a Nash equilibrium as input."""
-    tol = 0.0 if x.mode == "exact" and y.mode == "exact" else 1e-9
+    tol = 0.0 if x.mode == "exact" and y.mode == "exact" else NASH_TOL_DEFAULT
     if not is_nash_bimatrix(g, x, y, tol=tol):
         raise NotNash("two-species ESS check requires a Nash equilibrium")
     return is_strict_equilibrium(g, x, y)

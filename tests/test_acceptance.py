@@ -14,6 +14,7 @@ import numpy as np
 
 from cpgames import (
     MixedStrategy,
+    SupportTable,
     classify_rest_point,
     counterpart_games,
     decompose,
@@ -144,9 +145,10 @@ def test_criterion_6_roundtrip_200_games():
         done = 0
         while done < target:
             g = random_game(rng, size)
-            if detect_degeneracy(g).degenerate:
+            table = SupportTable(g)
+            if detect_degeneracy(g, table=table).degenerate:
                 continue
-            rep = decompose(g, verify=True)
+            rep = decompose(g, verify=True, table=table)
             assert rep.agreement is True, f"disagreement on size-{size} game {g}"
             for c in rep.direct_solution:
                 assert len(c.support_x) == len(c.support_y)

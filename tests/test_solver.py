@@ -7,6 +7,7 @@ import pytest
 
 from cpgames import (
     TooLarge,
+    ValidationError,
     counterpart_games,
     detect_degeneracy,
     enumerate_nash_bimatrix,
@@ -119,16 +120,24 @@ class TestBimatrixEnumeration:
                 flat_f = list(cf.x.probs) + list(cf.y.probs)
                 assert max(abs(a - b) for a, b in zip(flat_e, flat_f)) < 1e-9, name
 
-    def test_float_mode_agrees_on_counterparts(self, all_games):
-        for name, g in all_games.items():
-            square = g if g.is_square else pad_to_square(g)[0]
-            for s in counterpart_games(square):
-                exact = enumerate_nash_single(s, mode="exact")
-                approx = enumerate_nash_single(s, mode="float")
-                assert len(exact) == len(approx), name
-                for ce, cf in zip(exact, approx):
-                    diffs = [abs(float(a) - b) for a, b in zip(ce.x.probs, cf.x.probs)]
-                    assert max(diffs) < 1e-9, name
+    @pytest.mark.parametrize("a, count", [([[1, 0], [0, 1]], 3), ([[0, 1], [1, 0]], 1)])
+    def test_float_mode_finds_exact_set_at_wide_payoffs(self, a, count):
+        # Float64 elimination with a scaled pivot threshold rejects valid
+        # pivots here, and the column mix puts about 1e-10 on one row.
+        g = make_bimatrix("wide", ["r0", "r1"], ["c0", "c1"], a, [[10**10, 0], [0, 1]])
+        exact = enumerate_nash_bimatrix(g, mode="exact")
+        approx = enumerate_nash_bimatrix(g, mode="float")
+        assert len(exact) == count
+        assert [(c.support_x, c.support_y) for c in approx] == \
+            [(c.support_x, c.support_y) for c in exact]
+        for ce, cf in zip(exact, approx):
+            assert cf.x.mode == cf.y.mode == "float"
+            for e, f in zip(ce.x.probs + ce.y.probs, cf.x.probs + cf.y.probs):
+                assert abs(float(e) - f) <= 1e-12
+
+    def test_unknown_mode_rejected(self, bos):
+        with pytest.raises(ValidationError):
+            enumerate_nash_bimatrix(bos, mode="Float")
 
     def test_too_large(self):
         g = make_bimatrix("big", [f"r{i}" for i in range(7)], [f"c{i}" for i in range(7)],
