@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .games import (
 )
 from .solver import candidate_json, enumerate_nash_bimatrix, enumerate_rest_points
 from .decomposition import decompose, report_json, verify_roundtrip
-from .dynamics import integrate
+from .dynamics import SIMPLEX_TOL, integrate
 from .viz import PlotSpec, export_csv, plot_simplex, plot_unit_square
 
 BUNDLED_GAMES = ("pd", "bos", "rps", "bos_extended", "leduc_empirical", "fullsupport")
@@ -88,7 +87,7 @@ def _parse_init(text: str, dims: tuple[int, ...]):
             raise ValidationError(f"--init component is not a number: {group!r}") from exc
         if len(vals) != dim:
             raise ValidationError(f"--init population has {len(vals)} components, expected {dim}")
-        if min(vals) < 0 or abs(sum(vals) - 1.0) > 1e-9:
+        if min(vals) < 0 or abs(sum(vals) - 1.0) > SIMPLEX_TOL:
             raise ValidationError(f"--init values {vals} are not a probability vector")
         states.append(vals)
     return states if len(dims) == 2 else states[0]
@@ -171,12 +170,11 @@ def _cmd_restpoints(args) -> int:
     print(f"{s.name}: {len(points)} rest points")
     for i, rp in enumerate(points, 1):
         vec = "(" + ", ".join(str(v) for v in rp.point.to_jsonable()) + ")"
-        payoff = fraction_str(rp.common_payoff) if isinstance(rp.common_payoff, Fraction) else rp.common_payoff
         labels = ",".join(s.actions[k] for k in rp.support)
         flags = "nash" if rp.is_nash else "not-nash"
         if rp.continuum:
             flags += ",continuum"
-        print(f"{i}. x={vec}  support=[{labels}]  {flags}  payoff={payoff}")
+        print(f"{i}. x={vec}  support=[{labels}]  {flags}  payoff={fraction_str(rp.common_payoff)}")
     return EXIT_OK
 
 

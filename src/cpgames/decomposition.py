@@ -43,6 +43,7 @@ from .solver import (
     candidate_json,
     detect_degeneracy,
     enumerate_nash_bimatrix,
+    _single_candidate,
 )
 
 MAX_DECOMPOSE_ACTIONS = 5  # n! permutations are scanned; 120 is the ceiling
@@ -129,27 +130,18 @@ def _finalize(cand: EquilibriumCandidate, g: BimatrixGame) -> EquilibriumCandida
                    is_strict=is_strict_equilibrium(g, cand.x, cand.y))
 
 
-def _single(n: int, probs: dict, half, support) -> EquilibriumCandidate:
-    """A counterpart equilibrium read from its half of a support pair;
-    `probs` maps each index of the support to its probability."""
-    x = MixedStrategy(tuple(probs.get(i, Fraction(0)) for i in range(n)), "exact")
-    return EquilibriumCandidate(
-        kind="single", x=x, y=None, support_x=support, support_y=None,
-        is_strict=len(support) == 1 and half.best == 1, payoffs=half.solution[-1])
-
-
 def decompose(g: BimatrixGame, verify: bool = True, *,
               table: SupportTable | None = None) -> DecompositionReport:
     """Run the full counterpart pipeline on a (possibly non-square) game.
 
     Pads to square, scans all column permutations, reads both counterparts'
     symmetric equilibria per permutation from the padded game's support
-    table, reconstructs matching pairs, strips dummies and deduplicates.
+    table, reconstructs matching pairs and strips dummies.
     Every reconstructed candidate is verified exactly against the game; a
     failure raises TheoremViolation since the counterpart correspondence
     guarantees it cannot happen.  With `verify` the direct
-    support-enumeration solution is computed as well and compared (over
-    equal-size supports) to set `agreement`.  `table`, a SupportTable
+    support-enumeration solution (equal-size supports only) is computed as
+    well and compared to set `agreement`.  `table`, a SupportTable
     of `g`, shares solved systems with other calls on the same game.
     """
     padded, padding = pad_to_square(g)
@@ -172,10 +164,10 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
             yh, xh = padded_table.y_half(s, cols), padded_table.x_half(s, cols)
             if yh.nash:  # counterpart 1's state is y in permuted column order
                 y = dict(zip(cols, yh.solution))
-                eqs1.append(_single(n, {j: y[mapping[j]] for j in s}, yh, s))
+                eqs1.append(_single_candidate(n, s, [y[mapping[j]] for j in s], yh))
             if xh.nash:  # counterpart 2's state is x, the same for every sigma
                 if (s, cols) not in row_mixes:
-                    row_mixes[(s, cols)] = _single(n, dict(zip(s, xh.solution)), xh, s)
+                    row_mixes[(s, cols)] = _single_candidate(n, s, xh.solution[:-1], xh)
                 eqs2.append(row_mixes[(s, cols)])
         matched = []
         for cand in reconstruct_candidates(eqs1, eqs2, perm):
@@ -193,13 +185,9 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
             matched_pairs=tuple(matched),
         ))
 
-    seen = set()
     reconstructed = []
-    for cand in verified.values():
+    for cand in verified.values():  # distinct once stripped: dummies carry no mass
         stripped = _strip_padding(cand, padding)
-        if stripped.key() in seen:
-            continue
-        seen.add(stripped.key())
         if not is_nash_bimatrix(g, stripped.x, stripped.y, tol=0.0):
             raise TheoremViolation(
                 f"candidate x={stripped.x.probs} y={stripped.y.probs} fails on the original game")
@@ -211,8 +199,7 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     agreement = None
     if verify:
         direct = enumerate_nash_bimatrix(g, table=table)
-        equal_support = {c.key() for c in direct if len(c.support_x) == len(c.support_y)}
-        agreement = {c.key() for c in reconstructed} == equal_support
+        agreement = {c.key() for c in reconstructed} == {c.key() for c in direct}
 
     return DecompositionReport(
         game=g,

@@ -31,6 +31,7 @@ from .games import (
     MixedStrategy,
     SingleGame,
     fraction_str,
+    is_nash_single,
     is_strict_equilibrium,
     expected_payoffs,
 )
@@ -63,7 +64,7 @@ class RestPoint:
     point: MixedStrategy
     support: tuple[int, ...]
     is_nash: bool
-    common_payoff: object
+    common_payoff: Fraction
     continuum: bool = False  # representative (barycentre) of a solution segment
 
 
@@ -122,8 +123,7 @@ _NO_MIX = {status: Half(status, None, [], False) for status in (UNIQUE, INCONSIS
 class HalfTable:
     """The y halves of one payoff matrix M by sorted support pair: every row
     in `rows` earns the same payoff u against a column mix y on `cols`, and y
-    sums to one.  Equal-size pairs are solved once, on first read; unequal
-    ones are read once by their only reader and are not kept.
+    sums to one.  Each pair is solved once, on first read.
 
     M is scaled to integers by the common denominator of its entries, which
     leaves every system's solutions unchanged, and the best-response facts
@@ -139,9 +139,7 @@ class HalfTable:
     def get(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Half:
         half = self.entries.get((rows, cols))
         if half is None:
-            half = self._solve(rows, cols)
-            if len(rows) == len(cols):
-                self.entries[(rows, cols)] = half
+            half = self.entries[(rows, cols)] = self._solve(rows, cols)
         return half
 
     def _solve(self, rows, cols) -> Half:
@@ -219,29 +217,20 @@ def _guard_single(s: SingleGame) -> None:
         raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game has {s.n}")
 
 
-def _single_strict(s: SingleGame, x: MixedStrategy) -> bool:
-    sx = x.support()
-    if len(sx) != 1:
-        return False
-    i = sx[0]
-    return all(s.payoffs[k][i] < s.payoffs[i][i] for k in range(s.n) if k != i)
-
-
-def _dedup_and_sort(candidates):
-    kept = []
-    seen = set()
-    for cand in candidates:
-        k = cand.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        kept.append(cand)
-    def sort_key(c):
-        sy = c.support_y if c.support_y is not None else ()
-        return (len(c.support_x), len(sy), c.support_x, sy, c.x.probs,
-                c.y.probs if c.y is not None else ())
-    kept.sort(key=sort_key)
-    return kept
+def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandidate:
+    """The symmetric equilibrium on `support` of a single-population game
+    whose indifference system is `half` (unique, positive and Nash), with
+    `values` its mix in support order.  It is strict when it is pure and its
+    action is the only best response to itself."""
+    return EquilibriumCandidate(
+        kind="single",
+        x=_full_vector(n, support, values),
+        y=None,
+        support_x=support,
+        support_y=None,
+        is_strict=len(support) == 1 and half.best == 1,
+        payoffs=half.solution[-1],
+    )
 
 
 def _bimatrix_candidate(table: SupportTable, rows, cols):
@@ -295,13 +284,17 @@ def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> 
 
 def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
                             table: SupportTable | None = None) -> list[EquilibriumCandidate]:
-    """All Nash equilibria found by support enumeration, sorted by support.
+    """Every isolated Nash equilibrium on an equal-size support pair, sorted
+    by (support size, support_x, support_y).
 
-    Equal-cardinality support pairs are always scanned; unequal pairs are
-    scanned in addition when the game is degenerate (only then can equilibria
-    have supports of different sizes).  Continuum solution sets are skipped;
-    they show up as witnesses in detect_degeneracy instead.  `table` is a
-    SupportTable of `g` to share (as in detect_degeneracy).
+    Each pair (rows, cols) with |rows| = |cols| yields at most one
+    equilibrium, whose supports are exactly the pair; the pairs are visited
+    in that order.  A pair with |rows| != |cols| is never read: one of its
+    halves has more unknowns than equations, so it has no unique mix.
+    Equilibria inside a continuum are not reported, and that includes every
+    equilibrium whose supports differ in size; detect_degeneracy flags the
+    games that have them.  `table` is a SupportTable of `g` to share (as in
+    detect_degeneracy).
 
     Mode "float" finds the same equilibria and renders each in float64; the
     supports and strictness stay those of the exact equilibrium.
@@ -310,18 +303,13 @@ def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
         raise ValidationError(f"unknown arithmetic mode {mode!r}")
     _guard_bimatrix(g)
     table = table or SupportTable(g)
-    sizes = [(k, k) for k in range(1, min(g.n_rows, g.n_cols) + 1)]
-    if table.degeneracy().degenerate:
-        sizes += [(k1, k2) for k1 in range(1, g.n_rows + 1) for k2 in range(1, g.n_cols + 1)
-                  if k1 != k2]
     found = []
-    for k1, k2 in sizes:
-        for rows in itertools.combinations(range(g.n_rows), k1):
-            for cols in itertools.combinations(range(g.n_cols), k2):
+    for k in range(1, min(g.n_rows, g.n_cols) + 1):
+        for rows in itertools.combinations(range(g.n_rows), k):
+            for cols in itertools.combinations(range(g.n_cols), k):
                 cand = _bimatrix_candidate(table, rows, cols)
                 if cand is not None:
                     found.append(cand)
-    found = _dedup_and_sort(found)
     if mode == "float":
         return [_render_float(g, c) for c in found]
     return found
@@ -332,7 +320,8 @@ def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
 
     Only single-strategy (symmetric) equilibria are considered: for each
     support solve the indifference system and keep positive solutions whose
-    out-of-support fitnesses do not exceed the common payoff.
+    out-of-support fitnesses do not exceed the common payoff.  Supports are
+    visited, and equilibria reported, by (size, support).
     """
     _guard_single(s)
     table = HalfTable(s.payoffs)
@@ -340,19 +329,9 @@ def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
             half = table.get(supp, supp)
-            if not (half.mixed and half.nash):
-                continue
-            x = _full_vector(s.n, supp, half.solution[:-1])
-            found.append(EquilibriumCandidate(
-                kind="single",
-                x=x,
-                y=None,
-                support_x=x.support(),
-                support_y=None,
-                is_strict=_single_strict(s, x),
-                payoffs=half.solution[-1],
-            ))
-    return _dedup_and_sort(found)
+            if half.mixed and half.nash:
+                found.append(_single_candidate(s.n, supp, half.solution[:-1], half))
+    return found
 
 
 def _segment_barycentre(particular, direction):
@@ -381,7 +360,8 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     so each support contributes its indifference-system solution when that
     solution is strictly positive; every vertex qualifies trivially.  A
     singular system with a positive solution segment is reported once, as the
-    segment's midpoint flagged `continuum`.
+    segment's midpoint flagged `continuum`.  Rest points are reported by
+    (support size, support).
     """
     _guard_single(s)
     table = HalfTable(s.payoffs)
@@ -404,12 +384,8 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
             if not _positive(vals):
                 continue
             x = _full_vector(s.n, supp, vals)
-            c = sol[-1]
-            fitness = [sum(s.payoffs[i][j] * x.probs[j] for j in range(s.n)) for i in range(s.n)]
-            nash = max(fitness) <= c
-            found.append(RestPoint(point=x, support=x.support(), is_nash=nash,
-                                   common_payoff=c, continuum=continuum))
-    found.sort(key=lambda r: (len(r.support), r.support, r.point.probs))
+            found.append(RestPoint(point=x, support=supp, is_nash=is_nash_single(s, x),
+                                   common_payoff=sol[-1], continuum=continuum))
     return found
 
 

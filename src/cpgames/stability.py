@@ -103,7 +103,7 @@ def _tangent_basis(n: int) -> np.ndarray:
     return basis
 
 
-def tangent_eigenvalues(system: str, jacobian: np.ndarray, dims) -> tuple[complex, ...]:
+def tangent_eigenvalues(jacobian: np.ndarray, dims) -> tuple[complex, ...]:
     """Eigenvalues of the Jacobian restricted to the simplex tangent space(s)."""
     blocks = [_tangent_basis(d) for d in dims]
     total = sum(dims)
@@ -155,7 +155,7 @@ def classify_rest_point(system: str, game, point, nash_status: bool) -> Stabilit
         dims = (game.n,)
     else:
         dims = (game.n_rows, game.n_cols)
-    eig = tangent_eigenvalues(system, jac, dims)
+    eig = tangent_eigenvalues(jac, dims)
     local = _local_type(eig)
     if not nash_status:
         category = CATEGORY_NON_NASH

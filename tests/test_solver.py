@@ -1,14 +1,17 @@
 """Support enumeration: equilibria, rest points, degeneracy detection."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cpgames import (
+    MixedStrategy,
     TooLarge,
     ValidationError,
     counterpart_games,
+    decompose,
     detect_degeneracy,
     enumerate_nash_bimatrix,
     enumerate_nash_single,
@@ -18,6 +21,7 @@ from cpgames import (
     make_single,
     pad_to_square,
 )
+import cpgames.solver
 from cpgames.decomposition import random_game
 
 
@@ -153,9 +157,76 @@ class TestBimatrixEnumeration:
             detect_degeneracy(g)
 
     def test_sorted_deterministically(self, bos):
-        eqs = enumerate_nash_bimatrix(bos)
-        keys = [(len(c.support_x), c.support_x) for c in eqs]
-        assert keys == sorted(keys)
+        # outputs come in (len sx, len sy, sx, sy) order straight from the
+        # support loops, one entry per support pair (rest points: one per
+        # support); the inputs are mostly degenerate and partly non-square,
+        # so ties and padding are covered
+        def assert_ordered(eqs):
+            keys = [(len(c.support_x), len(c.support_y or ()), c.support_x, c.support_y or ())
+                    for c in eqs]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
+
+        rng = random.Random(31)
+        games = [bos]
+        for i in range(60):
+            m, n = rng.randint(2, 4), rng.randint(2, 5)
+            r = rng.choice([1, 2])
+            games.append(make_bimatrix(
+                f"t{i}", [f"r{k}" for k in range(m)], [f"c{k}" for k in range(n)],
+                [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)],
+                [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)]))
+        assert sum(detect_degeneracy(g).degenerate for g in games) > 40
+        assert sum(g.n_rows != g.n_cols for g in games) > 30
+        multi = 0
+        for g in games:
+            eqs = enumerate_nash_bimatrix(g)
+            assert_ordered(eqs)
+            multi += len(eqs) > 1
+            for cp in counterpart_games(pad_to_square(g)[0]):
+                eqs = enumerate_nash_single(cp)
+                assert_ordered(eqs)
+                multi += len(eqs) > 1
+                keys = [(len(r.support), r.support) for r in enumerate_rest_points(cp)]
+                assert keys == sorted(set(keys))
+        assert multi > 60
+
+    def test_equal_size_pairs_work_gate(self, monkeypatch):
+        # a machine-independent work gate: on a degenerate game enumeration
+        # reads only the 2 * sum_k C(n, k)^2 equal-size half-systems
+        solve = cpgames.solver.solve_linear
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
+        g = random_game(random.Random(3), 6)
+        assert detect_degeneracy(g).degenerate
+        calls.clear()
+        eqs = enumerate_nash_bimatrix(g)
+        assert len(eqs) == 5
+        bound = 2 * sum(math.comb(6, k) ** 2 for k in range(1, 7))
+        assert bound == 1846
+        assert 0 < len(calls) <= bound
+
+    def test_degenerate_contract(self):
+        # Row T is dominant and the column player is indifferent at T, so every
+        # (T, y) is an equilibrium: a continuum.  Only its isolated equal-size
+        # profiles, the two pure ones, are reported; (T, (1/2, 1/2)), whose
+        # supports differ in size, is an equilibrium that is not.
+        m = [[1, 1], [0, 0]]
+        g = make_bimatrix("ties", ["T", "B"], ["L", "R"], m, m)
+        assert detect_degeneracy(g).degenerate
+        assert [(c.x.probs, c.y.probs) for c in enumerate_nash_bimatrix(g)] == [
+            ((F(1), F(0)), (F(1), F(0))),
+            ((F(1), F(0)), (F(0), F(1))),
+        ]
+        assert decompose(g).agreement is True
+        x, y = MixedStrategy.exact([1, 0]), MixedStrategy.exact(["1/2", "1/2"])
+        assert is_nash_bimatrix(g, x, y, tol=0.0)
+        assert (x.probs, y.probs) not in profiles(enumerate_nash_bimatrix(g))
 
 
 class TestSingleEnumeration:

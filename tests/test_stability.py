@@ -192,15 +192,16 @@ class TestTwoSpeciesEss:
     def test_strict_pure_correspondence_random(self):
         # e_i strict in both counterparts <=> (e_i, e_i) strict in the game
         from cpgames.games import is_strict_equilibrium
-        from cpgames.solver import _single_strict
         rng = random.Random(41)
         for _ in range(100):
             n = rng.choice([2, 3])
             g = random_game(rng, n)
             cp1, cp2 = counterpart_games(g)
+            strict1, strict2 = ({c.x.probs for c in enumerate_nash_single(cp) if c.is_strict}
+                                for cp in (cp1, cp2))
             for i in range(n):
                 e = MixedStrategy.exact([1 if k == i else 0 for k in range(n)])
-                both_strict = _single_strict(cp1, e) and _single_strict(cp2, e)
+                both_strict = e.probs in strict1 and e.probs in strict2
                 assert both_strict == is_strict_equilibrium(g, e, e)
 
 
@@ -215,8 +216,8 @@ class TestEigenvalueInvariance:
         for c in enumerate_nash_single(cp1):
             x = c.x.as_floats()
             x_perm = np.array([x[p] for p in perm])
-            eig_a = tangent_eigenvalues("single", rd_jacobian("single", cp1, x), (3,))
-            eig_b = tangent_eigenvalues("single", rd_jacobian("single", relabeled, x_perm), (3,))
+            eig_a = tangent_eigenvalues(rd_jacobian("single", cp1, x), (3,))
+            eig_b = tangent_eigenvalues(rd_jacobian("single", relabeled, x_perm), (3,))
             a = sorted(eig_a, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
             b = sorted(eig_b, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
             assert max(abs(u - v) for u, v in zip(a, b)) < 1e-9
