@@ -51,7 +51,6 @@ from .decomposition import (
     DecompositionReport,
     VerificationReport,
     decompose,
-    reconstruct_candidates,
     verify_roundtrip,
 )
 from .dynamics import (

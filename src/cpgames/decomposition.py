@@ -11,7 +11,10 @@ support S is the y half of the support pair (S, sigma(S)) of the padded game,
 and counterpart 2's is the x half of the same pair.  The scan therefore reads
 both counterparts' equilibria from one `SupportTable` instead of building
 and solving n! permuted games; the degeneracy report and the direct solution
-read the same table.
+read the same table.  Two counterpart equilibria on S match exactly when
+both halves of (S, sigma(S)) are Nash, and the combined profile depends only
+on that pair, so each matched pair is built and verified once, whichever
+permutations map S there.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import TheoremViolation, TooLarge
 from .games import (
@@ -43,6 +45,7 @@ from .solver import (
     candidate_json,
     detect_degeneracy,
     enumerate_nash_bimatrix,
+    _bimatrix_candidate,
     _single_candidate,
 )
 
@@ -70,64 +73,24 @@ class DecompositionReport:
     degeneracy: DegeneracyReport
 
 
-def reconstruct_candidates(cp1_eqs, cp2_eqs, perm: Permutation) -> list[EquilibriumCandidate]:
-    """Combine counterpart equilibria with matching supports into bimatrix
-    candidates.
-
-    cp1_eqs are single-population equilibria of the column-permuted row matrix
-    (these play the role of the column strategy); cp2_eqs come from the
-    transposed, column-permuted column matrix (the row strategy).  The column
-    strategy is mapped back to the original action order before returning.
-    Payoffs are left unset; callers verify and fill them against the game.
-    """
-    out = []
-    for x_cand in cp2_eqs:
-        for y_cand in cp1_eqs:
-            if x_cand.support_x != y_cand.support_x:
-                continue
-            y_perm = y_cand.x
-            n = len(y_perm)
-            probs = [Fraction(0)] * n
-            for j in range(n):
-                probs[perm(j)] = y_perm.probs[j]
-            y = MixedStrategy(tuple(probs), "exact")
-            out.append(EquilibriumCandidate(
-                kind="bimatrix",
-                x=x_cand.x,
-                y=y,
-                support_x=x_cand.x.support(),
-                support_y=y.support(),
-                is_strict=False,
-                payoffs=None,
-            ))
-    return out
-
-
-def _strip_padding(cand: EquilibriumCandidate, padding: PaddingRecord) -> EquilibriumCandidate:
-    """Drop dummy coordinates (always the trailing indices of the padded side)."""
-    if not padding.padded:
-        return cand
+def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
+                   padding: PaddingRecord) -> EquilibriumCandidate:
+    """The padded game's equilibrium `cand` as an equilibrium of `g`: dummy
+    coordinates (always the trailing indices of the padded side) are dropped,
+    and the result is verified exactly on `g`."""
     rows0, cols0 = padding.original_dims
-    x, y = cand.x, cand.y
-    if padding.player == "row":
-        dropped = x.probs[rows0:]
-        x = MixedStrategy(x.probs[:rows0], x.mode)
-    else:
-        dropped = y.probs[cols0:]
-        y = MixedStrategy(y.probs[:cols0], y.mode)
-    if any(p != 0 for p in dropped):
+    if any(p != 0 for p in cand.x.probs[rows0:] + cand.y.probs[cols0:]):
         raise TheoremViolation("reconstructed candidate puts probability on a dummy action")
+    x = MixedStrategy(cand.x.probs[:rows0], "exact")
+    y = MixedStrategy(cand.y.probs[:cols0], "exact")
+    if not is_nash_bimatrix(g, x, y, tol=0.0):
+        raise TheoremViolation(f"candidate x={x.probs} y={y.probs} fails on the original game")
     return EquilibriumCandidate(
         kind="bimatrix", x=x, y=y,
         support_x=x.support(), support_y=y.support(),
-        is_strict=False, payoffs=None,
+        is_strict=is_strict_equilibrium(g, x, y),
+        payoffs=expected_payoffs(g, x, y),
     )
-
-
-def _finalize(cand: EquilibriumCandidate, g: BimatrixGame) -> EquilibriumCandidate:
-    return replace(cand,
-                   payoffs=expected_payoffs(g, cand.x, cand.y),
-                   is_strict=is_strict_equilibrium(g, cand.x, cand.y))
 
 
 def decompose(g: BimatrixGame, verify: bool = True, *,
@@ -136,13 +99,17 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
 
     Pads to square, scans all column permutations, reads both counterparts'
     symmetric equilibria per permutation from the padded game's support
-    table, reconstructs matching pairs and strips dummies.
-    Every reconstructed candidate is verified exactly against the game; a
-    failure raises TheoremViolation since the counterpart correspondence
-    guarantees it cannot happen.  With `verify` the direct
-    support-enumeration solution (equal-size supports only) is computed as
-    well and compared to set `agreement`.  `table`, a SupportTable
-    of `g`, shares solved systems with other calls on the same game.
+    table, and matches those on the same support S.  A match under sigma is
+    the padded game's equilibrium on the support pair (S, sigma(S)), built
+    and verified exactly once per pair; it is listed under every permutation
+    that maps S there.  `reconstructed` holds the matched pairs with the
+    dummies stripped, verified again on `g`, by (support size, support_x,
+    support_y).  A failed verification raises TheoremViolation since the
+    counterpart correspondence guarantees it cannot happen.  With `verify`
+    the direct support-enumeration solution (equal-size supports only) is
+    computed as well and compared to set `agreement`.  `table`, a
+    SupportTable of `g`, shares solved systems with other calls on the same
+    game.
     """
     padded, padding = pad_to_square(g)
     n = padded.n_rows
@@ -154,11 +121,10 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
 
     supports = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
     row_mixes: dict = {}  # (S, sigma(S)) -> counterpart 2's equilibrium
-    verified: dict = {}  # profile -> matched pair, verified on the padded game once
+    matched: dict = {}  # (S, sigma(S)) -> the padded game's equilibrium on it
     entries = []
     for mapping in itertools.permutations(range(n)):
-        perm = Permutation(mapping)
-        eqs1, eqs2 = [], []
+        eqs1, eqs2, pairs = [], [], []
         for s in supports:
             cols = tuple(sorted(mapping[j] for j in s))
             yh, xh = padded_table.y_half(s, cols), padded_table.x_half(s, cols)
@@ -169,31 +135,22 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
                 if (s, cols) not in row_mixes:
                     row_mixes[(s, cols)] = _single_candidate(n, s, xh.solution[:-1], xh)
                 eqs2.append(row_mixes[(s, cols)])
-        matched = []
-        for cand in reconstruct_candidates(eqs1, eqs2, perm):
-            if cand.key() not in verified:
-                if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
-                    raise TheoremViolation(
-                        f"candidate x={cand.x.probs} y={cand.y.probs} from permutation "
-                        f"{mapping} is not an equilibrium of the padded game")
-                verified[cand.key()] = _finalize(cand, padded)
-            matched.append(verified[cand.key()])
+            if yh.nash and xh.nash:
+                if (s, cols) not in matched:
+                    cand = matched[(s, cols)] = _bimatrix_candidate(padded_table, s, cols)
+                    if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
+                        raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} "
+                                               "is not an equilibrium of the padded game")
+                pairs.append(matched[(s, cols)])
         entries.append(PermutationAnalysis(
-            permutation=perm,
+            permutation=Permutation(mapping),
             cp1_equilibria=tuple(eqs1),
             cp2_equilibria=tuple(eqs2),
-            matched_pairs=tuple(matched),
+            matched_pairs=tuple(pairs),
         ))
 
-    reconstructed = []
-    for cand in verified.values():  # distinct once stripped: dummies carry no mass
-        stripped = _strip_padding(cand, padding)
-        if not is_nash_bimatrix(g, stripped.x, stripped.y, tol=0.0):
-            raise TheoremViolation(
-                f"candidate x={stripped.x.probs} y={stripped.y.probs} fails on the original game")
-        reconstructed.append(_finalize(stripped, g))
-    reconstructed.sort(key=lambda c: (len(c.support_x), len(c.support_y),
-                                      c.support_x, c.support_y, c.x.probs, c.y.probs))
+    reconstructed = [_strip_padding(matched[pair], g, padding)
+                     for pair in sorted(matched, key=lambda pair: (len(pair[0]), pair))]
 
     direct = None
     agreement = None

@@ -234,10 +234,14 @@ def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandida
 
 
 def _bimatrix_candidate(table: SupportTable, rows, cols):
-    """The verified equilibrium on one support pair, or None."""
+    """The equilibrium on one support pair, or None.  Both halves must be
+    unique, positive and Nash; the x half is read only after the y half is."""
     g = table.game
-    yh, xh = table.y_half(rows, cols), table.x_half(rows, cols)
-    if not (yh.mixed and xh.mixed and yh.nash and xh.nash):
+    yh = table.y_half(rows, cols)
+    if not yh.nash:
+        return None
+    xh = table.x_half(rows, cols)
+    if not xh.nash:
         return None
     x = _full_vector(g.n_rows, rows, xh.solution[:-1])
     y = _full_vector(g.n_cols, cols, yh.solution[:-1])

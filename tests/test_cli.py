@@ -82,6 +82,14 @@ class TestDecompose:
             code, _, err = run(capsys, "decompose", name)
             assert code == 0, (name, err)
 
+    def test_theorem_violation_exit_code(self, capsys, monkeypatch):
+        # a matched pair that fails exact verification ends in exit code 4
+        monkeypatch.setattr("cpgames.decomposition.is_nash_bimatrix", lambda *a, **k: False)
+        code, out, err = run(capsys, "decompose", "bos_extended")
+        assert code == 4
+        assert err.startswith("error: theorem: ") and "padded game" in err
+        assert out == ""
+
 
 class TestCounterparts:
     def test_writes_single_games(self, tmp_path, capsys):

@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 
 from cpgames import (
+    EquilibriumCandidate,
+    MixedStrategy,
     Permutation,
+    TheoremViolation,
     TooLarge,
     counterpart_games,
     decompose,
@@ -17,11 +20,10 @@ from cpgames import (
     make_bimatrix,
     pad_to_square,
     permute_columns,
-    reconstruct_candidates,
     verify_roundtrip,
 )
 import cpgames.solver
-from cpgames.decomposition import random_game, report_json
+from cpgames.decomposition import _strip_padding, random_game, report_json
 
 
 def F(s):
@@ -30,6 +32,32 @@ def F(s):
 
 def profiles(cands):
     return {(c.x.probs, c.y.probs) for c in cands}
+
+
+def reconstruct_candidates(cp1_eqs, cp2_eqs, perm):
+    """The paper's combination step, kept as a test oracle: pair counterpart
+    equilibria with matching supports into bimatrix profiles.
+
+    cp1_eqs are single-population equilibria of the column-permuted row
+    matrix (the column strategy, in permuted column order); cp2_eqs come from
+    the transposed, column-permuted column matrix (the row strategy).  The
+    column strategy is mapped back to the original action order.
+    """
+    out = []
+    for x_cand in cp2_eqs:
+        for y_cand in cp1_eqs:
+            if x_cand.support_x != y_cand.support_x:
+                continue
+            probs = [Fraction(0)] * len(y_cand.x)
+            for j, p in enumerate(y_cand.x.probs):
+                probs[perm(j)] = p
+            y = MixedStrategy(tuple(probs), "exact")
+            out.append(EquilibriumCandidate(
+                kind="bimatrix", x=x_cand.x, y=y,
+                support_x=x_cand.x.support(), support_y=y.support(),
+                is_strict=False, payoffs=None,
+            ))
+    return out
 
 
 class TestReconstruct:
@@ -227,16 +255,50 @@ class TestPermutationScan:
 
     def test_scan_matches_single_enumeration(self, all_games):
         # each permutation's counterpart equilibria, read from the support
-        # table, equal enumerate_nash_single on the permuted counterparts
+        # table, equal enumerate_nash_single on the permuted counterparts,
+        # and its matched pairs equal the paper's combination step on them
         rng = random.Random(2718)
         games = list(all_games.values())
         games += [random_game(rng, n, name=f"scan-{n}-{i}") for n in (3, 4) for i in range(20)]
-        degenerate = 0
+        degenerate = matched = 0
         for g in games:
             padded, _ = pad_to_square(g)
             degenerate += detect_degeneracy(padded).degenerate
             for entry in decompose(g, verify=False).per_permutation:
+                where = (g.name, entry.permutation)
                 cp1, cp2 = counterpart_games(permute_columns(padded, entry.permutation))
-                assert list(entry.cp1_equilibria) == enumerate_nash_single(cp1), (g.name, entry.permutation)
-                assert list(entry.cp2_equilibria) == enumerate_nash_single(cp2), (g.name, entry.permutation)
+                eqs1, eqs2 = enumerate_nash_single(cp1), enumerate_nash_single(cp2)
+                assert list(entry.cp1_equilibria) == eqs1, where
+                assert list(entry.cp2_equilibria) == eqs2, where
+                oracle = reconstruct_candidates(eqs1, eqs2, entry.permutation)
+                assert [c.key() for c in entry.matched_pairs] == [c.key() for c in oracle], where
+                matched += len(oracle)
         assert 0 < degenerate < len(games)
+        assert matched > len(games)
+
+
+class TestSafetyChecks:
+    def test_rejected_pair_raises(self, bos, monkeypatch):
+        # the correspondence guarantees every matched pair is an equilibrium;
+        # a failed exact check is reported, never dropped
+        monkeypatch.setattr("cpgames.decomposition.is_nash_bimatrix", lambda *a, **k: False)
+        with pytest.raises(TheoremViolation, match="padded game"):
+            decompose(bos, verify=False)
+
+    def test_rejected_on_original_raises(self, bos_extended, monkeypatch):
+        # the check on the unpadded game stands on its own
+        def on_padded_only(g, x, y, tol):
+            return g.n_rows == 3
+        monkeypatch.setattr("cpgames.decomposition.is_nash_bimatrix", on_padded_only)
+        with pytest.raises(TheoremViolation, match="original game"):
+            decompose(bos_extended, verify=False)
+
+    def test_dummy_mass_raises(self, bos_extended):
+        _, padding = pad_to_square(bos_extended)
+        assert padding.player == "row" and padding.added_count == 1
+        x = MixedStrategy((F(0), F(0), F(1)), "exact")  # all mass on the dummy row
+        y = MixedStrategy((F(1), F(0), F(0)), "exact")
+        cand = EquilibriumCandidate(kind="bimatrix", x=x, y=y, support_x=(2,),
+                                    support_y=(0,), is_strict=False, payoffs=None)
+        with pytest.raises(TheoremViolation, match="dummy"):
+            _strip_padding(cand, bos_extended, padding)
