@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import TheoremViolation, TooLarge
+from .errors import TheoremViolation, TooLarge, ValidationError
 from .games import (
     BimatrixGame,
     MixedStrategy,
@@ -107,9 +107,10 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     support_y).  A failed verification raises TheoremViolation since the
     counterpart correspondence guarantees it cannot happen.  With `verify`
     the direct support-enumeration solution (equal-size supports only) is
-    computed as well and compared to set `agreement`.  `table`, a
-    SupportTable of `g`, shares solved systems with other calls on the same
-    game.
+    computed as well and compared to set `agreement`.  `degeneracy` is the
+    padded game's report, which reads the padded table lazily (see
+    SupportTable.degeneracy).  `table`, a SupportTable of `g`, shares solved
+    systems with other calls on the same game.
     """
     padded, padding = pad_to_square(g)
     n = padded.n_rows
@@ -194,7 +195,15 @@ def random_game(rng: random.Random, size: int, name: str = "random") -> Bimatrix
 def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
     """Generate seeded random games, discard degenerate ones, and check that
     the reconstructed equilibrium set matches the direct solver on the rest.
-    Stops at the first disagreement and reports it as a counterexample."""
+    Stops at the first disagreement and reports it as a counterexample.
+    Raises ValidationError for `trials` < 0 or `size` < 1, and TooLarge for
+    `size` above MAX_DECOMPOSE_ACTIONS, before any game is drawn."""
+    if trials < 0:
+        raise ValidationError(f"trials must be non-negative, got {trials}")
+    if size < 1:
+        raise ValidationError(f"size must be at least 1, got {size}")
+    if size > MAX_DECOMPOSE_ACTIONS:
+        raise TooLarge(f"decomposition capped at {MAX_DECOMPOSE_ACTIONS} actions, got size {size}")
     rng = random.Random(seed)
     tested = 0
     discarded = 0

@@ -74,10 +74,27 @@ class DegeneracyWitness:
     reason: str  # "singular-system" | "excess-best-responses" | "continuum"
 
 
-@dataclass(frozen=True)
 class DegeneracyReport:
-    degenerate: bool
-    witnesses: tuple[DegeneracyWitness, ...]
+    """A game's degeneracy verdict and witnesses, read from a witness iterator
+    in (k, rows, cols) order.  `degenerate` pulls at most one witness, so the
+    verdict stops at the first one; `witnesses` completes the scan and keeps
+    every witness.  The report reads its table as it goes, so share it within
+    one thread only."""
+
+    def __init__(self, witnesses):
+        self._pending = iter(witnesses)
+        self._found: list[DegeneracyWitness] = []
+
+    @property
+    def degenerate(self) -> bool:
+        if not self._found:
+            self._found.extend(itertools.islice(self._pending, 1))
+        return bool(self._found)
+
+    @property
+    def witnesses(self) -> tuple[DegeneracyWitness, ...]:
+        self._found.extend(self._pending)
+        return tuple(self._found)
 
 
 def _positive(values) -> bool:
@@ -161,15 +178,13 @@ class HalfTable:
 
 class SupportTable:
     """Both halves of every support pair of one bimatrix game, each solved
-    once, and the game's degeneracy report, scanned once.  Pass one table to
-    `detect_degeneracy`, `enumerate_nash_bimatrix` and `decompose` to share
-    the solved systems between them."""
+    once.  Pass one table to `detect_degeneracy`, `enumerate_nash_bimatrix`
+    and `decompose` to share the solved systems between them."""
 
     def __init__(self, g: BimatrixGame):
         self.game = g
         self._y = HalfTable(g.row_payoffs)
         self._x = HalfTable(tuple(zip(*g.col_payoffs)))
-        self._degeneracy = None
 
     def y_half(self, rows, cols) -> Half:
         """Rows indifferent in A against the column mix on `cols`."""
@@ -180,31 +195,34 @@ class SupportTable:
         return self._x.get(cols, rows)
 
     def degeneracy(self) -> DegeneracyReport:
-        """Scan every equal-size support pair's halves.
+        """The game's degeneracy report, scanning the equal-size support
+        pairs' halves by (k, rows, cols) as it is read.
 
         The game is degenerate when some valid mixed strategy admits more
         pure best responses than its support size, or when a support system
-        is singular with a whole continuum of solutions.
+        is singular with a whole continuum of solutions.  The verdict stops
+        at the first witness and `witnesses` completes the scan; a second
+        report re-reads the solved halves and solves nothing again.
         """
-        if self._degeneracy is None:
-            g = self.game
-            witnesses = []
-            for k in range(1, min(g.n_rows, g.n_cols) + 1):
-                for rows in itertools.combinations(range(g.n_rows), k):
-                    for cols in itertools.combinations(range(g.n_cols), k):
-                        reasons = []
-                        for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
-                            if half.status == UNDERDETERMINED:
-                                reason = "continuum" if half.positive else "singular-system"
-                            elif half.mixed and half.best > k:
-                                reason = "excess-best-responses"
-                            else:
-                                continue
-                            if reason not in reasons:
-                                reasons.append(reason)
-                        witnesses += [DegeneracyWitness((rows, cols), r) for r in reasons]
-            self._degeneracy = DegeneracyReport(bool(witnesses), tuple(witnesses))
-        return self._degeneracy
+        return DegeneracyReport(self._witnesses())
+
+    def _witnesses(self):
+        g = self.game
+        for k in range(1, min(g.n_rows, g.n_cols) + 1):
+            for rows in itertools.combinations(range(g.n_rows), k):
+                for cols in itertools.combinations(range(g.n_cols), k):
+                    reasons = []
+                    for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
+                        if half.status == UNDERDETERMINED:
+                            reason = "continuum" if half.positive else "singular-system"
+                        elif half.mixed and half.best > k:
+                            reason = "excess-best-responses"
+                        else:
+                            continue
+                        if reason not in reasons:
+                            reasons.append(reason)
+                    for reason in reasons:
+                        yield DegeneracyWitness((rows, cols), reason)
 
 
 def _guard_bimatrix(g: BimatrixGame) -> None:
@@ -277,10 +295,12 @@ def _render_float(g: BimatrixGame, cand: EquilibriumCandidate) -> EquilibriumCan
 
 
 def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> DegeneracyReport:
-    """Degeneracy report of the game: see `SupportTable.degeneracy`.
+    """Degeneracy report of the game: see `SupportTable.degeneracy`.  Reading
+    `.degenerate` stops the scan at the first witness; reading `.witnesses`
+    completes it.
 
-    `table`, a SupportTable of `g`, shares its solved systems and its
-    report with other calls on the same game.
+    `table`, a SupportTable of `g`, shares its solved systems with other
+    calls on the same game.
     """
     _guard_bimatrix(g)
     return (table or SupportTable(g)).degeneracy()

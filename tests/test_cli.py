@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cpgames.cli import main
 
 
@@ -163,6 +165,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--trials", "15", "--size", "2", "--seed", "3")
         assert code == 0
         assert "pass (0 counterexamples)" in out
+
+    @pytest.mark.parametrize("argv", [("--trials", "-3"), ("--size", "0"), ("--size", "6")])
+    def test_arguments_it_cannot_honour_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: input:")
 
 
 class TestDeterminism:

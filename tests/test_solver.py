@@ -1,5 +1,6 @@
 """Support enumeration: equilibria, rest points, degeneracy detection."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,9 @@ from cpgames import (
     pad_to_square,
 )
 import cpgames.solver
-from cpgames.decomposition import random_game
+from cpgames.decomposition import random_game, report_json
+from cpgames.linsolve import UNDERDETERMINED
+from cpgames.solver import DegeneracyWitness, SupportTable
 
 
 def F(s):
@@ -35,6 +38,41 @@ def profiles(eqs):
 
 def points(eqs):
     return {c.x.probs for c in eqs}
+
+
+def reference_witnesses(table):
+    """Oracle: the eager degeneracy scan, every equal-size pair's halves read
+    from `table` by (k, rows, cols), witnesses in that order."""
+    g = table.game
+    witnesses = []
+    for k in range(1, min(g.n_rows, g.n_cols) + 1):
+        for rows in itertools.combinations(range(g.n_rows), k):
+            for cols in itertools.combinations(range(g.n_cols), k):
+                reasons = []
+                for half in (table.y_half(rows, cols), table.x_half(rows, cols)):
+                    if half.status == UNDERDETERMINED:
+                        reason = "continuum" if half.positive else "singular-system"
+                    elif half.mixed and half.best > k:
+                        reason = "excess-best-responses"
+                    else:
+                        continue
+                    if reason not in reasons:
+                        reasons.append(reason)
+                witnesses += [DegeneracyWitness((rows, cols), r) for r in reasons]
+    return tuple(witnesses)
+
+
+def count_solves(monkeypatch):
+    """Route `solver.solve_linear` through a counter; returns the call list."""
+    solve = cpgames.solver.solve_linear
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
+    return calls
 
 
 def brute_pure_equilibria(g):
@@ -196,14 +234,7 @@ class TestBimatrixEnumeration:
         # reads only the 2 * sum_k C(n, k)^2 equal-size half-systems, and of
         # those an x half only after its pair's y half is unique, positive
         # and Nash: 988 solves here
-        solve = cpgames.solver.solve_linear
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
+        calls = count_solves(monkeypatch)
         g = random_game(random.Random(3), 6)
         assert detect_degeneracy(g).degenerate
         calls.clear()
@@ -374,3 +405,51 @@ class TestDegeneracy:
     def test_leduc_fullsupport_not_degenerate(self, leduc, fullsupport):
         assert not detect_degeneracy(leduc).degenerate
         assert not detect_degeneracy(fullsupport).degenerate
+
+    def test_lazy_report_matches_eager_scan(self, all_games):
+        # the six bundled games, their padded forms and 200 seeded games with
+        # 1-5 actions a side; the verdict may stop early, but the witnesses
+        # and the written report are those of the eager scan
+        rng = random.Random(8)
+        games = list(all_games.values())
+        for i in range(200):
+            sizes = [rng.randint(1, 5), rng.randint(1, 4)]
+            rng.shuffle(sizes)
+            m, n = sizes
+            r = rng.choice([1, 2, 5])
+            games.append(make_bimatrix(
+                f"t{i}", [f"r{k}" for k in range(m)], [f"c{k}" for k in range(n)],
+                [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)],
+                [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)]))
+        verdicts = []
+        for g in games:
+            padded, _ = pad_to_square(g)
+            for h in (g, padded) if padded is not g else (g,):
+                table = SupportTable(h)
+                oracle = reference_witnesses(table)
+                verdict_first = detect_degeneracy(h, table=table)
+                assert verdict_first.degenerate == bool(oracle)
+                assert verdict_first.witnesses == oracle
+                assert verdict_first.degenerate == bool(oracle)
+                assert detect_degeneracy(h, table=table).witnesses == oracle
+                verdicts.append(bool(oracle))
+            report = decompose(g, verify=False, table=table if padded is g else None)
+            assert report_json(report)["degeneracy"] == {
+                "degenerate": bool(oracle),
+                "witnesses": [{"supports": [list(s) for s in w.supports], "reason": w.reason}
+                              for w in oracle],
+            }
+        assert sum(g.n_rows != g.n_cols for g in games) > 120
+        assert verdicts.count(True) > 250 and verdicts.count(False) > 60
+
+    def test_verdict_stops_at_first_witness(self, monkeypatch):
+        # a machine-independent work gate: the verdict on this degenerate
+        # game reads 26 of its 138 halves, and the witnesses read the rest
+        # without solving any half twice
+        calls = count_solves(monkeypatch)
+        g = random_game(random.Random(5), 4)
+        report = detect_degeneracy(g)
+        assert report.degenerate
+        assert 0 < len(calls) <= 26
+        assert len(report.witnesses) > 1
+        assert len(calls) == 2 * sum(math.comb(4, k) ** 2 for k in range(1, 5)) == 138
