@@ -1,20 +1,21 @@
 """Counterpart decomposition pipeline for asymmetric games.
 
 A square game (A, B) splits into the single-population games A and B^T.  For
-every column permutation of the padded game, single-population equilibria of
-the two counterparts with identical supports combine into equilibria of the
-original bimatrix game; scanning all permutations covers every configuration
-of equal-size supports, which is exhaustive for non-degenerate games.
+every column permutation sigma of the padded game, single-population
+equilibria of the two counterparts with identical supports combine into
+equilibria of the original bimatrix game.
 
-Under a column permutation sigma, counterpart 1's indifference system on a
-support S is the y half of the support pair (S, sigma(S)) of the padded game,
-and counterpart 2's is the x half of the same pair.  The scan therefore reads
-both counterparts' equilibria from one `SupportTable` instead of building
-and solving n! permuted games; the degeneracy report and the direct solution
-read the same table.  Two counterpart equilibria on S match exactly when
-both halves of (S, sigma(S)) are Nash, and the combined profile depends only
-on that pair, so each matched pair is built and verified once, whichever
-permutations map S there.
+Under sigma, counterpart 1's indifference system on a support S is the y half
+of the support pair (S, sigma(S)) of the padded game, and counterpart 2's is
+the x half of the same pair, so two counterpart equilibria on S match
+exactly when both halves of (S, sigma(S)) are Nash, and the combined profile
+depends only on that pair.  The union over sigma of the pairs (S, sigma(S))
+is the set of equal-size support pairs, which is exhaustive for
+non-degenerate games.  `decompose` therefore scans those pairs,
+sum_k C(n, k)^2 of them, and builds and verifies each matched pair once; the
+n! per-permutation view is expanded from the same `SupportTable` only when
+it is read.  The degeneracy report and the direct solution read that table
+too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import TheoremViolation, TooLarge, ValidationError
 from .games import (
@@ -30,7 +32,6 @@ from .games import (
     MixedStrategy,
     PaddingRecord,
     Permutation,
-    expected_payoffs,
     fraction_str,
     is_nash_bimatrix,
     is_strict_equilibrium,
@@ -49,7 +50,9 @@ from .solver import (
     _single_candidate,
 )
 
-MAX_DECOMPOSE_ACTIONS = 5  # n! permutations are scanned; 120 is the ceiling
+# The scan reads sum_k C(n, k)^2 support pairs; the cap bounds the n! rows of
+# `per_permutation` (120 at 5), which `report_json` and the CLI table expand.
+MAX_DECOMPOSE_ACTIONS = 5
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,53 @@ class PermutationAnalysis:
 class DecompositionReport:
     game: BimatrixGame
     padding: PaddingRecord
-    per_permutation: tuple[PermutationAnalysis, ...]
     reconstructed: tuple[EquilibriumCandidate, ...]  # original, unpadded coordinates
     direct_solution: tuple[EquilibriumCandidate, ...] | None
     agreement: bool | None
     degeneracy: DegeneracyReport
+    padded_table: SupportTable = field(repr=False, compare=False)
+    matched: dict = field(repr=False, compare=False)  # (S, T) -> the padded game's equilibrium
+
+    @cached_property
+    def per_permutation(self) -> tuple[PermutationAnalysis, ...]:
+        """Every column permutation's counterpart equilibria and matched
+        pairs, expanded from the padded table on first read.  Both halves of
+        every equal-size pair are read, so this solves the x halves the scan
+        skipped."""
+        table = self.padded_table
+        n = table.game.n_rows
+        supports = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+        row_mixes: dict = {}  # (S, sigma(S)) -> counterpart 2's equilibrium
+        entries = []
+        for mapping in itertools.permutations(range(n)):
+            eqs1, eqs2, pairs = [], [], []
+            for s in supports:
+                cols = tuple(sorted(mapping[j] for j in s))
+                yh, xh = table.y_half(s, cols), table.x_half(s, cols)
+                if yh.nash:  # counterpart 1's state is y in permuted column order
+                    y = dict(zip(cols, yh.solution))
+                    eqs1.append(_single_candidate(n, s, [y[mapping[j]] for j in s], yh))
+                if xh.nash:  # counterpart 2's state is x, the same for every sigma
+                    if (s, cols) not in row_mixes:
+                        row_mixes[(s, cols)] = _single_candidate(n, s, xh.solution[:-1], xh)
+                    eqs2.append(row_mixes[(s, cols)])
+                if yh.nash and xh.nash:
+                    pairs.append(self.matched[(s, cols)])
+            entries.append(PermutationAnalysis(
+                permutation=Permutation(mapping),
+                cp1_equilibria=tuple(eqs1),
+                cp2_equilibria=tuple(eqs2),
+                matched_pairs=tuple(pairs),
+            ))
+        return tuple(entries)
 
 
 def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
                    padding: PaddingRecord) -> EquilibriumCandidate:
     """The padded game's equilibrium `cand` as an equilibrium of `g`: dummy
     coordinates (always the trailing indices of the padded side) are dropped,
-    and the result is verified exactly on `g`."""
+    and the result is verified exactly on `g`.  The payoffs are `cand`'s,
+    since the dummies carry no probability."""
     rows0, cols0 = padding.original_dims
     if any(p != 0 for p in cand.x.probs[rows0:] + cand.y.probs[cols0:]):
         raise TheoremViolation("reconstructed candidate puts probability on a dummy action")
@@ -89,7 +127,7 @@ def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
         kind="bimatrix", x=x, y=y,
         support_x=x.support(), support_y=y.support(),
         is_strict=is_strict_equilibrium(g, x, y),
-        payoffs=expected_payoffs(g, x, y),
+        payoffs=cand.payoffs,
     )
 
 
@@ -97,15 +135,16 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
               table: SupportTable | None = None) -> DecompositionReport:
     """Run the full counterpart pipeline on a (possibly non-square) game.
 
-    Pads to square, scans all column permutations, reads both counterparts'
-    symmetric equilibria per permutation from the padded game's support
-    table, and matches those on the same support S.  A match under sigma is
-    the padded game's equilibrium on the support pair (S, sigma(S)), built
-    and verified exactly once per pair; it is listed under every permutation
-    that maps S there.  `reconstructed` holds the matched pairs with the
-    dummies stripped, verified again on `g`, by (support size, support_x,
-    support_y).  A failed verification raises TheoremViolation since the
-    counterpart correspondence guarantees it cannot happen.  With `verify`
+    Pads to square and scans the equal-size support pairs (S, T) of the
+    padded game's support table by (k, S, T).  A pair matches when both
+    counterparts have an equilibrium on S under the permutations that map S
+    to T: both halves are unique, positive and Nash, and the x half is read
+    only after a Nash y half.  Each match is the padded game's equilibrium
+    on (S, T), verified exactly there; `reconstructed` holds the matches in
+    scan order with the dummies stripped, verified again on `g`.  A failed
+    verification raises TheoremViolation since the counterpart
+    correspondence guarantees it cannot happen.  `per_permutation`, the n!
+    view of the same matches, is built only when first read.  With `verify`
     the direct support-enumeration solution (equal-size supports only) is
     computed as well and compared to set `agreement`.  `degeneracy` is the
     padded game's report, which reads the padded table lazily (see
@@ -118,40 +157,19 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
         raise TooLarge(f"decomposition capped at {MAX_DECOMPOSE_ACTIONS} actions after padding, got {n}")
     table = table or SupportTable(g)
     padded_table = table if padded is g else SupportTable(padded)
-    degeneracy = padded_table.degeneracy()
 
-    supports = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
-    row_mixes: dict = {}  # (S, sigma(S)) -> counterpart 2's equilibrium
-    matched: dict = {}  # (S, sigma(S)) -> the padded game's equilibrium on it
-    entries = []
-    for mapping in itertools.permutations(range(n)):
-        eqs1, eqs2, pairs = [], [], []
-        for s in supports:
-            cols = tuple(sorted(mapping[j] for j in s))
-            yh, xh = padded_table.y_half(s, cols), padded_table.x_half(s, cols)
-            if yh.nash:  # counterpart 1's state is y in permuted column order
-                y = dict(zip(cols, yh.solution))
-                eqs1.append(_single_candidate(n, s, [y[mapping[j]] for j in s], yh))
-            if xh.nash:  # counterpart 2's state is x, the same for every sigma
-                if (s, cols) not in row_mixes:
-                    row_mixes[(s, cols)] = _single_candidate(n, s, xh.solution[:-1], xh)
-                eqs2.append(row_mixes[(s, cols)])
-            if yh.nash and xh.nash:
-                if (s, cols) not in matched:
-                    cand = matched[(s, cols)] = _bimatrix_candidate(padded_table, s, cols)
-                    if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
-                        raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} "
-                                               "is not an equilibrium of the padded game")
-                pairs.append(matched[(s, cols)])
-        entries.append(PermutationAnalysis(
-            permutation=Permutation(mapping),
-            cp1_equilibria=tuple(eqs1),
-            cp2_equilibria=tuple(eqs2),
-            matched_pairs=tuple(pairs),
-        ))
-
-    reconstructed = [_strip_padding(matched[pair], g, padding)
-                     for pair in sorted(matched, key=lambda pair: (len(pair[0]), pair))]
+    matched = {}  # (S, T) -> the padded game's equilibrium on it, in scan order
+    for k in range(1, n + 1):
+        for s in itertools.combinations(range(n), k):
+            for t in itertools.combinations(range(n), k):
+                cand = _bimatrix_candidate(padded_table, s, t)
+                if cand is None:
+                    continue
+                if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
+                    raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} "
+                                           "is not an equilibrium of the padded game")
+                matched[(s, t)] = cand
+    reconstructed = [_strip_padding(cand, g, padding) for cand in matched.values()]
 
     direct = None
     agreement = None
@@ -162,11 +180,12 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     return DecompositionReport(
         game=g,
         padding=padding,
-        per_permutation=tuple(entries),
         reconstructed=tuple(reconstructed),
         direct_solution=None if direct is None else tuple(direct),
         agreement=agreement,
-        degeneracy=degeneracy,
+        degeneracy=padded_table.degeneracy(),
+        padded_table=padded_table,
+        matched=matched,
     )
 
 

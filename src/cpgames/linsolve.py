@@ -4,9 +4,12 @@ All equilibrium and rest-point enumeration reduces to systems of at most
 seven equations.  Exact mode (the default) scales each row of the augmented
 matrix to integers by the least common multiple of its denominators and runs
 fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
-exact, so the work stays in Python integers and converts to `Fraction` only
-when the solution is read off.  The reduced row echelon form is unique, so
-the status, solution and null space equal those of `Fraction` elimination.
+exact, so the work stays in Python integers.  An exact result keeps its
+particular solution as integer numerators over one positive denominator and
+makes `Fraction`s of them only when `solution` is first read, so a caller
+can decide signs and comparisons in integers.  The reduced row echelon form
+is unique, so the status, solution and null space equal those of `Fraction`
+elimination.
 Float mode runs Gauss–Jordan elimination on float64 with partial pivoting
 and a scaled pivot threshold.  It decides nothing: it exists only to render
 the digits of `cpg solve --float`, re-solving each exact equilibrium's
@@ -16,7 +19,6 @@ support pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 _FLOAT_PIVOT_EPS = 1e-11
@@ -26,11 +28,30 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-@dataclass
 class LinearResult:
-    status: str
-    solution: list | None  # unique solution, or a particular one (free vars = 0)
-    nullspace: list[list]  # basis of the homogeneous solutions; empty unless underdetermined
+    """The solution structure of a linear system.
+
+    `solution` is the unique solution or a particular one (free variables 0),
+    None when the system is inconsistent; `nullspace` is a basis of the
+    homogeneous solutions, empty unless underdetermined.  A consistent exact
+    result also keeps the particular solution as integer `numerators` over
+    the positive integer `denominator`, and makes `solution` of them on first
+    read.
+    """
+
+    def __init__(self, status: str, solution: list | None, nullspace: list[list],
+                 numerators: list[int] | None = None, denominator: int = 1):
+        self.status = status
+        self._solution = solution
+        self.nullspace = nullspace
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @property
+    def solution(self) -> list | None:
+        if self._solution is None and self.numerators is not None:
+            self._solution = [Fraction(v, self.denominator) for v in self.numerators]
+        return self._solution
 
 
 def solve_linear(matrix, rhs, exact: bool = True) -> LinearResult:
@@ -68,7 +89,11 @@ def solve_linear(matrix, rhs, exact: bool = True) -> LinearResult:
 
     if any(aug[i][n] for i in range(r, m)):
         return LinearResult(INCONSISTENT, None, [])
-    return _read_off(aug, pivot_cols, n, d, lambda v: Fraction(v, d))
+    particular, basis = _read_off(aug, pivot_cols, n, d)
+    nullspace = [[Fraction(v, d) for v in vec] for vec in basis]
+    if d < 0:
+        particular, d = [-v for v in particular], -d
+    return LinearResult(UNDERDETERMINED if basis else UNIQUE, None, nullspace, particular, d)
 
 
 def _integer_row(values) -> list[int]:
@@ -114,23 +139,23 @@ def _solve_float(matrix, rhs) -> LinearResult:
 
     if any(abs(aug[i][n]) > eps for i in range(r, m)):
         return LinearResult(INCONSISTENT, None, [])
-    return _read_off(aug, pivot_cols, n, 1.0, float)
+    particular, basis = _read_off(aug, pivot_cols, n, 1.0)
+    return LinearResult(UNDERDETERMINED if basis else UNIQUE, particular, basis)
 
 
-def _read_off(aug, pivot_cols, n, d, div) -> LinearResult:
+def _read_off(aug, pivot_cols, n, d):
     """Particular solution (free variables 0) and null-space basis of a
-    reduced system whose pivot entries all equal `d`; `div(v)` is v / d."""
-    zero = div(0 * d)
-    particular = [zero] * n
+    reduced system whose pivot entries all equal `d`, as numerators over d."""
+    particular = [0 * d] * n
     for row, c in zip(aug, pivot_cols):
-        particular[c] = div(row[n])
+        particular[c] = row[n]
     basis = []
     for fc in range(n):
         if fc in pivot_cols:
             continue
-        vec = [zero] * n
-        vec[fc] = div(d)
+        vec = [0 * d] * n
+        vec[fc] = d
         for row, c in zip(aug, pivot_cols):
-            vec[c] = div(-row[fc])
+            vec[c] = -row[fc]
         basis.append(vec)
-    return LinearResult(UNDERDETERMINED if basis else UNIQUE, particular, basis)
+    return particular, basis

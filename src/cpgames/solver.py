@@ -143,9 +143,10 @@ class HalfTable:
     sums to one.  Each pair is solved once, on first read.
 
     M is scaled to integers by the common denominator of its entries, which
-    leaves every system's solutions unchanged, and the best-response facts
-    are counted in integers too, with y scaled by the common denominator of
-    its entries.
+    leaves every system's solutions unchanged.  Positivity and the
+    best-response facts are decided on the solution's integer numerators
+    over their positive common denominator, so only the halves a reader
+    keeps, positive or underdetermined ones, are made `Fraction`s.
     """
 
     def __init__(self, mat):
@@ -163,15 +164,13 @@ class HalfTable:
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
         if res.status == INCONSISTENT:
             return _NO_MIX[INCONSISTENT]
-        positive = _positive(res.solution[:-1])
+        y = res.numerators[:-1]  # y times the positive denominator
+        positive = all(v > 0 for v in y)
         if res.status == UNDERDETERMINED:
             return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
         if not positive:
             return _NO_MIX[UNIQUE]
-        y = res.solution[:-1]
-        scale = math.lcm(*(v.denominator for v in y))
-        weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
-        payoffs = [sum(row[j] * w for j, w in weights) for row in self.mat]
+        payoffs = [sum(row[j] * w for j, w in zip(cols, y)) for row in self.mat]
         top = max(payoffs)
         return Half(UNIQUE, res.solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
 
@@ -270,7 +269,7 @@ def _bimatrix_candidate(table: SupportTable, rows, cols):
         support_x=x.support(),
         support_y=y.support(),
         is_strict=is_strict_equilibrium(g, x, y),
-        payoffs=expected_payoffs(g, x, y),
+        payoffs=(yh.solution[-1], xh.solution[-1]),  # x.Ay and x.By: the halves' common payoffs
     )
 
 

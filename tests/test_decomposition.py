@@ -22,6 +22,7 @@ from cpgames import (
     permute_columns,
     verify_roundtrip,
 )
+import cpgames.decomposition
 import cpgames.solver
 from cpgames.decomposition import _strip_padding, random_game, report_json
 
@@ -232,26 +233,68 @@ def _wide_game(seed, n):
                          [f"C{j}" for j in range(n)], a, b)
 
 
+def _rect_game(rng, name):
+    """Seeded non-square game with 1-4 actions a side and payoffs in [-5, 5]."""
+    m, n = rng.sample(range(1, 5), 2)
+    a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+    b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+    return make_bimatrix(name, [f"R{i}" for i in range(m)], [f"C{j}" for j in range(n)], a, b)
+
+
 class TestPermutationScan:
     def test_each_half_system_solved_at_most_once(self, monkeypatch):
         # a machine-independent work gate: decompose(verify=True) solves each
-        # of the 2 * sum_k C(n, k)^2 equal-size half-systems at most once
+        # of the 2 * sum_k C(n, k)^2 equal-size half-systems at most once.
+        # The pair scan reads an x half only after a Nash y half and builds no
+        # counterpart equilibrium, so it solves at most 84 and 276 halves
+        # here; reading the n! view and every degeneracy witness solves the rest
         solve = cpgames.solver.solve_linear
-        calls = []
+        single = cpgames.decomposition._single_candidate
+        calls, singles = [], []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
+        def counting_single(*args, **kwargs):
+            singles.append(args)
+            return single(*args, **kwargs)
+
         monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
+        monkeypatch.setattr(cpgames.decomposition, "_single_candidate", counting_single)
         for n, g in ((4, random_game(random.Random(1), 4)), (5, _wide_game(0, 5))):
             assert not detect_degeneracy(g).degenerate
             calls.clear()
+            singles.clear()
             report = decompose(g, verify=True)
             assert report.agreement is True
             bound = 2 * sum(math.comb(n, k) ** 2 for k in range(1, n + 1))
             assert bound == {4: 138, 5: 502}[n]
             assert 0 < len(calls) <= bound, (n, len(calls))
+            assert len(calls) <= {4: 84, 5: 276}[n], (n, len(calls))
+            assert not singles
+            assert report.per_permutation and report.degeneracy.witnesses == ()
+            assert singles
+            assert len(calls) == bound, (n, len(calls))
+
+    def test_reconstructed_is_union_of_matched_pairs(self, all_games):
+        # the covering argument: the union over permutations of the matched
+        # pairs is what the pair scan reconstructs, stripped, in (k, S, T) order
+        rng = random.Random(1618)
+        games = list(all_games.values())
+        games += [random_game(rng, n, name=f"union-{n}-{i}") for n in (3, 4) for i in range(15)]
+        games += [_rect_game(rng, f"union-rect-{i}") for i in range(15)]
+        found = 0
+        for g in games:
+            report = decompose(g, verify=False)
+            union = {(c.support_x, c.support_y): c
+                     for entry in report.per_permutation for c in entry.matched_pairs}
+            order = sorted(union, key=lambda pair: (len(pair[0]), pair))
+            assert report.reconstructed == tuple(
+                _strip_padding(union[pair], g, report.padding) for pair in order), g.name
+            found += len(order)
+        assert sum(not g.is_square for g in games) > 15
+        assert found > len(games)
 
     def test_scan_matches_single_enumeration(self, all_games):
         # each permutation's counterpart equilibria, read from the support

@@ -128,6 +128,28 @@ def test_integer_elimination_matches_fraction_reference():
     assert ("square", UNIQUE) in seen and ("over", UNIQUE) in seen
 
 
+def test_exact_result_keeps_integer_numerators():
+    # a consistent exact result's particular solution is integer numerators
+    # over one positive denominator; `solution` is their Fraction value
+    rng = random.Random(515)
+    shapes = [(m, n) for m in range(1, 6) for n in range(1, 6)]
+    kinds = ("integers", "fractions", "small", "rank-deficient", "inconsistent")
+    consistent = 0
+    for trial in range(500):
+        m, n = shapes[trial % len(shapes)]
+        matrix, rhs = _random_system(rng, m, n, kinds[trial % len(kinds)])
+        res = solve_linear(matrix, rhs)
+        if res.status == INCONSISTENT:
+            assert res.numerators is None and res.solution is None
+            continue
+        consistent += 1
+        assert type(res.denominator) is int and res.denominator > 0
+        assert all(type(v) is int for v in res.numerators)
+        assert [Fraction(v, res.denominator) for v in res.numerators] == res.solution
+        assert res.solution == reference_solve(matrix, rhs)[1]
+    assert consistent > 200
+
+
 def test_integer_elimination_indifference_systems():
     # the solver's systems: a payoff block, a -1 column for the common payoff,
     # and a row of ones for the probabilities

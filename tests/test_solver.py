@@ -17,6 +17,7 @@ from cpgames import (
     enumerate_nash_bimatrix,
     enumerate_nash_single,
     enumerate_rest_points,
+    expected_payoffs,
     is_nash_bimatrix,
     make_bimatrix,
     make_single,
@@ -24,8 +25,8 @@ from cpgames import (
 )
 import cpgames.solver
 from cpgames.decomposition import random_game, report_json
-from cpgames.linsolve import UNDERDETERMINED
-from cpgames.solver import DegeneracyWitness, SupportTable
+from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
+from cpgames.solver import DegeneracyWitness, Half, HalfTable, SupportTable, _indifference
 
 
 def F(s):
@@ -60,6 +61,39 @@ def reference_witnesses(table):
                         reasons.append(reason)
                 witnesses += [DegeneracyWitness((rows, cols), r) for r in reasons]
     return tuple(witnesses)
+
+
+def reference_half(table, rows, cols):
+    """Oracle: `HalfTable._solve` as it was before the integer read-off.  The
+    solution is made Fractions first, then its signs and best responses are
+    decided, with y scaled by the common denominator of its entries."""
+    res = solve_linear(*_indifference(table.mat, rows, cols, table.scale))
+    if res.status == INCONSISTENT:
+        return Half(INCONSISTENT, None, [], False)
+    positive = all(v.numerator > 0 for v in res.solution[:-1])
+    if res.status == UNDERDETERMINED:
+        return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
+    if not positive:
+        return Half(UNIQUE, None, [], False)
+    y = res.solution[:-1]
+    scale = math.lcm(*(v.denominator for v in y))
+    weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
+    payoffs = [sum(row[j] * w for j, w in weights) for row in table.mat]
+    top = max(payoffs)
+    return Half(UNIQUE, res.solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
+
+
+def seeded_game(rng, name):
+    """A game with 1-4 actions a side and payoffs of at most 1, 2, 5 or 1000
+    in size, over denominator 1 or 3."""
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    r, den = rng.choice([1, 2, 5, 1000]), rng.choice([1, 1, 3])
+
+    def mat():
+        return [[Fraction(rng.randint(-r, r), den) for _ in range(n)] for _ in range(m)]
+
+    return make_bimatrix(name, [f"r{k}" for k in range(m)], [f"c{k}" for k in range(n)],
+                         mat(), mat())
 
 
 def count_solves(monkeypatch):
@@ -125,6 +159,24 @@ class TestBimatrixEnumeration:
                           for c in enumerate_nash_bimatrix(g)
                           if len(c.support_x) == 1 and len(c.support_y) == 1}
             assert found_pure == brute_pure_equilibria(g)
+
+    def test_payoffs_are_expected_payoffs(self, all_games):
+        # an equilibrium's payoffs are its halves' common payoffs, which are
+        # x.Ay and x.By; checked on direct and reconstructed equilibria of the
+        # bundled games, their padded forms and seeded games
+        rng = random.Random(23)
+        games = list(all_games.values())
+        games += [pad_to_square(g)[0] for g in all_games.values() if not g.is_square]
+        games += [random_game(rng, n, name=f"pay-{n}-{i}") for n in (3, 4) for i in range(20)]
+        games += [seeded_game(rng, f"pay-{i}") for i in range(60)]
+        checked = mixed = 0
+        for g in games:
+            for c in enumerate_nash_bimatrix(g) + list(decompose(g, verify=False).reconstructed):
+                assert c.payoffs == expected_payoffs(g, c.x, c.y), (g.name, c.key())
+                assert all(isinstance(v, Fraction) for v in c.payoffs)
+                checked += 1
+                mixed += len(c.support_x) > 1
+        assert checked > 2 * len(games) and mixed > 20
 
     def test_every_candidate_passes_exact_nash(self):
         rng = random.Random(17)
@@ -260,6 +312,30 @@ class TestBimatrixEnumeration:
         x, y = MixedStrategy.exact([1, 0]), MixedStrategy.exact(["1/2", "1/2"])
         assert is_nash_bimatrix(g, x, y, tol=0.0)
         assert (x.probs, y.probs) not in profiles(enumerate_nash_bimatrix(g))
+
+
+class TestHalfTable:
+    def test_integer_decisions_match_fraction_oracle(self):
+        # status, solution, positivity, best-response count and Nash flag of
+        # every support pair's half, equal and unequal sizes, on seeded
+        # payoff matrices, against the Fraction-first oracle
+        rng = random.Random(404)
+        seen = set()
+        for i in range(60):
+            mat = seeded_game(rng, f"half-{i}").row_payoffs
+            table = HalfTable(mat)
+            m, n = len(mat), len(mat[0])
+            for k in range(1, m + 1):
+                for rows in itertools.combinations(range(m), k):
+                    for j in range(1, n + 1):
+                        for cols in itertools.combinations(range(n), j):
+                            half = table.get(rows, cols)
+                            assert half == reference_half(table, rows, cols), (mat, rows, cols)
+                            seen.add((half.status, half.positive, half.best > k, half.nash))
+        assert {(INCONSISTENT, False, False, False), (UNIQUE, False, False, False),
+                (UNDERDETERMINED, True, False, False), (UNDERDETERMINED, False, False, False),
+                (UNIQUE, True, False, True), (UNIQUE, True, False, False),
+                (UNIQUE, True, True, True)} <= seen
 
 
 class TestSingleEnumeration:
