@@ -8,7 +8,6 @@ from .errors import (
     NotRestPoint,
     NotSquare,
     ParseError,
-    SingularSystem,
     SizeMismatch,
     TheoremViolation,
     TooLarge,

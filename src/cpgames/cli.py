@@ -19,7 +19,6 @@ from .errors import (
     NotRestPoint,
     NotSquare,
     ParseError,
-    SingularSystem,
     SizeMismatch,
     TheoremViolation,
     TooLarge,
@@ -49,7 +48,7 @@ EXIT_THEOREM = 4
 
 _INPUT_ERRORS = (ParseError, ValidationError, SizeMismatch, NotSquare, TooLarge,
                  UnsupportedDimension, NotNash, OSError)
-_NUMERIC_ERRORS = (DomainEscape, SingularSystem, NotRestPoint)
+_NUMERIC_ERRORS = (DomainEscape, NotRestPoint)
 
 
 class UsageError(Exception):

@@ -11,11 +11,11 @@ the x half of the same pair, so two counterpart equilibria on S match
 exactly when both halves of (S, sigma(S)) are Nash, and the combined profile
 depends only on that pair.  The union over sigma of the pairs (S, sigma(S))
 is the set of equal-size support pairs, which is exhaustive for
-non-degenerate games.  `decompose` therefore scans those pairs,
-sum_k C(n, k)^2 of them, and builds and verifies each matched pair once; the
-n! per-permutation view is expanded from the same `SupportTable` only when
-it is read.  The degeneracy report and the direct solution read that table
-too.
+non-degenerate games.  `decompose` therefore reads the solver's direct
+enumeration of the padded game, which scans those pairs, sum_k C(n, k)^2 of
+them, and verifies each matched pair once; the n! per-permutation view is
+expanded from the same `SupportTable` only when it is read.  The degeneracy
+report and the direct solution read that table too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import TheoremViolation, TooLarge, ValidationError
@@ -34,7 +34,6 @@ from .games import (
     Permutation,
     fraction_str,
     is_nash_bimatrix,
-    is_strict_equilibrium,
     make_bimatrix,
     pad_to_square,
     serialize_game,
@@ -46,7 +45,6 @@ from .solver import (
     candidate_json,
     detect_degeneracy,
     enumerate_nash_bimatrix,
-    _bimatrix_candidate,
     _single_candidate,
 )
 
@@ -114,8 +112,9 @@ def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
                    padding: PaddingRecord) -> EquilibriumCandidate:
     """The padded game's equilibrium `cand` as an equilibrium of `g`: dummy
     coordinates (always the trailing indices of the padded side) are dropped,
-    and the result is verified exactly on `g`.  The payoffs are `cand`'s,
-    since the dummies carry no probability."""
+    and the result is verified exactly on `g`.  The supports, strictness and
+    payoffs are `cand`'s: the dummies carry no probability and are strictly
+    dominated, so no dummy is a best response either."""
     rows0, cols0 = padding.original_dims
     if any(p != 0 for p in cand.x.probs[rows0:] + cand.y.probs[cols0:]):
         raise TheoremViolation("reconstructed candidate puts probability on a dummy action")
@@ -123,29 +122,25 @@ def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
     y = MixedStrategy(cand.y.probs[:cols0], "exact")
     if not is_nash_bimatrix(g, x, y, tol=0.0):
         raise TheoremViolation(f"candidate x={x.probs} y={y.probs} fails on the original game")
-    return EquilibriumCandidate(
-        kind="bimatrix", x=x, y=y,
-        support_x=x.support(), support_y=y.support(),
-        is_strict=is_strict_equilibrium(g, x, y),
-        payoffs=cand.payoffs,
-    )
+    return replace(cand, x=x, y=y)
 
 
 def decompose(g: BimatrixGame, verify: bool = True, *,
               table: SupportTable | None = None) -> DecompositionReport:
     """Run the full counterpart pipeline on a (possibly non-square) game.
 
-    Pads to square and scans the equal-size support pairs (S, T) of the
-    padded game's support table by (k, S, T).  A pair matches when both
-    counterparts have an equilibrium on S under the permutations that map S
-    to T: both halves are unique, positive and Nash, and the x half is read
-    only after a Nash y half.  Each match is the padded game's equilibrium
-    on (S, T), verified exactly there; `reconstructed` holds the matches in
-    scan order with the dummies stripped, verified again on `g`.  A failed
-    verification raises TheoremViolation since the counterpart
-    correspondence guarantees it cannot happen.  `per_permutation`, the n!
-    view of the same matches, is built only when first read.  With `verify`
-    the direct support-enumeration solution (equal-size supports only) is
+    Pads to square and reads the solver's enumeration of the padded game's
+    support table, which visits the equal-size support pairs (S, T) by
+    (k, S, T).  A pair matches when both counterparts have an equilibrium on
+    S under the permutations that map S to T, that is when both halves are
+    unique, positive and Nash, which is exactly when the enumeration yields
+    the padded game's equilibrium on (S, T).  Each match is verified exactly
+    on the padded game; `reconstructed` holds the matches in that order with
+    the dummies stripped, verified again on `g`.  A failed verification
+    raises TheoremViolation since the counterpart correspondence guarantees
+    it cannot happen.  `per_permutation`, the n! view of the same matches,
+    is built only when first read.  With `verify` the direct
+    support-enumeration solution of `g` (equal-size supports only) is
     computed as well and compared to set `agreement`.  `degeneracy` is the
     padded game's report, which reads the padded table lazily (see
     SupportTable.degeneracy).  `table`, a SupportTable of `g`, shares solved
@@ -158,17 +153,12 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     table = table or SupportTable(g)
     padded_table = table if padded is g else SupportTable(padded)
 
-    matched = {}  # (S, T) -> the padded game's equilibrium on it, in scan order
-    for k in range(1, n + 1):
-        for s in itertools.combinations(range(n), k):
-            for t in itertools.combinations(range(n), k):
-                cand = _bimatrix_candidate(padded_table, s, t)
-                if cand is None:
-                    continue
-                if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
-                    raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} "
-                                           "is not an equilibrium of the padded game")
-                matched[(s, t)] = cand
+    matched = {}  # (S, T) -> the padded game's equilibrium on it, in (k, S, T) order
+    for cand in enumerate_nash_bimatrix(padded, table=padded_table):
+        if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
+            raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} "
+                                   "is not an equilibrium of the padded game")
+        matched[(cand.support_x, cand.support_y)] = cand
     reconstructed = [_strip_padding(cand, g, padding) for cand in matched.values()]
 
     direct = None

@@ -26,10 +26,6 @@ class TooLarge(CpgError):
     """Game exceeds the enumeration size guard."""
 
 
-class SingularSystem(CpgError):
-    """A linear system could not be solved and no recovery applies."""
-
-
 class UnsupportedDimension(CpgError):
     """Plot or grid type does not exist for this number of actions."""
 

@@ -1,15 +1,15 @@
 """Rank-revealing Gauss–Jordan elimination for small indifference systems.
 
 All equilibrium and rest-point enumeration reduces to systems of at most
-seven equations.  Exact mode (the default) scales each row of the augmented
-matrix to integers by the least common multiple of its denominators and runs
-fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
-exact, so the work stays in Python integers.  An exact result keeps its
-particular solution as integer numerators over one positive denominator and
-makes `Fraction`s of them only when `solution` is first read, so a caller
-can decide signs and comparisons in integers.  The reduced row echelon form
-is unique, so the status, solution and null space equal those of `Fraction`
-elimination.
+seven equations.  Exact mode (the default) takes integer systems, which the
+solver's `HalfTable` builds from its payoff matrix scaled to integers once,
+and runs fraction-free Gauss–Jordan elimination (Bareiss 1968): every
+division is exact, so the work stays in Python integers.  An exact result
+keeps its particular solution as integer numerators over one positive
+denominator and makes `Fraction`s of them only when `solution` is first
+read, so a caller can decide signs and comparisons in integers.  The reduced
+row echelon form is unique, so the status, solution and null space equal
+those of `Fraction` elimination.
 Float mode runs Gauss–Jordan elimination on float64 with partial pivoting
 and a scaled pivot threshold.  It decides nothing: it exists only to render
 the digits of `cpg solve --float`, re-solving each exact equilibrium's
@@ -18,7 +18,6 @@ support pair.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 _FLOAT_PIVOT_EPS = 1e-11
@@ -55,14 +54,15 @@ class LinearResult:
 
 
 def solve_linear(matrix, rhs, exact: bool = True) -> LinearResult:
-    """Solve matrix @ z = rhs for any shape, reporting the solution structure."""
+    """Solve matrix @ z = rhs for any shape, reporting the solution structure.
+    Exact mode takes `int` entries only; float mode takes any real numbers."""
     if not exact:
         return _solve_float(matrix, rhs)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    aug = [_integer_row([*row, rhs[i]]) for i, row in enumerate(matrix)]
+    aug = [[*row, rhs[i]] for i, row in enumerate(matrix)]
 
-    # After each pivot every entry is a minor of the scaled matrix, so the
+    # After each pivot every entry is a minor of the input matrix, so the
     # division by the previous pivot is exact; all pivots end equal to `d`.
     pivot_cols = []
     d = 1
@@ -94,19 +94,6 @@ def solve_linear(matrix, rhs, exact: bool = True) -> LinearResult:
     if d < 0:
         particular, d = [-v for v in particular], -d
     return LinearResult(UNDERDETERMINED if basis else UNIQUE, None, nullspace, particular, d)
-
-
-def _integer_row(values) -> list[int]:
-    """The row times the least common multiple of its denominators."""
-    try:
-        dens = [v.denominator for v in values]
-    except AttributeError:  # floats count at their exact binary value
-        values = [Fraction(v) for v in values]
-        dens = [v.denominator for v in values]
-    scale = math.lcm(*dens)
-    if scale == 1:
-        return [v.numerator for v in values]
-    return [v.numerator * (scale // den) for v, den in zip(values, dens)]
 
 
 def _solve_float(matrix, rhs) -> LinearResult:

@@ -9,11 +9,12 @@ indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
 status, solution, common payoff and the best responses counted in
-integers.  Degeneracy detection, direct enumeration and the decomposition's
-permutation scan all read one table per game.  Every decision is made in
-exact arithmetic, so ties are classified correctly; float mode
-(`enumerate_nash_bimatrix(g, "float")`, `cpg solve --float`) only renders the
-exact equilibria in float64.
+integers.  Degeneracy detection and direct enumeration visit the equal-size
+pairs in one order, and the decomposition reads the direct enumeration of
+its padded game, so all of them read one table per game.  Every decision is
+made in exact arithmetic, so ties are classified correctly; float mode
+(`enumerate_nash_bimatrix(g, "float")`, `cpg solve --float`) only renders
+the exact equilibria in float64.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .games import (
     SingleGame,
     fraction_str,
     is_nash_single,
-    is_strict_equilibrium,
     expected_payoffs,
 )
 from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
@@ -44,7 +44,6 @@ MAX_ACTIONS = 6
 class EquilibriumCandidate:
     """An equilibrium (or verified candidate) with provenance-free payload."""
 
-    kind: str  # "bimatrix" | "single"
     x: MixedStrategy
     y: MixedStrategy | None
     support_x: tuple[int, ...]
@@ -116,6 +115,15 @@ def _indifference(mat, rows, cols, scale=1):
     return system, [0] * len(rows) + [1]
 
 
+def _equal_size_pairs(n_rows: int, n_cols: int):
+    """The support pairs (rows, cols) with |rows| = |cols|, by (k, rows, cols):
+    the order of every scan of a table and of every enumeration's output."""
+    for k in range(1, min(n_rows, n_cols) + 1):
+        for rows in itertools.combinations(range(n_rows), k):
+            for cols in itertools.combinations(range(n_cols), k):
+                yield rows, cols
+
+
 class Half(NamedTuple):
     """The solved indifference system of one half of a support pair."""
 
@@ -142,11 +150,13 @@ class HalfTable:
     in `rows` earns the same payoff u against a column mix y on `cols`, and y
     sums to one.  Each pair is solved once, on first read.
 
-    M is scaled to integers by the common denominator of its entries, which
-    leaves every system's solutions unchanged.  Positivity and the
-    best-response facts are decided on the solution's integer numerators
-    over their positive common denominator, so only the halves a reader
-    keeps, positive or underdetermined ones, are made `Fraction`s.
+    M is scaled to integers once, here, by the common denominator of its
+    entries, which leaves every system's solutions unchanged; every system
+    handed to `solve_linear` is then integer, as exact mode requires.
+    Positivity and the best-response facts are decided on the solution's
+    integer numerators over their positive common denominator, so only the
+    halves a reader keeps, positive or underdetermined ones, are made
+    `Fraction`s.
     """
 
     def __init__(self, mat):
@@ -206,22 +216,19 @@ class SupportTable:
         return DegeneracyReport(self._witnesses())
 
     def _witnesses(self):
-        g = self.game
-        for k in range(1, min(g.n_rows, g.n_cols) + 1):
-            for rows in itertools.combinations(range(g.n_rows), k):
-                for cols in itertools.combinations(range(g.n_cols), k):
-                    reasons = []
-                    for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
-                        if half.status == UNDERDETERMINED:
-                            reason = "continuum" if half.positive else "singular-system"
-                        elif half.mixed and half.best > k:
-                            reason = "excess-best-responses"
-                        else:
-                            continue
-                        if reason not in reasons:
-                            reasons.append(reason)
-                    for reason in reasons:
-                        yield DegeneracyWitness((rows, cols), reason)
+        for rows, cols in _equal_size_pairs(self.game.n_rows, self.game.n_cols):
+            reasons = []
+            for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
+                if half.status == UNDERDETERMINED:
+                    reason = "continuum" if half.positive else "singular-system"
+                elif half.mixed and half.best > len(rows):
+                    reason = "excess-best-responses"
+                else:
+                    continue
+                if reason not in reasons:
+                    reasons.append(reason)
+            for reason in reasons:
+                yield DegeneracyWitness((rows, cols), reason)
 
 
 def _guard_bimatrix(g: BimatrixGame) -> None:
@@ -240,7 +247,6 @@ def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandida
     `values` its mix in support order.  It is strict when it is pure and its
     action is the only best response to itself."""
     return EquilibriumCandidate(
-        kind="single",
         x=_full_vector(n, support, values),
         y=None,
         support_x=support,
@@ -252,7 +258,10 @@ def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandida
 
 def _bimatrix_candidate(table: SupportTable, rows, cols):
     """The equilibrium on one support pair, or None.  Both halves must be
-    unique, positive and Nash; the x half is read only after the y half is."""
+    unique, positive and Nash; the x half is read only after the y half is.
+    The supports are the pair, since both mixes are positive on it.  It is
+    strict when it is pure and each player's action is the only best
+    response to the other's, as each half's best-response count says."""
     g = table.game
     yh = table.y_half(rows, cols)
     if not yh.nash:
@@ -260,15 +269,12 @@ def _bimatrix_candidate(table: SupportTable, rows, cols):
     xh = table.x_half(rows, cols)
     if not xh.nash:
         return None
-    x = _full_vector(g.n_rows, rows, xh.solution[:-1])
-    y = _full_vector(g.n_cols, cols, yh.solution[:-1])
     return EquilibriumCandidate(
-        kind="bimatrix",
-        x=x,
-        y=y,
-        support_x=x.support(),
-        support_y=y.support(),
-        is_strict=is_strict_equilibrium(g, x, y),
+        x=_full_vector(g.n_rows, rows, xh.solution[:-1]),
+        y=_full_vector(g.n_cols, cols, yh.solution[:-1]),
+        support_x=rows,
+        support_y=cols,
+        is_strict=len(rows) == 1 and yh.best == 1 and xh.best == 1,
         payoffs=(yh.solution[-1], xh.solution[-1]),  # x.Ay and x.By: the halves' common payoffs
     )
 
@@ -327,12 +333,10 @@ def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
     _guard_bimatrix(g)
     table = table or SupportTable(g)
     found = []
-    for k in range(1, min(g.n_rows, g.n_cols) + 1):
-        for rows in itertools.combinations(range(g.n_rows), k):
-            for cols in itertools.combinations(range(g.n_cols), k):
-                cand = _bimatrix_candidate(table, rows, cols)
-                if cand is not None:
-                    found.append(cand)
+    for rows, cols in _equal_size_pairs(g.n_rows, g.n_cols):
+        cand = _bimatrix_candidate(table, rows, cols)
+        if cand is not None:
+            found.append(cand)
     if mode == "float":
         return [_render_float(g, c) for c in found]
     return found

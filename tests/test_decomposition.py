@@ -54,7 +54,7 @@ def reconstruct_candidates(cp1_eqs, cp2_eqs, perm):
                 probs[perm(j)] = p
             y = MixedStrategy(tuple(probs), "exact")
             out.append(EquilibriumCandidate(
-                kind="bimatrix", x=x_cand.x, y=y,
+                x=x_cand.x, y=y,
                 support_x=x_cand.x.support(), support_y=y.support(),
                 is_strict=False, payoffs=None,
             ))
@@ -341,7 +341,7 @@ class TestSafetyChecks:
         assert padding.player == "row" and padding.added_count == 1
         x = MixedStrategy((F(0), F(0), F(1)), "exact")  # all mass on the dummy row
         y = MixedStrategy((F(1), F(0), F(0)), "exact")
-        cand = EquilibriumCandidate(kind="bimatrix", x=x, y=y, support_x=(2,),
-                                    support_y=(0,), is_strict=False, payoffs=None)
+        cand = EquilibriumCandidate(x=x, y=y, support_x=(2,), support_y=(0,),
+                                    is_strict=False, payoffs=None)
         with pytest.raises(TheoremViolation, match="dummy"):
             _strip_padding(cand, bos_extended, padding)

@@ -1,5 +1,6 @@
 """Elimination core: solution structure on exact and float systems."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ def test_unique_exact():
     res = solve_linear([[2, 1], [1, -1]], [5, 1], exact=True)
     assert res.status == UNIQUE
     assert res.solution == [Fraction(2), Fraction(1)]
+    assert solve_linear([], []).status == UNIQUE
 
 
 def test_inconsistent():
@@ -84,6 +86,19 @@ def reference_solve(matrix, rhs):
     return (UNDERDETERMINED if free_cols else UNIQUE), particular, basis
 
 
+def integer_system(matrix, rhs):
+    """The system with each row, right-hand side included, times the least
+    common multiple of its denominators: the integer system exact mode takes.
+    Row scaling leaves the reduced row echelon form, and so the status,
+    solution and null space, unchanged."""
+    scaled = []
+    for row, b in zip(matrix, rhs):
+        row = [*row, b]
+        scale = math.lcm(*(Fraction(v).denominator for v in row))
+        scaled.append([int(v * scale) for v in row])
+    return [row[:-1] for row in scaled], [row[-1] for row in scaled]
+
+
 def _random_system(rng, m, n, kind):
     """A seeded system of shape m x n; `kind` shapes its rank and entries."""
     def entry():
@@ -119,7 +134,7 @@ def test_integer_elimination_matches_fraction_reference():
         m, n = shapes[trial % len(shapes)]
         kind = kinds[trial % len(kinds)]
         matrix, rhs = _random_system(rng, m, n, kind)
-        res = solve_linear(matrix, rhs, exact=True)
+        res = solve_linear(*integer_system(matrix, rhs), exact=True)
         assert (res.status, res.solution, res.nullspace) == reference_solve(matrix, rhs), (matrix, rhs)
         seen.add(("square" if m == n else "over" if m > n else "under", res.status))
     # every shape class met every status it can have
@@ -138,7 +153,7 @@ def test_exact_result_keeps_integer_numerators():
     for trial in range(500):
         m, n = shapes[trial % len(shapes)]
         matrix, rhs = _random_system(rng, m, n, kinds[trial % len(kinds)])
-        res = solve_linear(matrix, rhs)
+        res = solve_linear(*integer_system(matrix, rhs))
         if res.status == INCONSISTENT:
             assert res.numerators is None and res.solution is None
             continue
@@ -161,13 +176,5 @@ def test_integer_elimination_indifference_systems():
                    for _ in range(k2)] + [-1] for _ in range(k1)]
         matrix.append([1] * k2 + [0])
         rhs = [0] * k1 + [1]
-        res = solve_linear(matrix, rhs)
+        res = solve_linear(*integer_system(matrix, rhs))
         assert (res.status, res.solution, res.nullspace) == reference_solve(matrix, rhs)
-
-
-def test_exact_inputs_keep_their_value():
-    # floats are read as their exact binary value, as Fraction(v) reads them
-    res = solve_linear([[0.5, 0.25], [1, -1]], [1.5, Fraction(1, 3)])
-    assert (res.status, res.solution, res.nullspace) == reference_solve(
-        [[0.5, 0.25], [1, -1]], [1.5, Fraction(1, 3)])
-    assert solve_linear([], []).status == UNIQUE

@@ -19,6 +19,7 @@ from cpgames import (
     enumerate_rest_points,
     expected_payoffs,
     is_nash_bimatrix,
+    is_strict_equilibrium,
     make_bimatrix,
     make_single,
     pad_to_square,
@@ -162,21 +163,32 @@ class TestBimatrixEnumeration:
 
     def test_payoffs_are_expected_payoffs(self, all_games):
         # an equilibrium's payoffs are its halves' common payoffs, which are
-        # x.Ay and x.By; checked on direct and reconstructed equilibria of the
-        # bundled games, their padded forms and seeded games
+        # x.Ay and x.By, its supports are its support pair and its strictness
+        # is read from both halves' best-response counts; checked on direct
+        # and reconstructed equilibria of the bundled games, their padded
+        # forms and seeded games, square and not
         rng = random.Random(23)
         games = list(all_games.values())
         games += [pad_to_square(g)[0] for g in all_games.values() if not g.is_square]
         games += [random_game(rng, n, name=f"pay-{n}-{i}") for n in (3, 4) for i in range(20)]
         games += [seeded_game(rng, f"pay-{i}") for i in range(60)]
         checked = mixed = 0
+        pure = {True: 0, False: 0}  # strict -> pure equilibria met
+        reconstructed_nonsquare = 0
         for g in games:
-            for c in enumerate_nash_bimatrix(g) + list(decompose(g, verify=False).reconstructed):
+            reconstructed = decompose(g, verify=False).reconstructed
+            reconstructed_nonsquare += 0 if g.is_square else len(reconstructed)
+            for c in enumerate_nash_bimatrix(g) + list(reconstructed):
                 assert c.payoffs == expected_payoffs(g, c.x, c.y), (g.name, c.key())
                 assert all(isinstance(v, Fraction) for v in c.payoffs)
+                assert c.support_x == c.x.support() and c.support_y == c.y.support(), (g.name, c.key())
+                assert c.is_strict == is_strict_equilibrium(g, c.x, c.y), (g.name, c.key())
                 checked += 1
                 mixed += len(c.support_x) > 1
+                if len(c.support_x) == 1:
+                    pure[c.is_strict] += 1
         assert checked > 2 * len(games) and mixed > 20
+        assert pure[True] > 20 and pure[False] > 20 and reconstructed_nonsquare > 20
 
     def test_every_candidate_passes_exact_nash(self):
         rng = random.Random(17)
@@ -336,6 +348,32 @@ class TestHalfTable:
                 (UNDERDETERMINED, True, False, False), (UNDERDETERMINED, False, False, False),
                 (UNIQUE, True, False, True), (UNIQUE, True, False, False),
                 (UNIQUE, True, True, True)} <= seen
+
+    def test_solve_linear_gets_integer_systems(self, all_games, monkeypatch):
+        # exact solve_linear takes integer systems, so every system the
+        # solver hands it, from every reader of the tables, has int entries;
+        # leduc_empirical has decimal payoffs, the seeded games thirds and
+        # twentieths
+        rng = random.Random(31)
+        games = list(all_games.values())
+        for den in (3, 20):
+            for i in range(15):
+                m, n = rng.randint(1, 4), rng.randint(1, 4)
+                a = [[Fraction(rng.randint(-20, 20), den) for _ in range(n)] for _ in range(m)]
+                b = [[Fraction(rng.randint(-20, 20), den) for _ in range(n)] for _ in range(m)]
+                games.append(make_bimatrix(f"den-{den}-{i}", [f"r{k}" for k in range(m)],
+                                           [f"c{k}" for k in range(n)], a, b))
+        calls = count_solves(monkeypatch)
+        for g in games:
+            enumerate_nash_bimatrix(g)
+            report_json(decompose(g))  # reads the witnesses and the n! view
+            for cp in counterpart_games(pad_to_square(g)[0]):
+                enumerate_nash_single(cp)
+                enumerate_rest_points(cp)
+        assert len(calls) > 1000
+        for matrix, rhs in calls:
+            assert all(type(v) is int for row in matrix for v in row), matrix
+            assert all(type(v) is int for v in rhs), rhs
 
 
 class TestSingleEnumeration:
