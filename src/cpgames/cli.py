@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -26,8 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .games import (
+    FLOAT_SUPPORT_EPS,
     BimatrixGame,
+    MixedStrategy,
     counterpart_games,
+    expected_payoffs,
     fraction_str,
     pad_to_square,
     parse_game,
@@ -45,6 +49,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_THEOREM = 4
+
+_FLOAT_PIVOT_EPS = 1e-11
 
 _INPUT_ERRORS = (ParseError, ValidationError, SizeMismatch, NotSquare, TooLarge,
                  UnsupportedDimension, NotNash, OSError)
@@ -107,10 +113,60 @@ def _format_candidate(idx: int, cand) -> str:
     return "  ".join(parts)
 
 
+def _float_gauss_jordan(aug):
+    """The unique solution of a square augmented float64 system, or None:
+    Gauss–Jordan elimination with partial pivoting, where a pivot must exceed
+    1e-11 times the largest entry (at least 1)."""
+    eps = _FLOAT_PIVOT_EPS * max(1.0, max(abs(v) for row in aug for v in row))
+    for c in range(len(aug)):
+        pivot, best = None, 0.0
+        for i in range(c, len(aug)):
+            if abs(aug[i][c]) > best:
+                pivot, best = i, abs(aug[i][c])
+        if pivot is None or best <= eps:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        prow = aug[c] = [v / pv for v in aug[c]]
+        for i, row in enumerate(aug):
+            if i != c and abs(row[c]) > eps:
+                f = row[c]
+                aug[i] = [vi - f * vr for vi, vr in zip(row, prow)]
+    return [row[-1] for row in aug]
+
+
+def _float_mix(mat, rows, cols, exact: MixedStrategy) -> MixedStrategy:
+    """The mix on `cols` that makes `rows` indifferent in the float64 matrix
+    `mat`, solved and renormalised in float64; the rounded exact mix when
+    that solve finds no unique positive mix."""
+    aug = [[mat[i][j] for j in cols] + [-1.0, 0.0] for i in rows]
+    aug.append([1.0] * len(cols) + [0.0, 1.0])
+    sol = _float_gauss_jordan(aug)
+    if sol is None or not all(v > FLOAT_SUPPORT_EPS for v in sol[:-1]):
+        return MixedStrategy.from_floats(exact.probs)
+    values = dict(zip(cols, sol[:-1]))
+    total = sum(values.values())  # renormalise away elimination roundoff
+    return MixedStrategy.from_floats(values.get(j, 0.0) / total for j in range(len(exact)))
+
+
+def _render_float(g: BimatrixGame, eqs) -> list:
+    """The exact equilibria of `g` in float64, for `solve --float`: each mix
+    re-solved on its exact supports, the payoffs evaluated at the float mixes."""
+    a, bt = g.a_float().tolist(), g.b_float().T.tolist()
+    rendered = []
+    for c in eqs:
+        x = _float_mix(bt, c.support_y, c.support_x, c.x)
+        y = _float_mix(a, c.support_x, c.support_y, c.y)
+        rendered.append(replace(c, x=x, y=y, payoffs=expected_payoffs(g, x, y)))
+    return rendered
+
+
 def _cmd_solve(args) -> int:
     g = load_game(args.game)
     mode = "float" if args.float else "exact"
-    eqs = enumerate_nash_bimatrix(g, mode=mode)
+    eqs = enumerate_nash_bimatrix(g)
+    if args.float:
+        eqs = _render_float(g, eqs)
     if args.json:
         print(json.dumps([candidate_json(c) for c in eqs], indent=2))
     else:

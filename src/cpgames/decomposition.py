@@ -141,7 +141,13 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     it cannot happen.  `per_permutation`, the n! view of the same matches,
     is built only when first read.  With `verify` the direct
     support-enumeration solution of `g` (equal-size supports only) is
-    computed as well and compared to set `agreement`.  `degeneracy` is the
+    computed as well and compared to set `agreement`.  That is not an
+    independent check of the correspondence: on a square game both sides are
+    one enumeration of one table, so `agreement` holds by construction, and
+    on a non-square game it compares the padded table's enumeration, dummies
+    stripped, with the unpadded one.  The correspondence itself is checked
+    against the counterparts' own enumerations under every permutation by
+    `test_scan_matches_single_enumeration`.  `degeneracy` is the
     padded game's report, which reads the padded table lazily (see
     SupportTable.degeneracy).  `table`, a SupportTable of `g`, shares solved
     systems with other calls on the same game.
@@ -204,6 +210,9 @@ def random_game(rng: random.Random, size: int, name: str = "random") -> Bimatrix
 def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
     """Generate seeded random games, discard degenerate ones, and check that
     the reconstructed equilibrium set matches the direct solver on the rest.
+    The games are square, so this reads `decompose`'s `agreement`, which
+    holds by construction there (see `decompose`); it exercises the pipeline
+    and its exact verifications rather than testing the correspondence.
     Stops at the first disagreement and reports it as a counterexample.
     Raises ValidationError for `trials` < 0 or `size` < 1, and TooLarge for
     `size` above MAX_DECOMPOSE_ACTIONS, before any game is drawn."""

@@ -8,6 +8,7 @@ enter only through the initial matrix conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ def _as_state(value, n: int, what: str) -> np.ndarray:
 
 
 def _check_simplex(arr: np.ndarray, what: str) -> None:
-    if arr.min() < -SIMPLEX_TOL or abs(arr.sum() - 1.0) > SIMPLEX_TOL:
+    # NaN fails every comparison, so finiteness is checked first
+    if not np.isfinite(arr).all() or arr.min() < -SIMPLEX_TOL or abs(arr.sum() - 1.0) > SIMPLEX_TOL:
         raise ValidationError(f"{what} is not on the probability simplex: {arr.tolist()}")
 
 
@@ -164,7 +166,10 @@ def _n_steps(dt: float, t_max: float) -> int:
         raise ValidationError("dt must be positive")
     if t_max < dt:
         raise ValidationError("t_max must be at least dt")
-    return max(1, int(round(t_max / dt)))
+    ratio = t_max / dt
+    if not math.isfinite(ratio):  # NaN passes both comparisons above
+        raise ValidationError(f"t_max / dt is {ratio}, not a finite number of steps")
+    return max(1, int(round(ratio)))
 
 
 def _rk4(system: str, game, starts, dt: float, t_max: float, stride: int) -> np.ndarray:

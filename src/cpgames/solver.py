@@ -11,30 +11,21 @@ equal-size pair once, on first read, and keeps the facts its readers need:
 status, solution, common payoff and the best responses counted in
 integers.  Degeneracy detection and direct enumeration visit the equal-size
 pairs in one order, and the decomposition reads the direct enumeration of
-its padded game, so all of them read one table per game.  Every decision is
-made in exact arithmetic, so ties are classified correctly; float mode
-(`enumerate_nash_bimatrix(g, "float")`, `cpg solve --float`) only renders
-the exact equilibria in float64.
+its padded game, so all of them read one table per game.  Every decision and
+every result is exact, so ties are classified correctly; `cpg solve --float`
+renders the exact equilibria in float64 in the CLI.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import TooLarge, ValidationError
-from .games import (
-    FLOAT_SUPPORT_EPS,
-    BimatrixGame,
-    MixedStrategy,
-    SingleGame,
-    fraction_str,
-    is_nash_single,
-    expected_payoffs,
-)
+from .errors import TooLarge
+from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, is_nash_single
 from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 
 MAX_ACTIONS = 6
@@ -107,7 +98,7 @@ def _full_vector(n: int, support, values) -> MixedStrategy:
     return MixedStrategy(tuple(probs), "exact")
 
 
-def _indifference(mat, rows, cols, scale=1):
+def _indifference(mat, rows, cols, scale):
     """The system of the y half at (rows, cols) of `scale` times M: the rows
     earn the common payoff u against y, and y sums to one."""
     system = [[mat[i][j] for j in cols] + [-scale] for i in rows]
@@ -152,7 +143,7 @@ class HalfTable:
 
     M is scaled to integers once, here, by the common denominator of its
     entries, which leaves every system's solutions unchanged; every system
-    handed to `solve_linear` is then integer, as exact mode requires.
+    handed to `solve_linear` is then integer, as it requires.
     Positivity and the best-response facts are decided on the solution's
     integer numerators over their positive common denominator, so only the
     halves a reader keeps, positive or underdetermined ones, are made
@@ -279,26 +270,6 @@ def _bimatrix_candidate(table: SupportTable, rows, cols):
     )
 
 
-def _float_mix(mat, rows, cols, exact: MixedStrategy) -> MixedStrategy:
-    """The float64 mix on `cols` of the y half at (rows, cols) of M, solved
-    and renormalised in float64; the rounded exact mix when that solve finds
-    no unique positive mix."""
-    res = solve_linear(*_indifference(mat, rows, cols), exact=False)
-    if res.status != UNIQUE or not all(v > FLOAT_SUPPORT_EPS for v in res.solution[:-1]):
-        return MixedStrategy.from_floats(exact.probs)
-    values = dict(zip(cols, res.solution[:-1]))
-    total = sum(values.values())  # renormalise away elimination roundoff
-    return MixedStrategy.from_floats(values.get(j, 0.0) / total for j in range(len(exact)))
-
-
-def _render_float(g: BimatrixGame, cand: EquilibriumCandidate) -> EquilibriumCandidate:
-    """An exact equilibrium in float64, for `cpg solve --float`."""
-    rows, cols = cand.support_x, cand.support_y
-    x = _float_mix(g.b_float().T.tolist(), cols, rows, cand.x)
-    y = _float_mix(g.a_float().tolist(), rows, cols, cand.y)
-    return replace(cand, x=x, y=y, payoffs=expected_payoffs(g, x, y))
-
-
 def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> DegeneracyReport:
     """Degeneracy report of the game: see `SupportTable.degeneracy`.  Reading
     `.degenerate` stops the scan at the first witness; reading `.witnesses`
@@ -311,7 +282,7 @@ def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> 
     return (table or SupportTable(g)).degeneracy()
 
 
-def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
+def enumerate_nash_bimatrix(g: BimatrixGame, *,
                             table: SupportTable | None = None) -> list[EquilibriumCandidate]:
     """Every isolated Nash equilibrium on an equal-size support pair, sorted
     by (support size, support_x, support_y).
@@ -324,12 +295,7 @@ def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
     equilibrium whose supports differ in size; detect_degeneracy flags the
     games that have them.  `table` is a SupportTable of `g` to share (as in
     detect_degeneracy).
-
-    Mode "float" finds the same equilibria and renders each in float64; the
-    supports and strictness stay those of the exact equilibrium.
     """
-    if mode not in ("exact", "float"):
-        raise ValidationError(f"unknown arithmetic mode {mode!r}")
     _guard_bimatrix(g)
     table = table or SupportTable(g)
     found = []
@@ -337,8 +303,6 @@ def enumerate_nash_bimatrix(g: BimatrixGame, mode: str = "exact", *,
         cand = _bimatrix_candidate(table, rows, cols)
         if cand is not None:
             found.append(cand)
-    if mode == "float":
-        return [_render_float(g, c) for c in found]
     return found
 
 

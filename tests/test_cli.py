@@ -38,6 +38,16 @@ class TestSolve:
         mixed = [e for e in doc if len(e["support_x"]) == 2][0]
         assert abs(mixed["x"][0] - 0.6) < 1e-9
 
+    def test_float_digits_on_bos(self, capsys):
+        # --float renders with float64 elimination, not float() of the exact
+        # values: the mixed equilibrium's 3/5 prints as 0.6000000000000001
+        code, out, _ = run(capsys, "solve", "bos", "--float", "--json")
+        assert code == 0
+        mixed = json.loads(out)[2]
+        assert mixed["x"] == [0.6000000000000001, 0.4]
+        assert mixed["y"] == [0.4, 0.6000000000000001]
+        assert mixed["payoffs"] == [1.2000000000000004, 1.2000000000000004]
+
     def test_missing_game(self, capsys):
         code, _, err = run(capsys, "solve", "nonexistent.json")
         assert code == 2
@@ -134,11 +144,19 @@ class TestDynamics:
         assert out_path.read_text().startswith("t,x1,x2,x3\n")
 
     def test_bad_init_exits_2(self, tmp_path, capsys):
-        for bad in ("0.5,0.6;0.5,0.5", "0.9,0.1", "-0.1,1.1;0.5,0.5", "a,b;0.5,0.5"):
+        for bad in ("0.5,0.6;0.5,0.5", "0.9,0.1", "-0.1,1.1;0.5,0.5", "a,b;0.5,0.5", "nan,1;0.5,0.5"):
             code, _, err = run(capsys, "dynamics", "pd", "--system", "coupled",
                                f"--init={bad}", "--out", str(tmp_path / "x.csv"))
             assert code == 2, bad
             assert err.startswith("error: input:")
+
+    @pytest.mark.parametrize("argv", [("--t-max", "inf"), ("--t-max", "nan"), ("--dt", "nan"),
+                                      ("--t-max", "1e300", "--dt", "1e-300")])
+    def test_non_finite_time_exits_2(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, "dynamics", "pd", "--system", "coupled",
+                           "--init", "0.5,0.5;0.5,0.5", *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err.startswith("error: input:")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPlot:
@@ -158,6 +176,12 @@ class TestPlot:
         code, _, err = run(capsys, "plot", "rps", "--kind", "square",
                            "--out", str(tmp_path / "x.svg"))
         assert code == 2
+
+    def test_nan_trajectory_start_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "plot", "bos", "--kind", "square", "--out", str(tmp_path / "x.svg"),
+                           "--trajectories", "nan,1,0.5,0.5")
+        assert code == 2 and err.startswith("error: input:")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestVerify:

@@ -185,6 +185,11 @@ class TestIntegrate:
             integrate("coupled", pd, ([0.5, 0.6], [0.5, 0.5]))
         with pytest.raises(ValidationError):
             integrate("coupled", pd, ([-0.1, 1.1], [0.5, 0.5]))
+        # NaN fails every comparison, so a NaN start must be caught explicitly
+        with pytest.raises(ValidationError):
+            integrate("coupled", pd, ([math.nan, 1.0], [0.5, 0.5]))
+        with pytest.raises(ValidationError):
+            integrate_batch("coupled", pd, [([0.5, 0.5], [0.5, 0.5]), ([0.5, 0.5], [1.0, math.nan])])
 
     def test_domain_escape_on_huge_step(self, pd):
         with pytest.raises(DomainEscape):

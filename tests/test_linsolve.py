@@ -1,4 +1,4 @@
-"""Elimination core: solution structure on exact and float systems."""
+"""Elimination core: solution structure of integer systems."""
 
 import math
 import random
@@ -8,19 +8,19 @@ from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 
 
 def test_unique_exact():
-    res = solve_linear([[2, 1], [1, -1]], [5, 1], exact=True)
+    res = solve_linear([[2, 1], [1, -1]], [5, 1])
     assert res.status == UNIQUE
     assert res.solution == [Fraction(2), Fraction(1)]
     assert solve_linear([], []).status == UNIQUE
 
 
 def test_inconsistent():
-    res = solve_linear([[1, 1], [1, 1]], [1, 2], exact=True)
+    res = solve_linear([[1, 1], [1, 1]], [1, 2])
     assert res.status == INCONSISTENT
 
 
 def test_underdetermined_nullspace():
-    res = solve_linear([[1, 1, 0], [0, 0, 1]], [1, 2], exact=True)
+    res = solve_linear([[1, 1, 0], [0, 0, 1]], [1, 2])
     assert res.status == UNDERDETERMINED
     assert len(res.nullspace) == 1
     # particular + t * direction solves the system for any t
@@ -31,20 +31,9 @@ def test_underdetermined_nullspace():
 
 
 def test_overdetermined_consistent():
-    res = solve_linear([[1, 0], [0, 1], [1, 1]], [2, 3, 5], exact=True)
+    res = solve_linear([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
     assert res.status == UNIQUE
     assert res.solution == [2, 3]
-
-
-def test_float_mode():
-    res = solve_linear([[2.0, 1.0], [1.0, -1.0]], [5.0, 1.0], exact=False)
-    assert res.status == UNIQUE
-    assert abs(res.solution[0] - 2) < 1e-12 and abs(res.solution[1] - 1) < 1e-12
-
-
-def test_float_rank_deficient():
-    res = solve_linear([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], exact=False)
-    assert res.status == UNDERDETERMINED
 
 
 def reference_solve(matrix, rhs):
@@ -88,7 +77,7 @@ def reference_solve(matrix, rhs):
 
 def integer_system(matrix, rhs):
     """The system with each row, right-hand side included, times the least
-    common multiple of its denominators: the integer system exact mode takes.
+    common multiple of its denominators: the integer system solve_linear takes.
     Row scaling leaves the reduced row echelon form, and so the status,
     solution and null space, unchanged."""
     scaled = []
@@ -134,7 +123,7 @@ def test_integer_elimination_matches_fraction_reference():
         m, n = shapes[trial % len(shapes)]
         kind = kinds[trial % len(kinds)]
         matrix, rhs = _random_system(rng, m, n, kind)
-        res = solve_linear(*integer_system(matrix, rhs), exact=True)
+        res = solve_linear(*integer_system(matrix, rhs))
         assert (res.status, res.solution, res.nullspace) == reference_solve(matrix, rhs), (matrix, rhs)
         seen.add(("square" if m == n else "over" if m > n else "under", res.status))
     # every shape class met every status it can have
@@ -144,7 +133,7 @@ def test_integer_elimination_matches_fraction_reference():
 
 
 def test_exact_result_keeps_integer_numerators():
-    # a consistent exact result's particular solution is integer numerators
+    # a consistent result's particular solution is integer numerators
     # over one positive denominator; `solution` is their Fraction value
     rng = random.Random(515)
     shapes = [(m, n) for m in range(1, 6) for n in range(1, 6)]

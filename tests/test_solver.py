@@ -1,6 +1,7 @@
 """Support enumeration: equilibria, rest points, degeneracy detection."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ import pytest
 from cpgames import (
     MixedStrategy,
     TooLarge,
-    ValidationError,
     counterpart_games,
     decompose,
     detect_degeneracy,
@@ -23,8 +23,10 @@ from cpgames import (
     make_bimatrix,
     make_single,
     pad_to_square,
+    serialize_game,
 )
 import cpgames.solver
+from cpgames.cli import BUNDLED_GAMES, run_cli
 from cpgames.decomposition import random_game, report_json
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 from cpgames.solver import DegeneracyWitness, Half, HalfTable, SupportTable, _indifference
@@ -36,6 +38,12 @@ def F(s):
 
 def profiles(eqs):
     return {(c.x.probs, c.y.probs) for c in eqs}
+
+
+def solve_json(capsys, game, *flags):
+    """The equilibria `cpg solve GAME --json` prints, with `flags` added."""
+    assert run_cli(["solve", str(game), *flags, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def points(eqs):
@@ -216,34 +224,34 @@ class TestBimatrixEnumeration:
                 [[5 * v - 1 for v in row] for row in g.col_payoffs])
             assert profiles(enumerate_nash_bimatrix(g)) == profiles(enumerate_nash_bimatrix(transformed))
 
-    def test_float_mode_agrees_on_bundled(self, all_games):
-        for name, g in all_games.items():
-            exact = enumerate_nash_bimatrix(g, mode="exact")
-            approx = enumerate_nash_bimatrix(g, mode="float")
+    def test_float_mode_agrees_on_bundled(self, capsys):
+        # `cpg solve --float` renders each exact equilibrium within 1e-9
+        for name in BUNDLED_GAMES:
+            exact = solve_json(capsys, name)
+            approx = solve_json(capsys, name, "--float")
             assert len(exact) == len(approx), name
             for ce, cf in zip(exact, approx):
-                flat_e = [float(p) for p in ce.x.probs] + [float(p) for p in ce.y.probs]
-                flat_f = list(cf.x.probs) + list(cf.y.probs)
+                flat_e = [float(Fraction(p)) for p in ce["x"] + ce["y"]]
+                flat_f = cf["x"] + cf["y"]
                 assert max(abs(a - b) for a, b in zip(flat_e, flat_f)) < 1e-9, name
 
     @pytest.mark.parametrize("a, count", [([[1, 0], [0, 1]], 3), ([[0, 1], [1, 0]], 1)])
-    def test_float_mode_finds_exact_set_at_wide_payoffs(self, a, count):
+    def test_float_mode_finds_exact_set_at_wide_payoffs(self, a, count, tmp_path, capsys):
         # Float64 elimination with a scaled pivot threshold rejects valid
-        # pivots here, and the column mix puts about 1e-10 on one row.
-        g = make_bimatrix("wide", ["r0", "r1"], ["c0", "c1"], a, [[10**10, 0], [0, 1]])
-        exact = enumerate_nash_bimatrix(g, mode="exact")
-        approx = enumerate_nash_bimatrix(g, mode="float")
+        # pivots here, and the column mix puts about 1e-10 on one row, so
+        # `cpg solve --float` falls back to the rounded exact mix.
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_game(make_bimatrix("wide", ["r0", "r1"], ["c0", "c1"], a,
+                                                     [[10**10, 0], [0, 1]])))
+        exact = solve_json(capsys, path)
+        approx = solve_json(capsys, path, "--float")
         assert len(exact) == count
-        assert [(c.support_x, c.support_y) for c in approx] == \
-            [(c.support_x, c.support_y) for c in exact]
+        assert [(c["support_x"], c["support_y"]) for c in approx] == \
+            [(c["support_x"], c["support_y"]) for c in exact]
         for ce, cf in zip(exact, approx):
-            assert cf.x.mode == cf.y.mode == "float"
-            for e, f in zip(ce.x.probs + ce.y.probs, cf.x.probs + cf.y.probs):
-                assert abs(float(e) - f) <= 1e-12
-
-    def test_unknown_mode_rejected(self, bos):
-        with pytest.raises(ValidationError):
-            enumerate_nash_bimatrix(bos, mode="Float")
+            for e, f in zip(ce["x"] + ce["y"], cf["x"] + cf["y"]):
+                assert isinstance(f, float)
+                assert abs(float(Fraction(e)) - f) <= 1e-12
 
     def test_too_large(self):
         g = make_bimatrix("big", [f"r{i}" for i in range(7)], [f"c{i}" for i in range(7)],
