@@ -39,7 +39,7 @@ from .games import (
 )
 from .solver import candidate_json, enumerate_nash_bimatrix, enumerate_rest_points
 from .decomposition import decompose, report_json, verify_roundtrip
-from .dynamics import SIMPLEX_TOL, integrate
+from .dynamics import integrate
 from .viz import PlotSpec, export_csv, plot_simplex, plot_unit_square
 
 BUNDLED_GAMES = ("pd", "bos", "rps", "bos_extended", "leduc_empirical", "fullsupport")
@@ -92,9 +92,7 @@ def _parse_init(text: str, dims: tuple[int, ...]):
             raise ValidationError(f"--init component is not a number: {group!r}") from exc
         if len(vals) != dim:
             raise ValidationError(f"--init population has {len(vals)} components, expected {dim}")
-        if min(vals) < 0 or abs(sum(vals) - 1.0) > SIMPLEX_TOL:
-            raise ValidationError(f"--init values {vals} are not a probability vector")
-        states.append(vals)
+        states.append(vals)  # `integrate` checks that each is on the simplex
     return states if len(dims) == 2 else states[0]
 
 
@@ -309,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--float", action="store_true",
-                      help="report the exact equilibria rounded to float64")
+                      help="print the exact equilibria in float64, each mix from a float64 "
+                           "re-solve of its support system")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_solve)
 

@@ -78,8 +78,9 @@ class DecompositionReport:
     def per_permutation(self) -> tuple[PermutationAnalysis, ...]:
         """Every column permutation's counterpart equilibria and matched
         pairs, expanded from the padded table on first read.  Both halves of
-        every equal-size pair are read, so this solves the x halves the scan
-        skipped."""
+        every equal-size pair are read, so this solves the halves the scan
+        skipped: those of pairs with a dominated action, and x halves after a
+        y half that is not Nash."""
         table = self.padded_table
         n = table.game.n_rows
         supports = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscape, NotSquare, SizeMismatch, UnsupportedDimension, ValidationError
+from .errors import DomainEscape, NotSquare, SizeMismatch, TooLarge, UnsupportedDimension, ValidationError
 from .games import BimatrixGame, MixedStrategy, SingleGame, counterpart_games
 
 SYSTEMS = ("single", "coupled", "cp1", "cp2")
 CLAMP_EPS = 1e-12
 ESCAPE_EPS = 1e-9
 SIMPLEX_TOL = 1e-9
+# float64 values an RK4 record may hold, (steps // stride + 2) * K * N: 400 MB
+MAX_RECORD_VALUES = 50_000_000
 
 
 def _as_state(value, n: int, what: str) -> np.ndarray:
@@ -179,7 +181,11 @@ def _rk4(system: str, game, starts, dt: float, t_max: float, stride: int) -> np.
     s = np.array([_split_init(system, dims, start) for start in starts])
     if len(s) == 0:
         raise ValidationError("no starts to integrate")
-    rec = np.empty((steps // stride + 2,) + s.shape)
+    shape = (steps // stride + 2,) + s.shape
+    if math.prod(shape) > MAX_RECORD_VALUES:
+        raise TooLarge(f"RK4 record of {shape[0]:.3g} states x {s.size} values exceeds the cap of "
+                       f"{MAX_RECORD_VALUES} values; raise dt or stride, or lower t_max")
+    rec = np.empty(shape)
     rec[0] = s
     u, v1, v2, v3, v4 = (np.empty_like(s) for _ in range(5))
     f1 = _field_plan(dims, mats, s, v1)
@@ -223,9 +229,11 @@ def integrate_batch(system: str, game, starts, dt: float = 0.01, t_max: float = 
 
     Returns a (steps // stride + 2, K, N) array: the states at steps 0,
     stride, 2*stride, ... and then the final one, with each start's
-    populations concatenated (x then y for the coupled system).  After each
-    step a component below -ESCAPE_EPS raises DomainEscape, values in
-    [-CLAMP_EPS, 0) are clamped to 0 and each population is renormalized.
+    populations concatenated (x then y for the coupled system).  A record of
+    more than MAX_RECORD_VALUES values raises TooLarge before any step or
+    allocation.  After each step a component below -ESCAPE_EPS raises
+    DomainEscape, values in [-CLAMP_EPS, 0) are clamped to 0 and each
+    population is renormalized.
     Faces stay invariant exactly: a zero component has zero velocity at
     every RK4 stage and scaling preserves it.
     """

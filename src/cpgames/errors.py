@@ -23,7 +23,8 @@ class NotSquare(CpgError):
 
 
 class TooLarge(CpgError):
-    """Game exceeds the enumeration size guard."""
+    """Input exceeds a size guard: the enumeration's action cap or the RK4
+    record's value cap."""
 
 
 class UnsupportedDimension(CpgError):

@@ -14,10 +14,20 @@ pairs in one order, and the decomposition reads the direct enumeration of
 its padded game, so all of them read one table per game.  Every decision and
 every result is exact, so ties are classified correctly; `cpg solve --float`
 renders the exact equilibria in float64 in the CLI.
+
+Direct enumeration, and so `decompose` and `cpg solve`, solves no pair in
+which some action is weakly dominated on the other side's support: a Nash
+half puts positive weight on every column of its support, and against such
+a mix a weakly dominated row earns strictly less, so it is no best response
+(conditional dominance, as in Porter, Nudelman & Shoham 2008, "Simple
+search methods for finding a Nash equilibrium", GEB 63).  The degeneracy
+scan, the n! per-permutation view and the rest points still read every
+half, since they report non-Nash halves too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,10 +97,6 @@ class DegeneracyReport:
         return tuple(self._found)
 
 
-def _positive(values) -> bool:
-    return all(v.numerator > 0 for v in values)  # a Fraction's sign is its numerator's
-
-
 def _full_vector(n: int, support, values) -> MixedStrategy:
     probs = [Fraction(0)] * n
     for idx, v in zip(support, values):
@@ -113,6 +119,12 @@ def _equal_size_pairs(n_rows: int, n_cols: int):
         for rows in itertools.combinations(range(n_rows), k):
             for cols in itertools.combinations(range(n_cols), k):
                 yield rows, cols
+
+
+@functools.lru_cache(maxsize=1 << 12)  # a capped game has 2^MAX_ACTIONS index sets
+def _bits(indices: tuple[int, ...]) -> int:
+    """The bitmask of a tuple of indices."""
+    return sum(1 << i for i in indices)
 
 
 class Half(NamedTuple):
@@ -148,12 +160,47 @@ class HalfTable:
     integer numerators over their positive common denominator, so only the
     halves a reader keeps, positive or underdetermined ones, are made
     `Fraction`s.
+
+    `undominated(cols)` answers, without solving anything, which rows can be
+    best responses to a mix that is positive on `cols`: direct enumeration
+    reads it to skip pairs that cannot be Nash.
     """
 
     def __init__(self, mat):
         self.entries: dict[tuple, Half] = {}
         self.scale = math.lcm(*(v.denominator for row in mat for v in row))
         self.mat = [[v.numerator * (self.scale // v.denominator) for v in row] for row in mat]
+        self._undominated: dict[tuple, int] = {}
+
+    @functools.cached_property
+    def _beats(self) -> list[tuple[int, int, int]]:
+        """(ge, gt, b's bit) for each ordered pair of rows (a, b): ge and gt
+        are the bitmasks of the columns where a pays at least, and more than,
+        b.  Pairs whose gt is empty are left out: there a dominates b on no
+        column set."""
+        beats = []
+        for b, low in enumerate(self.mat):
+            for high in self.mat:
+                gt = _bits(tuple(j for j, (p, q) in enumerate(zip(high, low)) if p > q))
+                if gt:
+                    ge = _bits(tuple(j for j, (p, q) in enumerate(zip(high, low)) if p >= q))
+                    beats.append((ge, gt, 1 << b))
+        return beats
+
+    def undominated(self, cols: tuple[int, ...]) -> int:
+        """The bitmask of the rows that no other row weakly dominates on
+        `cols`: pays at least as much on every column of `cols` and more on
+        one.  A weakly dominated row earns strictly less than its dominator
+        against every mix that is positive on `cols`, so it is in no Nash
+        half's support there; rows equal on `cols` do not prune each other."""
+        mask = self._undominated.get(cols)
+        if mask is None:
+            want, mask = _bits(cols), (1 << len(self.mat)) - 1
+            for ge, gt, bit in self._beats:
+                if gt & want and ge & want == want:
+                    mask &= ~bit
+            self._undominated[cols] = mask
+        return mask
 
     def get(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Half:
         half = self.entries.get((rows, cols))
@@ -193,6 +240,13 @@ class SupportTable:
     def x_half(self, rows, cols) -> Half:
         """Columns indifferent in B against the row mix on `rows`."""
         return self._x.get(cols, rows)
+
+    def undominated(self, rows, cols) -> bool:
+        """No row of `rows` is weakly dominated on `cols` in A, and no column
+        of `cols` on `rows` in B.  A pair that fails this has no Nash half on
+        the failing side (see HalfTable.undominated), so it is no equilibrium."""
+        return (_bits(rows) & ~self._y.undominated(cols) == 0
+                and _bits(cols) & ~self._x.undominated(rows) == 0)
 
     def degeneracy(self) -> DegeneracyReport:
         """The game's degeneracy report, scanning the equal-size support
@@ -249,11 +303,15 @@ def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandida
 
 def _bimatrix_candidate(table: SupportTable, rows, cols):
     """The equilibrium on one support pair, or None.  Both halves must be
-    unique, positive and Nash; the x half is read only after the y half is.
-    The supports are the pair, since both mixes are positive on it.  It is
-    strict when it is pure and each player's action is the only best
-    response to the other's, as each half's best-response count says."""
+    unique, positive and Nash; a pair with a weakly dominated action is
+    dropped before either half is read, and the x half is read only after
+    the y half is Nash.  The supports are the pair, since both mixes are
+    positive on it.  It is strict when it is pure and each player's action is
+    the only best response to the other's, as each half's best-response
+    count says."""
     g = table.game
+    if not table.undominated(rows, cols):
+        return None
     yh = table.y_half(rows, cols)
     if not yh.nash:
         return None
@@ -290,7 +348,12 @@ def enumerate_nash_bimatrix(g: BimatrixGame, *,
     Each pair (rows, cols) with |rows| = |cols| yields at most one
     equilibrium, whose supports are exactly the pair; the pairs are visited
     in that order.  A pair with |rows| != |cols| is never read: one of its
-    halves has more unknowns than equations, so it has no unique mix.
+    halves has more unknowns than equations, so it has no unique mix.  Nor
+    is a pair in which a row is weakly dominated on `cols` in A or a column
+    on `rows` in B: against the other side's mix, positive on the pair, that
+    action earns less than its dominator, so it is no best response
+    (conditional dominance; Porter, Nudelman & Shoham 2008).  Only the pairs
+    left are solved.
     Equilibria inside a continuum are not reported, and that includes every
     equilibrium whose supports differ in size; detect_degeneracy flags the
     games that have them.  `table` is a SupportTable of `g` to share (as in
@@ -352,7 +415,9 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     solution is strictly positive; every vertex qualifies trivially.  A
     singular system with a positive solution segment is reported once, as the
     segment's midpoint flagged `continuum`.  Rest points are reported by
-    (support size, support).
+    (support size, support).  Every support's half is read, Nash or not; a
+    unique point's Nash flag is its half's, decided in integers, and only a
+    continuum midpoint is checked against the game.
     """
     _guard_single(s)
     table = HalfTable(s.payoffs)
@@ -360,23 +425,14 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
             half = table.get(supp, supp)
-            continuum = half.status == UNDERDETERMINED
-            if continuum:
-                if len(half.nullspace) != 1:
-                    continue
+            if half.mixed:
+                x = _full_vector(s.n, supp, half.solution[:-1])
+                found.append(RestPoint(x, supp, half.nash, half.solution[-1]))
+            elif half.status == UNDERDETERMINED and len(half.nullspace) == 1:
                 sol = _segment_barycentre(half.solution, half.nullspace[0])
-                if sol is None:
-                    continue
-            elif half.mixed:
-                sol = half.solution
-            else:
-                continue
-            vals = sol[:-1]
-            if not _positive(vals):
-                continue
-            x = _full_vector(s.n, supp, vals)
-            found.append(RestPoint(point=x, support=supp, is_nash=is_nash_single(s, x),
-                                   common_payoff=sol[-1], continuum=continuum))
+                if sol is not None:  # strictly inside the segment, so positive
+                    x = _full_vector(s.n, supp, sol[:-1])
+                    found.append(RestPoint(x, supp, is_nash_single(s, x), sol[-1], continuum=True))
     return found
 
 

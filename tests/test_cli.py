@@ -159,6 +159,16 @@ class TestDynamics:
         assert not (tmp_path / "x.csv").exists()
 
 
+    def test_record_over_cap_exits_2(self, tmp_path, capsys):
+        # 1e302 steps: the record's size is refused before numpy sees it
+        code, _, err = run(capsys, "dynamics", "pd", "--system", "coupled",
+                           "--init", "0.5,0.5;0.5,0.5", "--t-max", "1e300",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.startswith("error: input: RK4 record of") and "cap of 50000000 values" in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestPlot:
     def test_square_and_simplex(self, tmp_path, capsys):
         sq = tmp_path / "pd.svg"

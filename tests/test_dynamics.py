@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+import cpgames.dynamics
 from cpgames import (
     DomainEscape,
+    TooLarge,
     UnsupportedDimension,
     ValidationError,
     counterpart_games,
@@ -237,6 +239,19 @@ class TestIntegrate:
             integrate_batch("coupled", pd, [])
         with pytest.raises(ValidationError):
             integrate_batch("coupled", pd, [([0.5, 0.5], [0.5, 0.5])], stride=0)
+
+    def test_record_cap(self, pd, monkeypatch):
+        # the record is (steps // stride + 2) * K * N values: here
+        # (100 // 7 + 2) * 2 * 4 = 128, allowed at a cap of 128 and refused
+        # at 127 before anything is allocated or integrated
+        starts = [([0.9, 0.1], [0.2, 0.8])] * 2
+        monkeypatch.setattr(cpgames.dynamics, "MAX_RECORD_VALUES", 128)
+        assert integrate_batch("coupled", pd, starts, dt=0.01, t_max=1, stride=7).shape == (16, 2, 4)
+        monkeypatch.setattr(cpgames.dynamics, "MAX_RECORD_VALUES", 127)
+        with pytest.raises(TooLarge, match="cap of 127 values"):
+            integrate_batch("coupled", pd, starts, dt=0.01, t_max=1, stride=7)
+        with pytest.raises(TooLarge):
+            integrate("coupled", pd, starts[0], dt=0.01, t_max=1)
 
     def test_states_stay_on_simplex(self, fullsupport):
         traj = integrate("coupled", fullsupport,

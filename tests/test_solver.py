@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpgames import (
+    EquilibriumCandidate,
     MixedStrategy,
     TooLarge,
     counterpart_games,
@@ -19,6 +21,7 @@ from cpgames import (
     enumerate_rest_points,
     expected_payoffs,
     is_nash_bimatrix,
+    is_nash_single,
     is_strict_equilibrium,
     make_bimatrix,
     make_single,
@@ -116,6 +119,53 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
     return calls
+
+
+def unpruned_enumeration(g):
+    """Oracle: `enumerate_nash_bimatrix` without the dominance filter.  Both
+    halves of every equal-size pair of a fresh table are read, as
+    `_bimatrix_candidate` reads them, and each pair whose halves are both Nash
+    yields its equilibrium."""
+    table = SupportTable(g)
+    found = []
+    for k in range(1, min(g.n_rows, g.n_cols) + 1):
+        for rows in itertools.combinations(range(g.n_rows), k):
+            for cols in itertools.combinations(range(g.n_cols), k):
+                yh, xh = table.y_half(rows, cols), table.x_half(rows, cols)
+                if not (yh.nash and xh.nash):
+                    continue
+                x, y = [Fraction(0)] * g.n_rows, [Fraction(0)] * g.n_cols
+                for i, v in zip(rows, xh.solution):
+                    x[i] = v
+                for j, v in zip(cols, yh.solution):
+                    y[j] = v
+                found.append(EquilibriumCandidate(
+                    x=MixedStrategy(tuple(x), "exact"), y=MixedStrategy(tuple(y), "exact"),
+                    support_x=rows, support_y=cols,
+                    is_strict=k == 1 and yh.best == 1 and xh.best == 1,
+                    payoffs=(yh.solution[-1], xh.solution[-1])))
+    return found
+
+
+def assert_filter_matches_oracle(g):
+    """The pruned enumeration equals the unpruned scan on `g`, and every rest
+    point of its padded counterparts has the Nash flag of an exact check.
+    Returns the number of equal-size pairs the filter skipped."""
+    table = SupportTable(g)
+    assert enumerate_nash_bimatrix(g, table=table) == unpruned_enumeration(g), serialize_game(g)
+    for cp in counterpart_games(pad_to_square(g)[0]):
+        for rp in enumerate_rest_points(cp):
+            assert rp.is_nash == is_nash_single(cp, rp.point), (serialize_game(g), rp)
+            assert all(rp.point.probs[i] > 0 for i in rp.support)
+    return sum(not table.undominated(rows, cols)
+               for k in range(1, min(g.n_rows, g.n_cols) + 1)
+               for rows, cols in itertools.product(itertools.combinations(range(g.n_rows), k),
+                                                   itertools.combinations(range(g.n_cols), k)))
+
+
+def _matrix_game(name, a, b):
+    return make_bimatrix(name, [f"r{i}" for i in range(len(a))],
+                         [f"c{j}" for j in range(len(a[0]))], a, b)
 
 
 def brute_pure_equilibria(g):
@@ -303,9 +353,11 @@ class TestBimatrixEnumeration:
 
     def test_equal_size_pairs_work_gate(self, monkeypatch):
         # a machine-independent work gate: on a degenerate game enumeration
-        # reads only the 2 * sum_k C(n, k)^2 equal-size half-systems, and of
-        # those an x half only after its pair's y half is unique, positive
-        # and Nash: 988 solves here
+        # reads only the 2 * sum_k C(n, k)^2 equal-size half-systems.  It
+        # solves no half of a pair in which some action is weakly dominated
+        # on the other side's support, and on random payoffs most larger
+        # pairs hold one; of the pairs left, it reads an x half only after
+        # its pair's y half is unique, positive and Nash: 91 solves here
         calls = count_solves(monkeypatch)
         g = random_game(random.Random(3), 6)
         assert detect_degeneracy(g).degenerate
@@ -314,7 +366,7 @@ class TestBimatrixEnumeration:
         assert len(eqs) == 5
         bound = 2 * sum(math.comb(6, k) ** 2 for k in range(1, 7))
         assert bound == 1846
-        assert 0 < len(calls) <= 988
+        assert 0 < len(calls) <= 91
 
     def test_degenerate_contract(self):
         # Row T is dominant and the column player is indifferent at T, so every
@@ -332,6 +384,65 @@ class TestBimatrixEnumeration:
         x, y = MixedStrategy.exact([1, 0]), MixedStrategy.exact(["1/2", "1/2"])
         assert is_nash_bimatrix(g, x, y, tol=0.0)
         assert (x.probs, y.probs) not in profiles(enumerate_nash_bimatrix(g))
+
+
+class TestDominanceFilter:
+    def test_pruned_enumeration_matches_unpruned_scan(self, all_games):
+        # seeded games of every kind the filter meets: narrow payoffs with
+        # many ties, wide payoffs, duplicated rows and columns, non-square
+        # games and their padded squares, degenerate and not
+        rng = random.Random(1108)
+        games = list(all_games.values())
+        games += [random_game(rng, n, name=f"narrow-{n}-{i}") for n in (2, 3, 4, 5) for i in range(8)]
+        games += [random_game(rng, 6, name=f"narrow-6-{i}") for i in range(2)]
+        for i in range(24):
+            m, n = rng.randint(2, 5), rng.randint(2, 5)
+            games.append(_matrix_game(
+                f"wide-{i}", [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)],
+                [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]))
+        for i in range(24):
+            g = random_game(rng, rng.randint(2, 4), name=f"dup-{i}")
+            a, b = [list(r) for r in g.row_payoffs], [list(r) for r in g.col_payoffs]
+            if i % 2:  # duplicate a row
+                k = rng.randrange(len(a))
+                a.append(a[k])
+                b.append(b[k])
+            else:  # duplicate a column
+                k = rng.randrange(len(a[0]))
+                a, b = [r + [r[k]] for r in a], [r + [r[k]] for r in b]
+            games.append(_matrix_game(g.name, a, b))
+        for i in range(24):
+            m, n = rng.sample(range(1, 6), 2)
+            r = rng.choice([1, 5, 1000])
+            g = _matrix_game(f"rect-{i}", [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)],
+                             [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)])
+            games += [g, pad_to_square(g)[0]]
+        skipped = sum(assert_filter_matches_oracle(g) for g in games)
+        verdicts = [detect_degeneracy(g).degenerate for g in games]
+        assert verdicts.count(True) > 60 and verdicts.count(False) > 30
+        assert sum(not g.is_square for g in games) > 40
+        assert skipped > 5000
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_filter_property(self, m, n, r, data):
+        # the same oracle as a property over small integer games, with a few
+        # payoff values in reach, so ties and duplicated actions are common
+        entries = st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
+                           min_size=m, max_size=m)
+        g = _matrix_game("prop", data.draw(entries), data.draw(entries))
+        assert_filter_matches_oracle(g)
+        if not g.is_square:
+            assert_filter_matches_oracle(pad_to_square(g)[0])
+
+    def test_weak_dominance_on_the_support(self):
+        # row 0 ties row 1 on column 0 and beats it on column 1, so row 1 is
+        # pruned on {0, 1} and on {1} but not on {0}, where the rows are
+        # equal; row 2 equals row 0 and neither prunes the other
+        table = HalfTable([[F(3), F(2)], [F(3), F(1)], [F(3), F(2)]])
+        assert table.undominated((0, 1)) == 0b101
+        assert table.undominated((1,)) == 0b101
+        assert table.undominated((0,)) == 0b111
 
 
 class TestHalfTable:
