@@ -27,10 +27,8 @@ from .games import (
     is_nash_single,
     is_strict_equilibrium,
     make_bimatrix,
-    make_single,
     pad_to_square,
     parse_game,
-    permute_columns,
     serialize_game,
     serialize_single,
     to_fraction,
@@ -58,7 +56,6 @@ from .dynamics import (
     integrate,
     integrate_batch,
     rd_coupled_field,
-    rd_counterpart_fields,
     rd_single_field,
     sample_field_grid,
 )

@@ -1,9 +1,12 @@
-"""Replicator-dynamics vector fields and fixed-step RK4 integration.
+"""Replicator-dynamics vector fields, their Jacobian and fixed-step RK4
+integration.
 
 Three views of the same game: the single-population field on one square
 matrix, the coupled two-population field on a bimatrix game, and the two
-decoupled counterpart fields.  All dynamics run in float64; exact payoffs
-enter only through the initial matrix conversion.
+decoupled counterpart fields.  `_system` turns a system name into one
+(dims, mats) pair, and the field, RK4, grids and the Jacobian that
+`stability` reads all evaluate that pair.  All dynamics run in float64;
+exact payoffs enter only through the initial matrix conversion.
 """
 
 from __future__ import annotations
@@ -104,6 +107,31 @@ def _velocities(dims, mats, states: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jacobian(dims, mats, s: np.ndarray) -> np.ndarray:
+    """Derivative of `_field` at one state s (N,), as an (N, N) array.
+
+    With the fitness map F (M, or [[0, A], [B^T, 0]] on the stacked (x, y))
+    and f = Fs, the rows of population block b are
+    diag(x_b)(F_b - 1(f_b on b's own columns + x_b F_b)), plus
+    diag(f_b - x_b.f_b) on the block's own diagonal.
+    """
+    if len(mats) == 1:
+        fit_map = mats[0]
+    else:
+        fit_map = np.block([[np.zeros((dims[0], dims[0])), mats[0]],
+                            [mats[1].T, np.zeros((dims[1], dims[1]))]])
+    fit = fit_map @ s
+    jac = np.empty((len(s), len(s)))
+    offsets = np.cumsum((0,) + tuple(dims))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        x, f_b, rows = s[lo:hi], fit[lo:hi], fit_map[lo:hi]
+        own = np.zeros(len(s))
+        own[lo:hi] = f_b
+        jac[lo:hi] = x[:, None] * (rows - own - x @ rows)
+        jac[lo:hi, lo:hi][np.diag_indices(hi - lo)] += f_b - x @ f_b
+    return jac
+
+
 def rd_single_field(s: SingleGame, x) -> np.ndarray:
     """v_i = x_i * [(Mx)_i - x^T M x]; tangent to the simplex by construction."""
     return _velocities(*_system("single", s), _as_state(x, s.n, "state")[None])[0]
@@ -115,15 +143,6 @@ def rd_coupled_field(g: BimatrixGame, x, y) -> tuple[np.ndarray, np.ndarray]:
     ya = _as_state(y, g.n_cols, "column state")
     v = _velocities(*_system("coupled", g), np.concatenate([xa, ya])[None])[0]
     return v[:g.n_rows], v[g.n_rows:]
-
-
-def rd_counterpart_fields(g: BimatrixGame, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Velocities of the two decoupled counterpart systems: the first moves
-    the column strategy y on matrix A, the second moves x on B transposed."""
-    if not g.is_square:
-        raise NotSquare("counterpart dynamics require a square game; pad first")
-    cp1, cp2 = counterpart_games(g)
-    return rd_single_field(cp1, y), rd_single_field(cp2, x)
 
 
 @dataclass(frozen=True)
@@ -148,18 +167,20 @@ class FieldSample:
     velocities: tuple[np.ndarray, ...]
 
 
-def _split_init(system: str, dims, init) -> np.ndarray:
+def _parse_state(dims, state) -> np.ndarray:
+    """One state on the simplex as an (N,) array: a vector for one population,
+    an (x, y) pair for the coupled system."""
     if len(dims) == 2:
-        if not (isinstance(init, (tuple, list)) and len(init) == 2):
-            raise ValidationError("coupled systems need an initial state per population")
-        x0 = _as_state(init[0], dims[0], "initial row state")
-        y0 = _as_state(init[1], dims[1], "initial column state")
-        _check_simplex(x0, "initial row state")
-        _check_simplex(y0, "initial column state")
-        return np.concatenate([x0, y0])
-    x0 = _as_state(init, dims[0], "initial state")
-    _check_simplex(x0, "initial state")
-    return x0
+        if not (isinstance(state, (tuple, list)) and len(state) == 2):
+            raise ValidationError("coupled systems need a state per population")
+        x = _as_state(state[0], dims[0], "row state")
+        y = _as_state(state[1], dims[1], "column state")
+        _check_simplex(x, "row state")
+        _check_simplex(y, "column state")
+        return np.concatenate([x, y])
+    x = _as_state(state, dims[0], "state")
+    _check_simplex(x, "state")
+    return x
 
 
 def _n_steps(dt: float, t_max: float) -> int:
@@ -178,7 +199,7 @@ def _rk4(system: str, game, starts, dt: float, t_max: float, stride: int) -> np.
     """The one RK4 loop, in place on a (K, N) array; see `integrate_batch`."""
     steps = _n_steps(dt, t_max)
     dims, mats = _system(system, game)
-    s = np.array([_split_init(system, dims, start) for start in starts])
+    s = np.array([_parse_state(dims, start) for start in starts])
     if len(s) == 0:
         raise ValidationError("no starts to integrate")
     shape = (steps // stride + 2,) + s.shape

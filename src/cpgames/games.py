@@ -160,10 +160,6 @@ def make_bimatrix(name, row_actions, col_actions, row_payoffs, col_payoffs) -> B
     )
 
 
-def make_single(name, actions, payoffs) -> SingleGame:
-    return SingleGame(name=str(name), actions=tuple(actions), payoffs=_freeze_matrix(payoffs))
-
-
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability vector on a simplex, exact (Fraction) or float64 entries.
@@ -238,32 +234,6 @@ class Permutation:
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(n)):
             raise ValidationError(f"{self.mapping!r} is not a permutation of 0..{n - 1}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, j: int) -> int:
-        return self.mapping[j]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, k in enumerate(self.mapping):
-            inv[k] = j
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self∘other: (self.compose(other))(j) = self(other(j))."""
-        if self.n != other.n:
-            raise SizeMismatch("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.mapping[other.mapping[j]] for j in range(self.n)))
-
-    def is_identity(self) -> bool:
-        return all(k == j for j, k in enumerate(self.mapping))
 
 
 @dataclass(frozen=True)
@@ -385,20 +355,6 @@ def pad_to_square(g: BimatrixGame) -> tuple[BimatrixGame, PaddingRecord]:
         col_payoffs=tuple(row + (dummy,) * count for row in g.col_payoffs),
     )
     return padded, PaddingRecord("col", count, dummy, (g.n_rows, g.n_cols))
-
-
-def permute_columns(g: BimatrixGame, perm: Permutation) -> BimatrixGame:
-    """Reorder the column player's actions: column j of the result is column
-    perm(j) of the original, for payoffs and labels alike."""
-    if perm.n != g.n_cols:
-        raise SizeMismatch(f"permutation of size {perm.n} applied to {g.n_cols} columns")
-    return BimatrixGame(
-        name=g.name,
-        row_actions=g.row_actions,
-        col_actions=tuple(g.col_actions[perm(j)] for j in range(g.n_cols)),
-        row_payoffs=tuple(tuple(row[perm(j)] for j in range(g.n_cols)) for row in g.row_payoffs),
-        col_payoffs=tuple(tuple(row[perm(j)] for j in range(g.n_cols)) for row in g.col_payoffs),
-    )
 
 
 def counterpart_games(g: BimatrixGame) -> tuple[SingleGame, SingleGame]:

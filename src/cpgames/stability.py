@@ -1,11 +1,14 @@
-"""Local stability of replicator rest points via analytic Jacobians.
+"""Local stability of replicator rest points.
 
-Eigenvalues are reported on the simplex tangent space only (directions whose
-components sum to zero per population); the trivial off-simplex direction is
-never included.  Evolutionary stability claims stay within what strictness
-licenses: `two_species_ess_check` implements the strict-equilibrium
-characterization, and `ess_stable` is otherwise a purely dynamical statement
-about Jacobian sinks.
+The Jacobian is the derivative of the one replicator field in `dynamics`,
+built from the same system that integration and grids evaluate, at a point
+that must lie on the simplex.  Eigenvalues are reported on the simplex
+tangent space only (directions whose components sum to zero per
+population); the trivial off-simplex direction is never included.
+Evolutionary stability claims stay within what strictness licenses:
+`two_species_ess_check` implements the strict-equilibrium characterization,
+and `ess_stable` is otherwise a purely dynamical statement about Jacobian
+sinks.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNash, NotRestPoint, ValidationError
-from .games import (NASH_TOL_DEFAULT, BimatrixGame, MixedStrategy, SingleGame, is_nash_bimatrix,
-                    is_strict_equilibrium)
-from .dynamics import _as_state, rd_coupled_field, rd_single_field
+from .games import NASH_TOL_DEFAULT, BimatrixGame, MixedStrategy, is_nash_bimatrix, is_strict_equilibrium
+from .dynamics import _jacobian, _parse_state, _system, _velocities
 
 REST_TOL = 1e-9
 EIG_TOL = 1e-7
@@ -35,61 +37,29 @@ class StabilityClassification:
     two_species_ess: bool  # meaningful for coupled systems only
 
 
-def _single_jacobian(s: SingleGame, x: np.ndarray) -> np.ndarray:
-    """J = diag(x)(M - 1(Mx + M^T x)^T) + diag(Mx - x.Mx)."""
-    m = s.m_float()
-    mx = m @ x
-    jac = x[:, None] * (m - mx - m.T @ x)
-    jac[np.diag_indices(s.n)] += mx - x @ mx
-    return jac
-
-
-def _coupled_jacobian(g: BimatrixGame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Block Jacobian over the stacked (x, y): d(vx)/dx = -x (Ay)^T + diag(Ay - x.Ay),
-    d(vx)/dy = diag(x)(A - 1 (xA)^T), and the mirror blocks for y on B."""
-    a, b = g.a_float(), g.b_float()
-    n = g.n_rows
-    ay = a @ y
-    xb = x @ b
-    jac = np.block([[-x[:, None] * ay, x[:, None] * (a - x @ a)],
-                    [y[:, None] * (b.T - b @ y), -y[:, None] * xb]])
-    jac[np.diag_indices(n)] += ay - x @ ay
-    jac[n:, n:][np.diag_indices(g.n_cols)] += xb - xb @ y
-    return jac
-
-
-def _point_arrays(system: str, game, point):
-    if system == "single":
-        if not isinstance(game, SingleGame):
-            raise ValidationError("system 'single' needs a SingleGame")
-        x = _as_state(point, game.n, "state")
-        v = rd_single_field(game, x)
-        return (x,), (v,)
-    if system == "coupled":
-        if not isinstance(game, BimatrixGame):
-            raise ValidationError("system 'coupled' needs a BimatrixGame")
-        if not (isinstance(point, (tuple, list)) and len(point) == 2):
-            raise ValidationError("coupled systems need a (x, y) state pair")
-        x = _as_state(point[0], game.n_rows, "row state")
-        y = _as_state(point[1], game.n_cols, "column state")
-        vx, vy = rd_coupled_field(game, x, y)
-        return (x, y), (vx, vy)
-    raise ValidationError(f"unknown system {system!r}; expected 'single' or 'coupled'")
+def _rest_jacobian(system: str, game, point):
+    """(dims, Jacobian) of the replicator field at a rest point on the simplex."""
+    if system not in ("single", "coupled"):
+        raise ValidationError(f"unknown system {system!r}; expected 'single' or 'coupled'")
+    dims, mats = _system(system, game)
+    s = _parse_state(dims, point)
+    worst = float(np.max(np.abs(_velocities(dims, mats, s[None]))))
+    if worst >= REST_TOL:
+        raise NotRestPoint(f"velocity L-infinity norm {worst:.3e} exceeds {REST_TOL}")
+    return dims, _jacobian(dims, mats, s)
 
 
 def rd_jacobian(system: str, game, point) -> np.ndarray:
-    """Full-space Jacobian of the replicator field at a rest point.
+    """Full-space Jacobian of the replicator field at a rest point: the
+    derivative of the same field that `integrate` and `sample_field_grid`
+    evaluate.
 
-    For the coupled system the result is the block matrix over the stacked
-    state (x, y).  Raises NotRestPoint if the velocity is not ~0.
+    For the coupled system the point is an (x, y) pair and the result is the
+    block matrix over the stacked state (x, y).  The point must lie on the
+    simplex (SizeMismatch for a wrong length, ValidationError otherwise),
+    and NotRestPoint is raised if the velocity is not ~0.
     """
-    states, velocities = _point_arrays(system, game, point)
-    worst = max(float(np.max(np.abs(v))) for v in velocities)
-    if worst >= REST_TOL:
-        raise NotRestPoint(f"velocity L-infinity norm {worst:.3e} exceeds {REST_TOL}")
-    if system == "single":
-        return _single_jacobian(game, states[0])
-    return _coupled_jacobian(game, states[0], states[1])
+    return _rest_jacobian(system, game, point)[1]
 
 
 def _tangent_basis(n: int) -> np.ndarray:
@@ -150,11 +120,7 @@ def classify_rest_point(system: str, game, point, nash_status: bool) -> Stabilit
     escaping direction.  Borderline eigenvalues report `degenerate` rather
     than guessing a side.
     """
-    jac = rd_jacobian(system, game, point)
-    if system == "single":
-        dims = (game.n,)
-    else:
-        dims = (game.n_rows, game.n_cols)
+    dims, jac = _rest_jacobian(system, game, point)
     eig = tangent_eigenvalues(jac, dims)
     local = _local_type(eig)
     if not nash_status:
@@ -178,11 +144,3 @@ def classify_rest_point(system: str, game, point, nash_status: bool) -> Stabilit
         two_species_ess=ess_pair,
     )
 
-
-def classification_json(c: StabilityClassification) -> dict:
-    return {
-        "category": c.category,
-        "local_type": c.local_type,
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in c.eigenvalues],
-        "two_species_ess": c.two_species_ess,
-    }

@@ -1,6 +1,23 @@
 import pytest
 
+from cpgames import BimatrixGame, Permutation, SizeMismatch
 from cpgames.cli import load_game
+
+
+def permute_columns(g: BimatrixGame, perm: Permutation) -> BimatrixGame:
+    """Reorder the column player's actions: column j of the result is column
+    perm.mapping[j] of the original, for payoffs and labels alike.  The
+    reference the n! scan's per-permutation view is compared against."""
+    cols = perm.mapping
+    if len(cols) != g.n_cols:
+        raise SizeMismatch(f"permutation of size {len(cols)} applied to {g.n_cols} columns")
+    return BimatrixGame(
+        name=g.name,
+        row_actions=g.row_actions,
+        col_actions=tuple(g.col_actions[k] for k in cols),
+        row_payoffs=tuple(tuple(row[k] for k in cols) for row in g.row_payoffs),
+        col_payoffs=tuple(tuple(row[k] for k in cols) for row in g.col_payoffs),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,9 +19,9 @@ from cpgames import (
     is_nash_bimatrix,
     make_bimatrix,
     pad_to_square,
-    permute_columns,
     verify_roundtrip,
 )
+from conftest import permute_columns
 import cpgames.decomposition
 import cpgames.solver
 from cpgames.decomposition import _strip_padding, random_game, report_json
@@ -51,7 +51,7 @@ def reconstruct_candidates(cp1_eqs, cp2_eqs, perm):
                 continue
             probs = [Fraction(0)] * len(y_cand.x)
             for j, p in enumerate(y_cand.x.probs):
-                probs[perm(j)] = p
+                probs[perm.mapping[j]] = p
             y = MixedStrategy(tuple(probs), "exact")
             out.append(EquilibriumCandidate(
                 x=x_cand.x, y=y,
@@ -66,14 +66,14 @@ class TestReconstruct:
         cp1, cp2 = counterpart_games(bos)
         cands = reconstruct_candidates(enumerate_nash_single(cp1),
                                        enumerate_nash_single(cp2),
-                                       Permutation.identity(2))
+                                       Permutation((0, 1)))
         assert ((F("3/5"), F("2/5")), (F("2/5"), F("3/5"))) in profiles(cands)
 
     def test_fullsupport_identity(self, fullsupport):
         cp1, cp2 = counterpart_games(fullsupport)
         cands = reconstruct_candidates(enumerate_nash_single(cp1),
                                        enumerate_nash_single(cp2),
-                                       Permutation.identity(3))
+                                       Permutation((0, 1, 2)))
         # cross-pairs with unequal supports are rejected; only full x full matches
         assert profiles(cands) == {
             ((F("1/3"), F("1/3"), F("1/3")), (F("2/7"), F("3/7"), F("2/7")))}
@@ -143,7 +143,7 @@ class TestDecompose:
         for x, y in profiles(decompose(permuted).reconstructed):
             y_orig = [None] * 3
             for j in range(3):
-                y_orig[perm(j)] = y[j]
+                y_orig[perm.mapping[j]] = y[j]
             mapped.add((x, tuple(y_orig)))
         assert mapped == base
 

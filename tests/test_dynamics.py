@@ -17,7 +17,6 @@ from cpgames import (
     integrate,
     integrate_batch,
     rd_coupled_field,
-    rd_counterpart_fields,
     rd_single_field,
     sample_field_grid,
 )
@@ -109,11 +108,13 @@ class TestFields:
                     assert q * (xb[j] - avg_b) == 0
 
     def test_counterpart_fields(self, bos, leduc):
-        vy, vx = rd_counterpart_fields(bos, [0.6, 0.4], [0.4, 0.6])
-        assert np.abs(vy).max() < 1e-15  # (2/5,3/5) is CP1's mixed equilibrium
-        assert np.abs(vx).max() < 1e-15  # (3/5,2/5) is CP2's
-        vy, vx = rd_counterpart_fields(leduc, [29 / 35, 0, 6 / 35], [9 / 28, 0, 19 / 28])
-        assert np.abs(vy).max() < 1e-12 and np.abs(vx).max() < 1e-12
+        # cp1 moves the column strategy y on A, cp2 the row strategy x on B^T
+        cp1, cp2 = counterpart_games(bos)
+        assert np.abs(rd_single_field(cp1, [0.4, 0.6])).max() < 1e-15  # CP1's mixed equilibrium
+        assert np.abs(rd_single_field(cp2, [0.6, 0.4])).max() < 1e-15  # CP2's
+        cp1, cp2 = counterpart_games(leduc)
+        assert np.abs(rd_single_field(cp1, [9 / 28, 0, 19 / 28])).max() < 1e-12
+        assert np.abs(rd_single_field(cp2, [29 / 35, 0, 6 / 35])).max() < 1e-12
 
     def test_tangency_random_states(self, all_games):
         from cpgames import pad_to_square

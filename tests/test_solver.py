@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cpgames import (
     EquilibriumCandidate,
     MixedStrategy,
+    SingleGame,
     TooLarge,
     counterpart_games,
     decompose,
@@ -24,7 +25,6 @@ from cpgames import (
     is_nash_single,
     is_strict_equilibrium,
     make_bimatrix,
-    make_single,
     pad_to_square,
     serialize_game,
 )
@@ -308,7 +308,7 @@ class TestBimatrixEnumeration:
                           [[0] * 7 for _ in range(7)], [[0] * 7 for _ in range(7)])
         with pytest.raises(TooLarge):
             enumerate_nash_bimatrix(g)
-        s = make_single("big", [f"a{i}" for i in range(7)], [[0] * 7 for _ in range(7)])
+        s = SingleGame("big", tuple(f"a{i}" for i in range(7)), ((F(0),) * 7,) * 7)
         with pytest.raises(TooLarge):
             enumerate_nash_single(s)
         with pytest.raises(TooLarge):
@@ -563,7 +563,7 @@ class TestRestPoints:
     def test_2x2_closed_form(self):
         # [[a,b],[c,d]] with a>c, d>b: interior rest point x1 = (d-b)/(a-c+d-b)
         a, b, c, d = 5, 1, 2, 3
-        s = make_single("t", ["p", "q"], [[a, b], [c, d]])
+        s = SingleGame("t", ("p", "q"), ((F(a), F(b)), (F(c), F(d))))
         rest = enumerate_rest_points(s)
         interior = [r for r in rest if len(r.support) == 2]
         assert len(interior) == 1
@@ -581,8 +581,8 @@ class TestRestPoints:
         rng = random.Random(29)
         for _ in range(30):
             n = rng.choice([2, 3])
-            s = make_single("t", [f"a{i}" for i in range(n)],
-                            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            s = SingleGame("t", tuple(f"a{i}" for i in range(n)),
+                           tuple(tuple(F(rng.randint(-5, 5)) for _ in range(n)) for _ in range(n)))
             nash_rest = {r.point.probs for r in enumerate_rest_points(s) if r.is_nash and not r.continuum}
             nash_direct = {c.x.probs for c in enumerate_nash_single(s)}
             assert nash_rest == nash_direct
@@ -597,7 +597,7 @@ class TestRestPoints:
     def test_continuum_segment_barycentre(self):
         # All-ties matrix: every edge point is a rest point; each 2-support
         # system is singular and reports the edge midpoint with the flag.
-        s = make_single("t", ["a", "b"], [[1, 1], [1, 1]])
+        s = SingleGame("t", ("a", "b"), ((F(1), F(1)), (F(1), F(1))))
         rest = enumerate_rest_points(s)
         flagged = [r for r in rest if r.continuum]
         assert len(flagged) == 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from cpgames import (
     MixedStrategy,
     NotNash,
     NotRestPoint,
+    SingleGame,
+    ValidationError,
     classify_rest_point,
     counterpart_games,
     enumerate_nash_bimatrix,
     enumerate_nash_single,
     enumerate_rest_points,
-    make_single,
+    make_bimatrix,
     pad_to_square,
     rd_coupled_field,
     rd_jacobian,
@@ -23,7 +26,7 @@ from cpgames import (
     two_species_ess_check,
 )
 from cpgames.decomposition import random_game
-from cpgames.stability import classification_json, tangent_eigenvalues
+from cpgames.stability import tangent_eigenvalues
 
 
 def fd_jacobian(f, z, h=1e-6):
@@ -82,8 +85,8 @@ class TestJacobianMatchesFiniteDifferences:
         checked = 0
         while checked < 60:
             n = rng.choice([2, 3])
-            s = make_single("t", [f"a{i}" for i in range(n)],
-                            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            s = SingleGame("t", tuple(f"a{i}" for i in range(n)),
+                           tuple(tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)) for _ in range(n)))
             for rp in enumerate_rest_points(s):
                 if rp.continuum:
                     continue
@@ -92,14 +95,20 @@ class TestJacobianMatchesFiniteDifferences:
                 checked += 1
 
     def test_random_coupled_equilibria(self):
+        # non-square games give the A and B^T blocks of the fitness map
+        # different shapes, so a swapped or untransposed block cannot pass
         rng = random.Random(37)
-        checked = 0
-        while checked < 40:
-            g = random_game(rng, rng.choice([2, 3]))
+        shapes = [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4)]
+        checked = dict.fromkeys(shapes, 0)
+        while min(checked.values()) < 10:
+            m, n = rng.choice(shapes)
+            g = make_bimatrix("t", [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)],
+                              [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)],
+                              [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
             for c in enumerate_nash_bimatrix(g):
                 x, y = c.x.as_floats(), c.y.as_floats()
                 assert np.abs(rd_jacobian("coupled", g, (x, y)) - coupled_fd(g, x, y)).max() < 1e-5
-                checked += 1
+                checked[m, n] += 1
 
     def test_not_rest_point_rejected(self, bos):
         with pytest.raises(NotRestPoint):
@@ -121,6 +130,7 @@ class TestClassification:
         expected = 1 / math.sqrt(3)
         imags = sorted(z.imag for z in cls.eigenvalues)
         assert abs(imags[0] + expected) < 1e-9 and abs(imags[1] - expected) < 1e-9
+        assert cls.two_species_ess is False  # a coupled-system notion only
 
     def test_bos_mixed_saddle(self, bos):
         x = MixedStrategy.exact(["3/5", "2/5"])
@@ -154,13 +164,24 @@ class TestClassification:
             assert cls.local_type != "sink"
             assert cls.category == "nash_not_ess"
 
-    def test_json_shape(self, rps):
+    def test_points_off_the_simplex_rejected(self, rps, bos):
         cp1, _ = counterpart_games(rps)
-        doc = classification_json(classify_rest_point("single", cp1, [1 / 3] * 3, True))
-        assert doc["category"] == "nash_not_ess"
-        assert doc["local_type"] == "center"
-        assert doc["two_species_ess"] is False
-        assert all(len(pair) == 2 for pair in doc["eigenvalues"])
+        nan = float("nan")
+        with pytest.raises(ValidationError):
+            classify_rest_point("single", cp1, [0, 0, 0], True)
+        with pytest.raises(ValidationError):
+            classify_rest_point("single", cp1, [nan, nan, nan], True)
+        with pytest.raises(ValidationError):
+            classify_rest_point("coupled", bos, ([0, 0], [0, 0]), False)
+        with pytest.raises(ValidationError):
+            rd_jacobian("coupled", bos, ([nan, nan], [1, 0]))
+        with pytest.raises(ValidationError):
+            rd_jacobian("single", cp1, [0.5, 0.5, 0.5])
+
+    def test_only_single_and_coupled_systems(self, bos):
+        for system in ("cp1", "cp2", "other"):
+            with pytest.raises(ValidationError, match="expected 'single' or 'coupled'"):
+                rd_jacobian(system, bos, [1, 0])
 
 
 class TestTwoSpeciesEss:
@@ -210,9 +231,9 @@ class TestEigenvalueInvariance:
         # simultaneous row+column permutation of a counterpart leaves spectra alone
         cp1, _ = counterpart_games(fullsupport)
         perm = [2, 0, 1]
-        relabeled = make_single(
-            "t", [cp1.actions[p] for p in perm],
-            [[cp1.payoffs[perm[i]][perm[j]] for j in range(3)] for i in range(3)])
+        relabeled = SingleGame(
+            "t", tuple(cp1.actions[p] for p in perm),
+            tuple(tuple(cp1.payoffs[perm[i]][perm[j]] for j in range(3)) for i in range(3)))
         for c in enumerate_nash_single(cp1):
             x = c.x.as_floats()
             x_perm = np.array([x[p] for p in perm])
