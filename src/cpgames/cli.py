@@ -3,6 +3,11 @@ classify -> plot, with JSON/CSV/SVG outputs and deterministic exit codes.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
 3 numerical failure, 4 counterpart-correspondence violation.
+
+`run_cli` builds only the parser of the subcommand it runs (the whole parser
+only for top-level help and usage errors) and reads its game afresh on every
+call; a game path that names an existing file wins over a bundled game of the
+same name.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_game(spec: str) -> BimatrixGame:
-    """Load a game from a file path, or from the bundled set by name."""
+    """Load a game from a file path, or from the bundled set by name.  An
+    existing file wins over a bundled game of the same name."""
     path = Path(spec)
     if path.exists():
         return parse_game(path.read_text(encoding="utf-8"))
@@ -297,67 +303,83 @@ def _cmd_verify(args) -> int:
     return EXIT_THEOREM
 
 
+# each subcommand's help line and handler, in the order `cpg --help` lists them
+_COMMANDS = {
+    "solve": ("enumerate all Nash equilibria", _cmd_solve),
+    "counterparts": ("write the two counterpart games", _cmd_counterparts),
+    "decompose": ("reconstruct equilibria from the counterparts", _cmd_decompose),
+    "restpoints": ("list replicator rest points of a counterpart", _cmd_restpoints),
+    "dynamics": ("integrate replicator dynamics to CSV", _cmd_dynamics),
+    "plot": ("render a phase portrait to SVG", _cmd_plot),
+    "verify": ("randomized decomposition round-trip check", _cmd_verify),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Give `p`, the parser of subcommand `command`, its arguments and handler."""
+    if command == "solve":
+        p.add_argument("game")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--exact", action="store_true", default=True)
+        mode.add_argument("--float", action="store_true",
+                          help="print the exact equilibria in float64, each mix from a float64 "
+                               "re-solve of its support system")
+        p.add_argument("--json", action="store_true")
+    elif command == "counterparts":
+        p.add_argument("game")
+        p.add_argument("--out", default=".")
+    elif command == "decompose":
+        p.add_argument("game")
+        p.add_argument("--no-verify", action="store_true")
+        p.add_argument("--report")
+    elif command == "restpoints":
+        p.add_argument("game")
+        p.add_argument("--counterpart", type=int, choices=(1, 2), required=True)
+    elif command == "dynamics":
+        p.add_argument("game")
+        p.add_argument("--system", choices=("coupled", "cp1", "cp2"), required=True)
+        p.add_argument("--init", required=True)
+        p.add_argument("--dt", type=float, default=0.01)
+        p.add_argument("--t-max", type=float, default=50.0)
+        p.add_argument("--out", required=True)
+    elif command == "plot":
+        p.add_argument("game")
+        p.add_argument("--kind", choices=("square", "cp1", "cp2"), required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--grid", type=int)
+        p.add_argument("--trajectories", default="lattice")
+    elif command == "verify":
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--size", type=int, default=3)
+        p.add_argument("--seed", type=int, default=42)
+    p.set_defaults(command=command, fn=_COMMANDS[command][1])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole `cpg` parser: the top level and every subcommand."""
     parser = _Parser(prog="cpg", description="Analyse two-player games through "
                      "their single-population counterpart decomposition.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="enumerate all Nash equilibria")
-    p.add_argument("game")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--float", action="store_true",
-                      help="print the exact equilibria in float64, each mix from a float64 "
-                           "re-solve of its support system")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("counterparts", help="write the two counterpart games")
-    p.add_argument("game")
-    p.add_argument("--out", default=".")
-    p.set_defaults(fn=_cmd_counterparts)
-
-    p = sub.add_parser("decompose", help="reconstruct equilibria from the counterparts")
-    p.add_argument("game")
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--report")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("restpoints", help="list replicator rest points of a counterpart")
-    p.add_argument("game")
-    p.add_argument("--counterpart", type=int, choices=(1, 2), required=True)
-    p.set_defaults(fn=_cmd_restpoints)
-
-    p = sub.add_parser("dynamics", help="integrate replicator dynamics to CSV")
-    p.add_argument("game")
-    p.add_argument("--system", choices=("coupled", "cp1", "cp2"), required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_dynamics)
-
-    p = sub.add_parser("plot", help="render a phase portrait to SVG")
-    p.add_argument("game")
-    p.add_argument("--kind", choices=("square", "cp1", "cp2"), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--trajectories", default="lattice")
-    p.set_defaults(fn=_cmd_plot)
-
-    p = sub.add_parser("verify", help="randomized decomposition round-trip check")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(fn=_cmd_verify)
-
+    for command, (help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse `argv` as `build_parser()` does, but build only the parser that
+    reads it: argv that starts with a subcommand goes to that subcommand alone,
+    which is where the whole parser would send every remaining argument."""
+    argv = list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"cpg {argv[0]}")  # the prog `add_parser` gives it
+        _add_arguments(parser, argv[0])
+        return parser.parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

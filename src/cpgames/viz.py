@@ -174,7 +174,7 @@ def plot_unit_square(g: BimatrixGame, spec: PlotSpec | None = None) -> str:
     if g.n_rows != 2 or g.n_cols != 2:
         raise UnsupportedDimension(f"unit-square plots need a 2x2 game, got {g.n_rows}x{g.n_cols}")
     spec = spec or PlotSpec(kind="square")
-    res = spec.grid_resolution or DEFAULT_GRID_SQUARE
+    res = DEFAULT_GRID_SQUARE if spec.grid_resolution is None else spec.grid_resolution
     margin = 50.0
     side = min(spec.width_px, spec.height_px) - 2 * margin
 
@@ -221,7 +221,7 @@ def plot_simplex(s: SingleGame, spec: PlotSpec | None = None) -> str:
     if s.n != 3:
         raise UnsupportedDimension(f"simplex plots need a 3-action game, got {s.n}")
     spec = spec or PlotSpec(kind="simplex")
-    res = spec.grid_resolution or DEFAULT_GRID_SIMPLEX
+    res = DEFAULT_GRID_SIMPLEX if spec.grid_resolution is None else spec.grid_resolution
     margin = 60.0
     side = min(spec.width_px, spec.height_px) - 2 * margin
 

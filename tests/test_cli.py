@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cpgames import cli
 from cpgames.cli import main
 
 
@@ -193,6 +194,14 @@ class TestPlot:
         assert code == 2 and err.startswith("error: input:")
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("game, kind", [("bos", "square"), ("rps", "cp1")])
+    def test_grid_zero_exits_2(self, tmp_path, capsys, game, kind):
+        code, out, err = run(capsys, "plot", game, "--kind", kind, "--grid", "0",
+                             "--out", str(tmp_path / "x.svg"))
+        assert code == 2 and out == ""
+        assert err == "error: input: resolution must be at least 2\n"
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestVerify:
     def test_small_run(self, capsys):
@@ -227,6 +236,114 @@ class TestDeterminism:
             run(capsys, "dynamics", "bos", "--system", "coupled",
                 "--init", "0.7,0.3;0.2,0.8", "--t-max", "2", "--out", str(path))
         assert c.read_bytes() == d.read_bytes()
+
+
+class TestParser:
+    """Each command builds only its own subcommand's parser, and parses as the
+    whole `cpg` parser would; commands in one process share no state."""
+
+    # valid and invalid argv for every subcommand, plus the top level
+    ARGVS = (
+        ["solve", "pd"], ["solve", "bos", "--float", "--json"], ["solve", "bos", "--exact"],
+        ["solve", "bos", "--float", "--exact"], ["solve", "--", "pd"], ["solve", "pd", "extra"],
+        ["counterparts", "pd"], ["counterparts", "pd", "--out", "cp"],
+        ["decompose", "bos", "--no-verify", "--report", "r.json"], ["decompose", "--report"],
+        ["restpoints", "bos", "--counterpart", "2"], ["restpoints", "bos", "--counterpart", "3"],
+        ["restpoints", "bos"],
+        ["dynamics", "rps", "--system", "cp1", "--init", "a", "--dt", "0.1", "--t-max", "2",
+         "--out", "x.csv"],
+        ["dynamics", "rps", "--system", "cp3", "--init", "a", "--out", "x"],
+        ["dynamics", "rps", "--system", "cp1", "--init", "a", "--dt", "fast", "--out", "x"],
+        ["plot", "bos", "--kind", "square", "--grid", "7", "--out", "a.svg", "--trajectories", "0.5,0.5"],
+        ["plot", "bos", "--kind", "square", "--grid", "x", "--out", "a.svg"], ["plot", "bos"],
+        ["verify"], ["verify", "--trials", "5", "--size", "4", "--seed", "9"], ["verify", "--bogus"],
+        [], ["bogus"], ["--bogus", "solve", "pd"],
+    )
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_parse_as_whole_parser(self, argv):
+        try:
+            expected = vars(cli.build_parser().parse_args(argv))
+        except cli.UsageError as exc:
+            expected = f"usage error: {exc}"
+        try:
+            got = vars(cli._parse(argv))
+        except cli.UsageError as exc:
+            got = f"usage error: {exc}"
+        assert got == expected
+
+    @pytest.mark.parametrize("argv", [["-h"], *([c, "-h"] for c in cli._COMMANDS),
+                                      ["solve", "pd", "--help"]], ids=" ".join)
+    def test_same_help_as_whole_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as expected:
+            cli.build_parser().parse_args(argv)
+        help_text = capsys.readouterr().out
+        with pytest.raises(SystemExit) as got:
+            cli._parse(argv)
+        assert expected.value.code == got.value.code == 0
+        assert capsys.readouterr().out == help_text
+
+    def test_only_the_command_parser_is_built(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert run(capsys, "solve", "pd")[0] == 0
+        assert built == ["cpg solve"]
+        built.clear()
+        assert run(capsys, "bogus")[0] == 1
+        assert len(built) == 8  # cpg and its 7 subcommands, for the usage error
+
+    def test_flags_do_not_leak(self, capsys):
+        _, out, _ = run(capsys, "solve", "pd", "--json")
+        assert json.loads(out)[0]["x"] == ["0", "1"]
+        code, out, _ = run(capsys, "solve", "pd")
+        assert code == 0
+        assert out.startswith("Prisoner's Dilemma: 1 equilibria (exact mode)\n")
+        _, out, _ = run(capsys, "solve", "bos", "--float")
+        assert "(float mode)" in out
+        _, out, _ = run(capsys, "solve", "bos")
+        assert "(exact mode)" in out and "x=(3/5, 2/5)" in out
+
+    def test_recovery_after_errors(self, tmp_path, capsys):
+        argv = ("dynamics", "rps", "--system", "cp1", "--init", "0.2,0.3,0.5",
+                "--t-max", "1", "--out", str(tmp_path / "a.csv"))
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        csv = (tmp_path / "a.csv").read_bytes()
+        errors = (
+            # usage error inside the subcommand: the required --init and --out are missing
+            (1, "error: usage:", ("dynamics", "rps", "--system", "cp1")),
+            # input error after the bundled game was loaded
+            (2, "error: input:", ("dynamics", "rps", "--system", "cp1", "--init", "0.5,0.6,0.1",
+                                  "--out", str(tmp_path / "b.csv"))),
+        )
+        for want, prefix, bad in errors:
+            code, out, err = run(capsys, *bad)
+            assert code == want and out == "" and err.startswith(prefix)
+            (tmp_path / "a.csv").unlink()
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (0, expected, "")
+            assert (tmp_path / "a.csv").read_bytes() == csv
+
+    def test_file_shadows_bundled_name(self, tmp_path, capsys, monkeypatch):
+        _, out, _ = run(capsys, "solve", "pd")
+        assert out.startswith("Prisoner's Dilemma: 1 equilibria")
+        monkeypatch.chdir(tmp_path)
+        for name in ("shadow", "reread"):
+            # a coordination game with 3 equilibria, under the bundled game's name
+            (tmp_path / "pd").write_text(
+                json.dumps({"name": name, "row_actions": ["a", "b"], "col_actions": ["c", "d"],
+                            "row_payoffs": [[1, 0], [0, 1]], "col_payoffs": [[1, 0], [0, 1]]}))
+            code, out, _ = run(capsys, "solve", "pd")
+            assert code == 0 and out.startswith(f"{name}: 3 equilibria")
+        (tmp_path / "pd").unlink()
+        _, out, _ = run(capsys, "solve", "pd")
+        assert out.startswith("Prisoner's Dilemma: 1 equilibria")
 
 
 class TestModuleEntry:

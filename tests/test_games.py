@@ -1,6 +1,7 @@
 """Game model: parsing, serialization, padding, permutation, counterparts."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,28 @@ class TestMixedStrategy:
             MixedStrategy.exact(["1/2", "1/3"])
         with pytest.raises(ValidationError):
             MixedStrategy.exact(["-1/2", "3/2"])
+
+    def test_exact_check_on_mixed_denominators(self):
+        # 1/2 + 1/3 + 1/12 + 1/20 + 1/30 + 0 = 1 over the common denominator 60
+        probs = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 12), Fraction(1, 20),
+                 Fraction(1, 30), Fraction(0)]
+        assert MixedStrategy(tuple(probs), "exact").probs == tuple(probs)
+        for k, delta, total in ((5, 1, "61/60"), (4, -1, "59/60")):
+            off = list(probs)
+            off[k] += Fraction(delta, 60)
+            with pytest.raises(ValidationError, match=f"^probabilities sum to {total}, expected 1$"):
+                MixedStrategy(tuple(off), "exact")
+
+    @pytest.mark.parametrize("probs, message", [
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-1, 12)), "negative probability -1/12"),
+        ((Fraction(1, 2), 0.5), "exact strategy entries must be Fractions"),
+        ((1, Fraction(0)), "exact strategy entries must be Fractions"),
+        # entries are checked in order: the sign of the first before the type of the second
+        ((Fraction(-1, 2), 1.5), "negative probability -1/2"),
+    ])
+    def test_exact_check_messages(self, probs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            MixedStrategy(probs, "exact")
 
     def test_float_clamping(self):
         s = MixedStrategy.from_floats([1.0 + 5e-13, -5e-13])

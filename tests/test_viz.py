@@ -9,6 +9,7 @@ import pytest
 from cpgames import (
     PlotSpec,
     UnsupportedDimension,
+    ValidationError,
     counterpart_games,
     export_csv,
     integrate,
@@ -64,6 +65,11 @@ class TestUnitSquare:
         with pytest.raises(UnsupportedDimension):
             plot_unit_square(fullsupport, PlotSpec(kind="square"))
 
+    def test_grid_zero_rejected(self, bos):
+        # 0 is a resolution, not "use the default"
+        with pytest.raises(ValidationError, match="resolution must be at least 2"):
+            plot_unit_square(bos, PlotSpec(kind="square", grid_resolution=0, trajectory_starts=None))
+
     def test_byte_deterministic(self, bos):
         spec = PlotSpec(kind="square", t_max=5.0)
         assert plot_unit_square(bos, spec) == plot_unit_square(bos, spec)
@@ -108,6 +114,11 @@ class TestSimplex:
         cp1, _ = counterpart_games(bos)
         with pytest.raises(UnsupportedDimension):
             plot_simplex(cp1, PlotSpec(kind="simplex"))
+
+    def test_grid_zero_rejected(self, rps):
+        cp1, _ = counterpart_games(rps)
+        with pytest.raises(ValidationError, match="resolution must be at least 2"):
+            plot_simplex(cp1, PlotSpec(kind="simplex", grid_resolution=0, trajectory_starts=None))
 
     def test_byte_deterministic(self, rps):
         cp1, _ = counterpart_games(rps)
