@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
 `run_cli` builds only the parser of the subcommand it runs (the whole parser
 only for top-level help and usage errors) and reads its game afresh on every
 call; a game path that names an existing file wins over a bundled game of the
-same name.
+same name.  Help returns 0 from `run_cli` instead of exiting the process.
 """
 
 from __future__ import annotations
@@ -66,9 +66,19 @@ class UsageError(Exception):
     pass
 
 
+class _ParserExit(SystemExit):
+    """Where argparse exits (after printing help): `run_cli` returns the
+    status, any other caller exits as argparse would."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
 
 
 def load_game(spec: str) -> BimatrixGame:
@@ -383,6 +393,8 @@ def run_cli(argv) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _ParserExit as exc:
+        return exc.code
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

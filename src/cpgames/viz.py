@@ -2,8 +2,14 @@
 
 Unit-square plots show 2x2 two-population dynamics (axis = probability of
 each player's first action); simplex plots show 3-action single-population
-dynamics on an equilateral triangle.  Documents are plain SVG 1.1 text with
-fixed number formatting, so identical inputs yield identical bytes.
+dynamics on an equilateral triangle.  One renderer draws both: a plot kind
+supplies its margin, grid cell count, frame lines, the columns of the
+stacked state it plots with a linear map from them to the plane, its start
+lattice and its markers.  A trajectory drops its final point when the
+plotted columns repeat the last recorded point: P(first action) of each
+player on the square, the whole state on the simplex.  Documents are plain
+SVG 1.1 text with fixed number formatting, so identical inputs yield
+identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .errors import UnsupportedDimension
 from .games import BimatrixGame, SingleGame
-from .dynamics import FieldSample, Trajectory, _n_steps, integrate_batch, sample_field_grid
+from .dynamics import Trajectory, _n_steps, integrate_batch, sample_field_grid
 from .solver import enumerate_nash_bimatrix, enumerate_rest_points
 from .stability import classify_rest_point
 
@@ -34,23 +40,23 @@ _STYLE = """\
 .marker-nash-unstable { fill: none; stroke: #e07b00; stroke-width: 2; }
 .marker-rest { fill: none; stroke: #2e8b57; stroke-width: 2; }"""
 
+SIZE_PX = 600  # width and height of every plot
+PLOT_DT = 0.01  # RK4 step of the plotted trajectories
 DEFAULT_GRID_SQUARE = 15
 DEFAULT_GRID_SIMPLEX = 20
 ARROW_FILL = 0.8  # max-velocity arrow length as a fraction of grid spacing
+ARROW_MIN_SPEED = 1e-15  # grid samples slower than this get no arrow
 TRAJ_MAX_POINTS = 400
 
 
 @dataclass
 class PlotSpec:
-    """Rendering options; fields left at None fall back to per-kind defaults."""
+    """Rendering options; a grid_resolution of None falls back to the plot's
+    default.  `kind` is not read: each plot function draws its own kind."""
 
     kind: str  # "square" | "simplex"
     grid_resolution: int | None = None
     trajectory_starts: object = "lattice"  # "lattice" | list of states | None
-    markers: list | None = None  # [(coords, marker_class)]; None = derive from solver
-    width_px: int = 600
-    height_px: int = 600
-    dt: float = 0.01
     t_max: float = 50.0
 
 
@@ -62,12 +68,8 @@ def _fmt17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _svg_open(spec: PlotSpec) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {spec.width_px} {spec.height_px}" '
-        f'width="{spec.width_px}" height="{spec.height_px}">',
-        f"<style>\n{_STYLE}\n</style>",
-    ]
+def _points(coords_px) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords_px)
 
 
 def _arrow_path(x1, y1, x2, y2) -> str:
@@ -81,40 +83,57 @@ def _arrow_path(x1, y1, x2, y2) -> str:
     return " ".join(parts)
 
 
-def _render_arrows(lines, samples, to_px, spacing_px):
+def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin: float,
+              frame, columns, to_plane, lattice, markers) -> str:
+    """The SVG document of one plot kind: head, `frame(game, to_px)`, arrows on
+    the `sample_field_grid` grid of resolution `res` (`cells` cells a side),
+    trajectories, `markers(game)` and the close.  `columns` picks the plotted
+    entries of a stacked state and `to_plane` maps them linearly into the unit
+    plot; markers come as (plotted entries, marker class)."""
+    side = SIZE_PX - 2 * margin
+
+    def to_px(u, v):
+        return margin + u * side, SIZE_PX - margin - v * side
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SIZE_PX} {SIZE_PX}" '
+             f'width="{SIZE_PX}" height="{SIZE_PX}">', f"<style>\n{_STYLE}\n</style>", *frame(game, to_px)]
+
     max_speed = 0.0
-    vecs = []
-    for sample in samples:
-        pos = _plot_coords(sample)
-        vel = _plot_velocity(sample)
+    arrows = []
+    for sample in sample_field_grid(system, game, res):
+        vel = to_plane(np.concatenate(sample.velocities)[columns])
         speed = math.hypot(*vel)
         max_speed = max(max_speed, speed)
-        vecs.append((pos, vel, speed))
-    if max_speed <= 0.0:
-        return
-    scale = ARROW_FILL * spacing_px / max_speed
-    for pos, vel, speed in vecs:
-        if speed < 1e-15:
-            continue
-        cx, cy = to_px(*pos)
-        # SVG y grows downward; flip the vertical velocity component.
-        dx, dy = vel[0] * scale, -vel[1] * scale
-        path = _arrow_path(cx - dx / 2, cy - dy / 2, cx + dx / 2, cy + dy / 2)
-        lines.append(f'<path class="arrow" d="{path}"/>')
+        arrows.append((to_plane(np.concatenate(sample.points)[columns]), vel, speed))
+    if max_speed > 0.0:
+        spacing = side / cells
+        scale = ARROW_FILL * spacing / max_speed
+        for pos, vel, speed in arrows:
+            if speed < ARROW_MIN_SPEED:
+                continue
+            cx, cy = to_px(*pos)
+            # SVG y grows downward; flip the vertical velocity component.
+            dx, dy = vel[0] * scale, -vel[1] * scale
+            path = _arrow_path(cx - dx / 2, cy - dy / 2, cx + dx / 2, cy + dy / 2)
+            lines.append(f'<path class="arrow" d="{path}"/>')
 
+    # Every (steps // TRAJ_MAX_POINTS)-th state and the final state of each start.
+    starts = spec.trajectory_starts
+    if starts == "lattice":
+        starts = lattice()
+    if starts is not None and len(starts) > 0:
+        stride = max(1, _n_steps(PLOT_DT, spec.t_max) // TRAJ_MAX_POINTS)
+        for states in integrate_batch(system, game, starts, PLOT_DT, spec.t_max, stride).swapaxes(0, 1):
+            pts = states[:, columns]
+            if np.array_equal(pts[-2], pts[-1]):  # equal in the plotted columns, not the whole state
+                pts = pts[:-1]
+            lines.append(f'<polyline class="trajectory" points="{_points(to_px(*to_plane(p)) for p in pts)}"/>')
 
-def _plot_coords(sample: FieldSample):
-    if len(sample.points) == 2:
-        return sample.points[0][0], sample.points[1][0]
-    p = sample.points[0]
-    return _bary_to_xy(p)
-
-
-def _plot_velocity(sample: FieldSample):
-    if len(sample.velocities) == 2:
-        return sample.velocities[0][0], sample.velocities[1][0]
-    # Tangent vectors map by the linear part, all of _bary_to_xy (corner 0 = origin).
-    return _bary_to_xy(sample.velocities[0])
+    for coords, cls in markers(game):
+        cx, cy = to_px(*to_plane(coords))
+        lines.append(f'<circle class="{MARKER_CLASSES[cls]}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="6"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 # Equilateral triangle with unit side: corner 0 bottom-left, corner 1
@@ -142,32 +161,6 @@ def _simplex_lattice_starts(step: int = 5):
     return starts
 
 
-def _trajectories(system: str, game, spec: PlotSpec, lattice):
-    """Every (steps // TRAJ_MAX_POINTS)-th state and the final state of each
-    trajectory start (`lattice()` by default), integrated together."""
-    starts = spec.trajectory_starts
-    if starts == "lattice":
-        starts = lattice()
-    if starts is None or len(starts) == 0:
-        return []
-    stride = max(1, _n_steps(spec.dt, spec.t_max) // TRAJ_MAX_POINTS)
-    return integrate_batch(system, game, starts, spec.dt, spec.t_max, stride).swapaxes(0, 1)
-
-
-def _trim(points):
-    """Drop the final point when it repeats the last strided one."""
-    return points[:-1] if np.array_equal(points[-2], points[-1]) else points
-
-
-def _polyline(lines, coords_px):
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords_px)
-    lines.append(f'<polyline class="trajectory" points="{pts}"/>')
-
-
-def _marker(lines, cls: str, cx: float, cy: float):
-    lines.append(f'<circle class="{MARKER_CLASSES[cls]}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="6"/>')
-
-
 def plot_unit_square(g: BimatrixGame, spec: PlotSpec | None = None) -> str:
     """Directional field, trajectories and equilibrium markers of the coupled
     dynamics of a 2x2 game, on [0,1]^2 with axes = P(first action)."""
@@ -175,44 +168,30 @@ def plot_unit_square(g: BimatrixGame, spec: PlotSpec | None = None) -> str:
         raise UnsupportedDimension(f"unit-square plots need a 2x2 game, got {g.n_rows}x{g.n_cols}")
     spec = spec or PlotSpec(kind="square")
     res = DEFAULT_GRID_SQUARE if spec.grid_resolution is None else spec.grid_resolution
-    margin = 50.0
-    side = min(spec.width_px, spec.height_px) - 2 * margin
+    # Entries 0 and 2 of (x, y) are P(first action) of each player; `tuple`
+    # maps them to the plane as they are.
+    return _portrait("coupled", g, spec, res, cells=res - 1, margin=50.0, frame=_square_frame,
+                     columns=[0, 2], to_plane=tuple, lattice=_square_lattice_starts,
+                     markers=_square_markers)
 
-    def to_px(u, v):
-        return margin + u * side, spec.height_px - margin - v * side
 
-    lines = _svg_open(spec)
+def _square_frame(g: BimatrixGame, to_px):
     x0, y0 = to_px(0, 0)
     x1, y1 = to_px(1, 1)
-    lines.append(f'<rect class="frame" x="{_fmt(min(x0, x1))}" y="{_fmt(min(y0, y1))}" '
-                 f'width="{_fmt(abs(x1 - x0))}" height="{_fmt(abs(y1 - y0))}"/>')
-    lines.append(f'<text class="label" x="{_fmt(spec.width_px / 2)}" y="{_fmt(spec.height_px - 12)}" '
-                 f'text-anchor="middle">P1: P({g.row_actions[0]})</text>')
-    lines.append(f'<text class="label" x="14" y="{_fmt(spec.height_px / 2)}" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {_fmt(spec.height_px / 2)})">P2: P({g.col_actions[0]})</text>')
-
-    samples = sample_field_grid("coupled", g, res)
-    _render_arrows(lines, samples, to_px, side / (res - 1))
-
-    for states in _trajectories("coupled", g, spec, _square_lattice_starts):
-        pts = states[:, [0, 2]]  # P(first action) of each player
-        _polyline(lines, [to_px(u, v) for u, v in _trim(pts)])
-
-    for coords, cls in _square_markers(g, spec):
-        _marker(lines, cls, *to_px(*coords))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    mid = _fmt(SIZE_PX / 2)
+    return [f'<rect class="frame" x="{_fmt(min(x0, x1))}" y="{_fmt(min(y0, y1))}" '
+            f'width="{_fmt(abs(x1 - x0))}" height="{_fmt(abs(y1 - y0))}"/>',
+            f'<text class="label" x="{mid}" y="{_fmt(SIZE_PX - 12)}" '
+            f'text-anchor="middle">P1: P({g.row_actions[0]})</text>',
+            f'<text class="label" x="14" y="{mid}" text-anchor="middle" '
+            f'transform="rotate(-90 14 {mid})">P2: P({g.col_actions[0]})</text>']
 
 
-def _square_markers(g: BimatrixGame, spec: PlotSpec):
-    if spec.markers is not None:
-        return spec.markers
-    markers = []
+def _square_markers(g: BimatrixGame):
     for eq in enumerate_nash_bimatrix(g):
         cls_info = classify_rest_point("coupled", g, (eq.x, eq.y), nash_status=True)
         cls = "nash_stable" if cls_info.category == "ess_stable" else "nash_unstable"
-        markers.append(((float(eq.x.probs[0]), float(eq.y.probs[0])), cls))
-    return markers
+        yield (float(eq.x.probs[0]), float(eq.y.probs[0])), cls
 
 
 def plot_simplex(s: SingleGame, spec: PlotSpec | None = None) -> str:
@@ -222,39 +201,23 @@ def plot_simplex(s: SingleGame, spec: PlotSpec | None = None) -> str:
         raise UnsupportedDimension(f"simplex plots need a 3-action game, got {s.n}")
     spec = spec or PlotSpec(kind="simplex")
     res = DEFAULT_GRID_SIMPLEX if spec.grid_resolution is None else spec.grid_resolution
-    margin = 60.0
-    side = min(spec.width_px, spec.height_px) - 2 * margin
+    # Tangent vectors map by the linear part, all of _bary_to_xy (corner 0 = origin).
+    return _portrait("single", s, spec, res, cells=res, margin=60.0, frame=_simplex_frame,
+                     columns=[0, 1, 2], to_plane=_bary_to_xy, lattice=_simplex_lattice_starts,
+                     markers=_simplex_markers)
 
-    def to_px(u, v):
-        return margin + u * side, spec.height_px - margin - v * side
 
-    lines = _svg_open(spec)
-    corners_px = [to_px(*_TRI[i]) for i in range(3)]
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners_px)
-    lines.append(f'<polygon class="frame" points="{pts}"/>')
+def _simplex_frame(s: SingleGame, to_px):
+    corners_px = [to_px(*corner) for corner in _TRI]
+    lines = [f'<polygon class="frame" points="{_points(corners_px)}"/>']
     anchors = [("end", 12, 16), ("start", -12, 16), ("middle", 0, -10)]
-    for idx, (anchor, dx, dy) in enumerate(anchors):
-        cx, cy = corners_px[idx]
+    for (cx, cy), action, (anchor, dx, dy) in zip(corners_px, s.actions, anchors):
         lines.append(f'<text class="label" x="{_fmt(cx + dx)}" y="{_fmt(cy + dy)}" '
-                     f'text-anchor="{anchor}">{s.actions[idx]}</text>')
-
-    samples = sample_field_grid("single", s, res)
-    _render_arrows(lines, samples, to_px, side / res)
-
-    for states in _trajectories("single", s, spec, _simplex_lattice_starts):
-        coords = [_bary_to_xy(p) for p in _trim(states)]
-        _polyline(lines, [to_px(u, v) for u, v in coords])
-
-    for coords, cls in _simplex_markers(s, spec):
-        _marker(lines, cls, *to_px(*_bary_to_xy(coords)))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+                     f'text-anchor="{anchor}">{action}</text>')
+    return lines
 
 
-def _simplex_markers(s: SingleGame, spec: PlotSpec):
-    if spec.markers is not None:
-        return spec.markers
-    markers = []
+def _simplex_markers(s: SingleGame):
     for rp in enumerate_rest_points(s):
         cls_info = classify_rest_point("single", s, rp.point, nash_status=rp.is_nash)
         if not rp.is_nash:
@@ -263,8 +226,7 @@ def _simplex_markers(s: SingleGame, spec: PlotSpec):
             cls = "nash_stable"
         else:
             cls = "nash_unstable"
-        markers.append((tuple(float(p) for p in rp.point.probs), cls))
-    return markers
+        yield tuple(float(p) for p in rp.point.probs), cls
 
 
 def export_csv(data) -> str:

@@ -283,6 +283,15 @@ class TestParser:
         assert expected.value.code == got.value.code == 0
         assert capsys.readouterr().out == help_text
 
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "-h"]], ids=" ".join)
+    def test_run_cli_returns_on_help(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        help_text = capsys.readouterr().out
+        assert cli.run_cli(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == help_text and out.startswith("usage: cpg") and err == ""
+
     def test_only_the_command_parser_is_built(self, capsys, monkeypatch):
         built = []
         init = cli._Parser.__init__

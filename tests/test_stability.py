@@ -147,6 +147,20 @@ class TestClassification:
                                                        MixedStrategy.exact(pure)), True)
             assert cls.category == "ess_stable" and cls.two_species_ess
 
+    @pytest.mark.parametrize("point, category, local_type, ess", [
+        (([1.0, 0.0], [1.0, 0.0]), "ess_stable", "sink", True),
+        (([0.0, 1.0], [0.0, 1.0]), "ess_stable", "sink", True),
+        (([0.6, 0.4], [0.4, 0.6]), "nash_not_ess", "saddle", False),
+    ])
+    def test_bos_float_points(self, bos, point, category, local_type, ess):
+        # float lists take the MixedStrategy.from_floats branch of the two-species ESS check
+        cls = classify_rest_point("coupled", bos, point, nash_status=True)
+        assert (cls.category, cls.local_type, cls.two_species_ess) == (category, local_type, ess)
+
+    def test_bos_float_non_nash_point_raises(self, bos):
+        with pytest.raises(NotNash):
+            classify_rest_point("coupled", bos, ([1.0, 0.0], [0.0, 1.0]), nash_status=True)
+
     def test_extended_bos_cp2_face_rest_point(self, bos_extended):
         padded, _ = pad_to_square(bos_extended)
         _, cp2 = counterpart_games(padded)

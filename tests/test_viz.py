@@ -19,6 +19,7 @@ from cpgames import (
     plot_unit_square,
     sample_field_grid,
 )
+from cpgames import viz
 from cpgames.viz import _bary_to_xy, _TRI
 
 
@@ -124,6 +125,41 @@ class TestSimplex:
         cp1, _ = counterpart_games(rps)
         spec = PlotSpec(kind="simplex", t_max=10.0)
         assert plot_simplex(cp1, spec) == plot_simplex(cp1, spec)
+
+
+class TestTrimRule:
+    """A trajectory drops its final point only when the plotted columns repeat
+    the last recorded point: P(first action) of each player on the square,
+    the whole state on the simplex."""
+
+    @staticmethod
+    def plot_record(monkeypatch, plot, game, kind, *record):
+        # one (records, starts, N) array in place of the integration
+        monkeypatch.setattr(viz, "integrate_batch", lambda *args: np.array(record))
+        svg = plot(game, PlotSpec(kind=kind, grid_resolution=2, trajectory_starts=["stub", "stub"]))
+        return [pts.split(" ") for pts in re.findall(r'class="trajectory" points="([^"]*)"', svg)]
+
+    def test_square_trims_on_plotted_columns(self, bos, monkeypatch):
+        up = math.nextafter
+        lines = self.plot_record(
+            monkeypatch, plot_unit_square, bos, "square",
+            [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]],
+            [[0.6, 0.4, 0.3, 0.7], [0.6, 0.4, 0.3, 0.7]],
+            # start 0 changes only columns 1 and 3, start 1 changes a plotted column
+            [[0.6, up(0.4, 1.0), 0.3, up(0.7, 1.0)], [0.6, 0.4, up(0.3, 1.0), 0.7]])
+        assert [len(pts) for pts in lines] == [2, 3]
+
+    def test_simplex_trims_on_whole_state(self, rps, monkeypatch):
+        cp1, _ = counterpart_games(rps)
+        lines = self.plot_record(
+            monkeypatch, plot_simplex, cp1, "simplex",
+            [[1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3]],
+            [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]],
+            # start 0 repeats exactly; one ulp in start 1's column 0 (the
+            # origin corner) leaves its plotted point unchanged
+            [[0.2, 0.3, 0.5], [math.nextafter(0.2, 1.0), 0.3, 0.5]])
+        assert [len(pts) for pts in lines] == [2, 3]
+        assert lines[1][1] == lines[1][2]
 
 
 class TestBarycentric:
