@@ -178,15 +178,16 @@ class MixedStrategy:
         if not self.probs:
             raise ValidationError("strategy must have at least one component")
         if self.mode == "exact":
-            total = Fraction(0)
             for p in self.probs:
                 if not isinstance(p, Fraction):
                     raise ValidationError("exact strategy entries must be Fractions")
-                if p < 0:
+                if p.numerator < 0:
                     raise ValidationError(f"negative probability {p}")
-                total += p
-            if total != 1:
-                raise ValidationError(f"probabilities sum to {total}, expected 1")
+            # the sum in integers over the common denominator
+            den = math.lcm(*(p.denominator for p in self.probs))
+            total = sum(p.numerator * (den // p.denominator) for p in self.probs)
+            if total != den:
+                raise ValidationError(f"probabilities sum to {Fraction(total, den)}, expected 1")
         else:
             clamped = []
             for p in self.probs:

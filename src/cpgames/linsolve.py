@@ -9,8 +9,10 @@ solution as integer numerators over one positive denominator and makes
 `Fraction`s of them only when `solution` is first read, so a caller can
 decide signs and comparisons in integers.  The reduced row echelon form is
 unique, so the status, solution and null space equal those of `Fraction`
-elimination.  This is the library's only elimination; there is no float
-path (`cpg solve --float` renders its digits in the CLI).
+elimination.  `HalfTable` reads every non-singular square system off its
+minors, so elimination serves the singular and the unequal-size systems,
+whose status and null space only it gives; there is no float path
+(`cpg solve --float` renders its digits in the CLI).
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
 status, solution, common payoff and the best responses counted in
-integers.  Degeneracy detection and direct enumeration visit the equal-size
-pairs in one order, and the decomposition reads the direct enumeration of
-its padded game, so all of them read one table per game.  Every decision and
+integers.  A square half is read off the integer minors its table shares
+(Cramer's rule); only a singular one is eliminated.  Degeneracy detection
+and direct enumeration visit the equal-size pairs in one order, and the
+decomposition reads the direct enumeration of its padded game, so all of
+them read one table per game.  Every decision and
 every result is exact, so ties are classified correctly; `cpg solve --float`
 renders the exact equilibria in float64 in the CLI.
 
@@ -161,6 +163,13 @@ class HalfTable:
     halves a reader keeps, positive or underdetermined ones, are made
     `Fraction`s.
 
+    A square half (k rows, k columns) is read off the minors of M, each
+    computed once per table: with c_j = sum_i (-1)^(i+j) minor(rows - r_i,
+    cols - c_j), total = sum_j c_j is the determinant of its bordered
+    system, so total != 0 gives the unique half y = c / total, whose common
+    payoff is M_r . c / total for any r in rows.  Only a half with
+    total = 0, or of unequal sizes, goes to `solve_linear`.
+
     `undominated(cols)` answers, without solving anything, which rows can be
     best responses to a mix that is positive on `cols`: direct enumeration
     reads it to skip pairs that cannot be Nash.
@@ -171,6 +180,7 @@ class HalfTable:
         self.scale = math.lcm(*(v.denominator for row in mat for v in row))
         self.mat = [[v.numerator * (self.scale // v.denominator) for v in row] for row in mat]
         self._undominated: dict[tuple, int] = {}
+        self._minors: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
     def _beats(self) -> list[tuple[int, int, int]]:
@@ -208,7 +218,46 @@ class HalfTable:
             half = self.entries[(rows, cols)] = self._solve(rows, cols)
         return half
 
+    def _minor(self, rmask: int, cmask: int) -> int:
+        """The determinant of M on the rows and columns of two equal-size
+        bitmasks, by Laplace expansion along the lowest row; each is
+        computed once and kept."""
+        det = self._minors.get((rmask, cmask))
+        if det is None:
+            det = self._minors[(rmask, cmask)] = self._expand(rmask, cmask)
+        return det
+
+    def _expand(self, rmask: int, cmask: int) -> int:
+        if not rmask:
+            return 1
+        low = rmask & -rmask
+        row, rest = self.mat[low.bit_length() - 1], rmask ^ low
+        det, sign, bits = 0, 1, cmask
+        while bits:
+            bit = bits & -bits
+            v = row[bit.bit_length() - 1]
+            if v:
+                det += sign * v * self._minor(rest, cmask ^ bit)
+            sign, bits = -sign, bits ^ bit
+        return det
+
     def _solve(self, rows, cols) -> Half:
+        if len(rows) == len(cols):
+            # c = adj(M_rows,cols) @ 1, and total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
+            rmask, cmask = _bits(rows), _bits(cols)
+            drop_rows = [(rmask ^ (1 << r), -1 if i % 2 else 1) for i, r in enumerate(rows)]
+            c = []
+            for j, col in enumerate(cols):
+                sub = cmask ^ (1 << col)
+                cj = sum(sign * self._minor(rm, sub) for rm, sign in drop_rows)
+                c.append(-cj if j % 2 else cj)
+            total = sum(c)
+            if total:
+                if total < 0:
+                    c, total = [-v for v in c], -total
+                if not all(v > 0 for v in c):
+                    return _NO_MIX[UNIQUE]
+                return self._mixed(rows, cols, c, total)
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
         if res.status == INCONSISTENT:
             return _NO_MIX[INCONSISTENT]
@@ -218,9 +267,15 @@ class HalfTable:
             return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
         if not positive:
             return _NO_MIX[UNIQUE]
+        return self._mixed(rows, cols, y, res.denominator)
+
+    def _mixed(self, rows, cols, y, den) -> Half:
+        """The unique positive half whose mix is the integers `y` over `den`."""
         payoffs = [sum(row[j] * w for j, w in zip(cols, y)) for row in self.mat]
         top = max(payoffs)
-        return Half(UNIQUE, res.solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
+        solution = [Fraction(v, den) for v in y]
+        solution.append(Fraction(payoffs[rows[0]], den * self.scale))
+        return Half(UNIQUE, solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
 
 
 class SupportTable:

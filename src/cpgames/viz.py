@@ -119,7 +119,7 @@ def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin
 
     # Every (steps // TRAJ_MAX_POINTS)-th state and the final state of each start.
     starts = spec.trajectory_starts
-    if starts == "lattice":
+    if isinstance(starts, str) and starts == "lattice":
         starts = lattice()
     if starts is not None and len(starts) > 0:
         stride = max(1, _n_steps(PLOT_DT, spec.t_max) // TRAJ_MAX_POINTS)
@@ -219,10 +219,9 @@ def _simplex_frame(s: SingleGame, to_px):
 
 def _simplex_markers(s: SingleGame):
     for rp in enumerate_rest_points(s):
-        cls_info = classify_rest_point("single", s, rp.point, nash_status=rp.is_nash)
-        if not rp.is_nash:
+        if not rp.is_nash:  # the class whatever the spectrum, so not classified
             cls = "rest_non_nash"
-        elif cls_info.category == "ess_stable":
+        elif classify_rest_point("single", s, rp.point, nash_status=True).category == "ess_stable":
             cls = "nash_stable"
         else:
             cls = "nash_unstable"

@@ -20,6 +20,20 @@ def permute_columns(g: BimatrixGame, perm: Permutation) -> BimatrixGame:
     )
 
 
+def count_calls(monkeypatch, owner, name):
+    """Route `owner.name` through a recorder; returns the list of each
+    call's positional arguments."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def pd():
     return load_game("pd")

@@ -33,6 +33,7 @@ from cpgames import (
 import cpgames.solver
 from cpgames.cli import main
 from cpgames.decomposition import random_game
+from conftest import count_calls
 
 
 def F(s):
@@ -139,16 +140,9 @@ def test_criterion_5_fullsupport(fullsupport):
 
 def test_criterion_6_roundtrip_200_games(monkeypatch):
     # besides the time gate, a machine-independent work gate: the verdict
-    # stops at the first witness, so the degenerate games drawn cost few solves
-    solve = cpgames.solver.solve_linear
-    solves = 0
-
-    def counting(*args, **kwargs):
-        nonlocal solves
-        solves += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
+    # stops at the first witness, so the degenerate games drawn cost few
+    # solved halves
+    halves = count_calls(monkeypatch, cpgames.solver.HalfTable, "_solve")
     t0 = time.perf_counter()
     targets = {2: 67, 3: 67, 4: 66}
     tested = 0
@@ -168,7 +162,7 @@ def test_criterion_6_roundtrip_200_games(monkeypatch):
             tested += 1
     elapsed = time.perf_counter() - t0
     assert tested == 200
-    assert solves <= 17986, f"round-trip suite made {solves} solves"
+    assert len(halves) <= 17986, f"round-trip suite solved {len(halves)} halves"
     assert elapsed < 60.0, f"round-trip suite took {elapsed:.1f}s"
     report(f"criterion 6 (200 random non-degenerate games agree, {elapsed:.1f}s): PASS")
 

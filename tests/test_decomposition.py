@@ -21,7 +21,7 @@ from cpgames import (
     pad_to_square,
     verify_roundtrip,
 )
-from conftest import permute_columns
+from conftest import count_calls, permute_columns
 import cpgames.decomposition
 import cpgames.solver
 from cpgames.decomposition import _strip_padding, random_game, report_json
@@ -251,20 +251,8 @@ class TestPermutationScan:
         # Nash y half, and it builds no counterpart equilibrium.  So it solves
         # at most 5 and 49 halves here; reading the n! view and every
         # degeneracy witness solves the rest
-        solve = cpgames.solver.solve_linear
-        single = cpgames.decomposition._single_candidate
-        calls, singles = [], []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        def counting_single(*args, **kwargs):
-            singles.append(args)
-            return single(*args, **kwargs)
-
-        monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
-        monkeypatch.setattr(cpgames.decomposition, "_single_candidate", counting_single)
+        calls = count_calls(monkeypatch, cpgames.solver.HalfTable, "_solve")
+        singles = count_calls(monkeypatch, cpgames.decomposition, "_single_candidate")
         for n, g in ((4, random_game(random.Random(1), 4)), (5, _wide_game(0, 5))):
             assert not detect_degeneracy(g).degenerate
             calls.clear()
@@ -279,6 +267,17 @@ class TestPermutationScan:
             assert report.per_permutation and report.degeneracy.witnesses == ()
             assert singles
             assert len(calls) == bound, (n, len(calls))
+
+    def test_nondegenerate_decompose_eliminates_nothing(self, monkeypatch):
+        # a machine-independent work gate: every square half of a
+        # game whose bordered system is non-singular is read off its minors,
+        # so on these games decompose hands solve_linear no system
+        calls = count_calls(monkeypatch, cpgames.solver, "solve_linear")
+        for g in (random_game(random.Random(1), 4), _wide_game(0, 5)):
+            assert not detect_degeneracy(g).degenerate
+            calls.clear()
+            assert decompose(g, verify=True).agreement is True
+            assert calls == []
 
     def test_reconstructed_is_union_of_matched_pairs(self, all_games):
         # the covering argument: the union over permutations of the matched

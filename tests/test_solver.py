@@ -1,5 +1,6 @@
 """Support enumeration: equilibria, rest points, degeneracy detection."""
 
+import collections
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from cpgames import (
     EquilibriumCandidate,
@@ -33,6 +34,7 @@ from cpgames.cli import BUNDLED_GAMES, run_cli
 from cpgames.decomposition import random_game, report_json
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 from cpgames.solver import DegeneracyWitness, Half, HalfTable, SupportTable, _indifference
+from conftest import count_calls
 
 
 def F(s):
@@ -108,17 +110,10 @@ def seeded_game(rng, name):
                          mat(), mat())
 
 
-def count_solves(monkeypatch):
-    """Route `solver.solve_linear` through a counter; returns the call list."""
-    solve = cpgames.solver.solve_linear
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(cpgames.solver, "solve_linear", counting)
-    return calls
+def count_halves(monkeypatch):
+    """Route `HalfTable._solve` through a counter, one call per half solved;
+    returns the call list."""
+    return count_calls(monkeypatch, HalfTable, "_solve")
 
 
 def unpruned_enumeration(g):
@@ -357,8 +352,8 @@ class TestBimatrixEnumeration:
         # solves no half of a pair in which some action is weakly dominated
         # on the other side's support, and on random payoffs most larger
         # pairs hold one; of the pairs left, it reads an x half only after
-        # its pair's y half is unique, positive and Nash: 91 solves here
-        calls = count_solves(monkeypatch)
+        # its pair's y half is unique, positive and Nash: 91 halves here
+        calls = count_halves(monkeypatch)
         g = random_game(random.Random(3), 6)
         assert detect_degeneracy(g).degenerate
         calls.clear()
@@ -468,28 +463,97 @@ class TestHalfTable:
                 (UNIQUE, True, False, True), (UNIQUE, True, False, False),
                 (UNIQUE, True, True, True)} <= seen
 
+    def test_minor_halves_match_elimination_oracle(self):
+        # every half, equal and unequal sizes, against the elimination
+        # oracle, on matrices of 1-6 actions with small, rational and wide
+        # payoffs and forced duplicate or zero rows, or a dominant negative
+        # diagonal, whose diagonal halves are positive at every size; the
+        # square halves cover a singular bordered system (total = 0) and a
+        # singular M_rows,cols whose bordered system is not (total != 0,
+        # common payoff 0)
+        kinds = [st.integers(-3, 3), st.integers(-10**6, 10**6),
+                 st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))]
+        seen = set()
+
+        # not shrunk: each step would re-check thousands of halves of a 6x6
+        @settings(derandomize=True, database=None, deadline=None, max_examples=50,
+                  phases=[Phase.generate])
+        @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(kinds),
+               st.sampled_from(["", "duplicate", "zero", "diagonal"]), st.data())
+        def check(m, n, kind, force, data):
+            mat = [[Fraction(data.draw(kind)) for _ in range(n)] for _ in range(m)]
+            if force == "duplicate" and m > 1:
+                mat[-1] = list(mat[0])
+            elif force == "zero":
+                mat[-1] = [Fraction(0)] * n
+            elif force == "diagonal":
+                for i in range(min(m, n)):
+                    mat[i][i] -= 10**7
+            table = HalfTable(mat)
+            for k in range(1, m + 1):
+                for rows in itertools.combinations(range(m), k):
+                    for j in range(1, n + 1):
+                        for cols in itertools.combinations(range(n), j):
+                            half = table.get(rows, cols)
+                            assert half == reference_half(table, rows, cols), (mat, rows, cols)
+                            if k != j:
+                                continue
+                            if half.status != UNIQUE:
+                                seen.add("total = 0")
+                            elif solve_linear([[table.mat[r][c] for c in cols] for r in rows],
+                                              [0] * k).status != UNIQUE:
+                                seen.add("singular, total != 0")
+
+        check()
+        assert seen == {"total = 0", "singular, total != 0"}
+
+    def test_each_minor_computed_once(self, all_games, monkeypatch):
+        # a machine-independent work gate: the halves of one table share its
+        # minors, so reading every half of the bundled and seeded games, the
+        # degeneracy witnesses and the n! view expands no minor twice
+        rng = random.Random(77)
+        games = list(all_games.values()) + [random_game(rng, n) for n in (3, 4, 5, 5)]
+
+        def subsets(n):
+            return [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+
+        expanded = count_calls(monkeypatch, HalfTable, "_expand")
+        for g in games:
+            table = SupportTable(g)
+            report_json(decompose(g, table=table if g.is_square else None))
+            for rows, cols in itertools.product(subsets(g.n_rows), subsets(g.n_cols)):
+                table.y_half(rows, cols)
+                table.x_half(rows, cols)
+        assert len(expanded) > 1000
+        assert max(collections.Counter(expanded).values()) == 1
+        for table in {args[0] for args in expanded}:
+            assert len(table._minors) == sum(args[0] is table for args in expanded)
+
     def test_solve_linear_gets_integer_systems(self, all_games, monkeypatch):
         # exact solve_linear takes integer systems, so every system the
         # solver hands it, from every reader of the tables, has int entries;
         # leduc_empirical has decimal payoffs, the seeded games thirds and
-        # twentieths
+        # twentieths.  Square halves reach it only when singular, so the
+        # games in [-2/den, 2/den], full of ties, supply most of its systems
         rng = random.Random(31)
         games = list(all_games.values())
-        for den in (3, 20):
-            for i in range(15):
-                m, n = rng.randint(1, 4), rng.randint(1, 4)
-                a = [[Fraction(rng.randint(-20, 20), den) for _ in range(n)] for _ in range(m)]
-                b = [[Fraction(rng.randint(-20, 20), den) for _ in range(n)] for _ in range(m)]
-                games.append(make_bimatrix(f"den-{den}-{i}", [f"r{k}" for k in range(m)],
+        for r, den in ((20, 3), (20, 20), (2, 3), (2, 20)):
+            for i in range(15 if r == 20 else 10):
+                low = 1 if r == 20 else 2
+                m, n = rng.randint(low, 4), rng.randint(low, 4)
+                a = [[Fraction(rng.randint(-r, r), den) for _ in range(n)] for _ in range(m)]
+                b = [[Fraction(rng.randint(-r, r), den) for _ in range(n)] for _ in range(m)]
+                games.append(make_bimatrix(f"den-{den}-{r}-{i}", [f"r{k}" for k in range(m)],
                                            [f"c{k}" for k in range(n)], a, b))
-        calls = count_solves(monkeypatch)
+        halves = count_halves(monkeypatch)
+        calls = count_calls(monkeypatch, cpgames.solver, "solve_linear")
         for g in games:
             enumerate_nash_bimatrix(g)
             report_json(decompose(g))  # reads the witnesses and the n! view
             for cp in counterpart_games(pad_to_square(g)[0]):
                 enumerate_nash_single(cp)
                 enumerate_rest_points(cp)
-        assert len(calls) > 1000
+        assert len(halves) > 1000 and len(calls) > 1000
         for matrix, rhs in calls:
             assert all(type(v) is int for row in matrix for v in row), matrix
             assert all(type(v) is int for v in rhs), rhs
@@ -679,7 +743,7 @@ class TestDegeneracy:
         # a machine-independent work gate: the verdict on this degenerate
         # game reads 26 of its 138 halves, and the witnesses read the rest
         # without solving any half twice
-        calls = count_solves(monkeypatch)
+        calls = count_halves(monkeypatch)
         g = random_game(random.Random(5), 4)
         report = detect_degeneracy(g)
         assert report.degenerate

@@ -11,6 +11,7 @@ from cpgames import (
     UnsupportedDimension,
     ValidationError,
     counterpart_games,
+    enumerate_rest_points,
     export_csv,
     integrate,
     make_bimatrix,
@@ -21,6 +22,7 @@ from cpgames import (
 )
 from cpgames import viz
 from cpgames.viz import _bary_to_xy, _TRI
+from conftest import count_calls
 
 
 def marker_positions(svg, cls):
@@ -125,6 +127,28 @@ class TestSimplex:
         cp1, _ = counterpart_games(rps)
         spec = PlotSpec(kind="simplex", t_max=10.0)
         assert plot_simplex(cp1, spec) == plot_simplex(cp1, spec)
+
+    def test_array_starts_plot_as_list(self, rps):
+        # starts given as a numpy array plot the same bytes as the equal list
+        cp1, _ = counterpart_games(rps)
+        starts = [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]
+        as_list = plot_simplex(cp1, PlotSpec(kind="simplex", trajectory_starts=starts))
+        assert plot_simplex(cp1, PlotSpec(kind="simplex", trajectory_starts=np.array(starts))) == as_list
+        assert as_list.count('class="trajectory"') == 2
+
+    def test_only_nash_rest_points_classified(self, all_games, monkeypatch):
+        # a non-Nash rest point is marked rest_non_nash whatever its
+        # spectrum, so only the Nash ones are classified: 16 of the 38 rest
+        # points of the 8 bundled triangles
+        calls = count_calls(monkeypatch, viz, "classify_rest_point")
+        nash = total = 0
+        for g in all_games.values():
+            if g.n_rows == 3 or g.n_cols == 3:
+                for cp in counterpart_games(pad_to_square(g)[0]):
+                    plot_simplex(cp, PlotSpec(kind="simplex", trajectory_starts=None))
+                    rest = enumerate_rest_points(cp)
+                    nash, total = nash + sum(rp.is_nash for rp in rest), total + len(rest)
+        assert (len(calls), nash, total) == (16, 16, 38)
 
 
 class TestTrimRule:
