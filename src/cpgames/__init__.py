@@ -18,7 +18,6 @@ from .games import (
     BimatrixGame,
     MixedStrategy,
     PaddingRecord,
-    Permutation,
     SingleGame,
     counterpart_games,
     expected_payoffs,

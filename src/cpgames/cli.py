@@ -215,7 +215,7 @@ def _cmd_decompose(args) -> int:
     print(f"degenerate: {'true' if report.degeneracy.degenerate else 'false'}")
     print("permutation  cp1-eqs  cp2-eqs  matched")
     for entry in report.per_permutation:
-        print(f"{str(list(entry.permutation.mapping)):<12} {len(entry.cp1_equilibria):^8} "
+        print(f"{str(list(entry.permutation)):<12} {len(entry.cp1_equilibria):^8} "
               f"{len(entry.cp2_equilibria):^8} {len(entry.matched_pairs):^7}")
     print(f"reconstructed equilibria: {len(report.reconstructed)}")
     for i, c in enumerate(report.reconstructed, 1):

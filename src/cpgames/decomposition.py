@@ -13,9 +13,10 @@ depends only on that pair.  The union over sigma of the pairs (S, sigma(S))
 is the set of equal-size support pairs, which is exhaustive for
 non-degenerate games.  `decompose` therefore reads the solver's direct
 enumeration of the padded game, which scans those pairs, sum_k C(n, k)^2 of
-them, and verifies each matched pair once; the n! per-permutation view is
-expanded from the same `SupportTable` only when it is read.  The degeneracy
-report and the direct solution read that table too.
+them, and checks each matched pair once, on the original game; the n!
+per-permutation view is expanded from the same `SupportTable` only when it
+is read.  The degeneracy report and the direct solution read that table
+too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .games import (
     BimatrixGame,
     MixedStrategy,
     PaddingRecord,
-    Permutation,
     fraction_str,
     is_nash_bimatrix,
     make_bimatrix,
@@ -57,7 +57,7 @@ MAX_DECOMPOSE_ACTIONS = 5
 class PermutationAnalysis:
     """Counterpart equilibria and matched pairs for one column permutation."""
 
-    permutation: Permutation
+    permutation: tuple[int, ...]  # column j of the permuted game is column permutation[j]
     cp1_equilibria: tuple[EquilibriumCandidate, ...]
     cp2_equilibria: tuple[EquilibriumCandidate, ...]
     matched_pairs: tuple[EquilibriumCandidate, ...]  # padded coords, original column order
@@ -101,7 +101,7 @@ class DecompositionReport:
                 if yh.nash and xh.nash:
                     pairs.append(self.matched[(s, cols)])
             entries.append(PermutationAnalysis(
-                permutation=Permutation(mapping),
+                permutation=mapping,
                 cp1_equilibria=tuple(eqs1),
                 cp2_equilibria=tuple(eqs2),
                 matched_pairs=tuple(pairs),
@@ -111,19 +111,24 @@ class DecompositionReport:
 
 def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
                    padding: PaddingRecord) -> EquilibriumCandidate:
-    """The padded game's equilibrium `cand` as an equilibrium of `g`: dummy
-    coordinates (always the trailing indices of the padded side) are dropped,
-    and the result is verified exactly on `g`.  The supports, strictness and
-    payoffs are `cand`'s: the dummies carry no probability and are strictly
-    dominated, so no dummy is a best response either."""
-    rows0, cols0 = padding.original_dims
-    if any(p != 0 for p in cand.x.probs[rows0:] + cand.y.probs[cols0:]):
-        raise TheoremViolation("reconstructed candidate puts probability on a dummy action")
-    x = MixedStrategy(cand.x.probs[:rows0], "exact")
-    y = MixedStrategy(cand.y.probs[:cols0], "exact")
-    if not is_nash_bimatrix(g, x, y, tol=0.0):
-        raise TheoremViolation(f"candidate x={x.probs} y={y.probs} fails on the original game")
-    return replace(cand, x=x, y=y)
+    """The padded game's equilibrium `cand` as an equilibrium of `g`, checked
+    exactly on `g`: the one check of each reconstructed equilibrium.  When
+    `g` was padded, the dummy coordinates (always the trailing indices of the
+    padded side) must carry no probability and are dropped; the supports,
+    strictness and payoffs stay `cand`'s, since the dummies are strictly
+    dominated and so no best response either.  Passing on `g` is passing on
+    the padded game: with no mass on a dummy, each real action earns what it
+    earns in `g`, and each dummy earns the dummy payoff, which is less than
+    every real entry and so less than the equilibrium payoff."""
+    if padding.padded:
+        rows0, cols0 = padding.original_dims
+        if any(p != 0 for p in cand.x.probs[rows0:] + cand.y.probs[cols0:]):
+            raise TheoremViolation("reconstructed candidate puts probability on a dummy action")
+        cand = replace(cand, x=MixedStrategy(cand.x.probs[:rows0], "exact"),
+                       y=MixedStrategy(cand.y.probs[:cols0], "exact"))
+    if not is_nash_bimatrix(g, cand.x, cand.y, tol=0.0):
+        raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} fails on the original game")
+    return cand
 
 
 def decompose(g: BimatrixGame, verify: bool = True, *,
@@ -135,21 +140,24 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     (k, S, T).  A pair matches when both counterparts have an equilibrium on
     S under the permutations that map S to T, that is when both halves are
     unique, positive and Nash, which is exactly when the enumeration yields
-    the padded game's equilibrium on (S, T).  Each match is verified exactly
-    on the padded game; `reconstructed` holds the matches in that order with
-    the dummies stripped, verified again on `g`.  A failed verification
-    raises TheoremViolation since the counterpart correspondence guarantees
-    it cannot happen.  `per_permutation`, the n! view of the same matches,
-    is built only when first read.  With `verify` the direct
-    support-enumeration solution of `g` (equal-size supports only) is
-    computed as well and compared to set `agreement`.  That is not an
-    independent check of the correspondence: on a square game both sides are
-    one enumeration of one table, so `agreement` holds by construction, and
-    on a non-square game it compares the padded table's enumeration, dummies
-    stripped, with the unpadded one.  The correspondence itself is checked
+    the padded game's equilibrium on (S, T).  `reconstructed` holds the
+    matches in that order with the dummies stripped, each checked once,
+    exactly, on `g` (see `_strip_padding`).  A failed check raises
+    TheoremViolation since the counterpart correspondence guarantees it
+    cannot happen.  `per_permutation`, the n! view of the same matches, is
+    built only when first read.
+
+    With `verify`, `direct_solution` is the direct support enumeration of
+    `g` (equal-size supports only), and `agreement` says whether it holds
+    the same equilibria as `reconstructed`.  On a square game the padded
+    game is `g` and the reconstruction is that enumeration, so
+    `direct_solution` is `reconstructed`, no table is enumerated twice, and
+    `agreement` is True by construction.  On a non-square game `agreement`
+    is a real comparison: the padded table's enumeration, dummies stripped,
+    against the unpadded table's.  The correspondence itself is checked
     against the counterparts' own enumerations under every permutation by
-    `test_scan_matches_single_enumeration`.  `degeneracy` is the
-    padded game's report, which reads the padded table lazily (see
+    `test_scan_matches_single_enumeration`.  `degeneracy` is the padded
+    game's report, which reads the padded table lazily (see
     SupportTable.degeneracy).  `table`, a SupportTable of `g`, shares solved
     systems with other calls on the same game.
     """
@@ -160,18 +168,15 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     table = table or SupportTable(g)
     padded_table = table if padded is g else SupportTable(padded)
 
-    matched = {}  # (S, T) -> the padded game's equilibrium on it, in (k, S, T) order
-    for cand in enumerate_nash_bimatrix(padded, table=padded_table):
-        if not is_nash_bimatrix(padded, cand.x, cand.y, tol=0.0):
-            raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} "
-                                   "is not an equilibrium of the padded game")
-        matched[(cand.support_x, cand.support_y)] = cand
+    # (S, T) -> the padded game's equilibrium on it, in (k, S, T) order
+    matched = {(c.support_x, c.support_y): c
+               for c in enumerate_nash_bimatrix(padded, table=padded_table)}
     reconstructed = [_strip_padding(cand, g, padding) for cand in matched.values()]
 
     direct = None
     agreement = None
     if verify:
-        direct = enumerate_nash_bimatrix(g, table=table)
+        direct = reconstructed if padded is g else enumerate_nash_bimatrix(g, table=table)
         agreement = {c.key() for c in reconstructed} == {c.key() for c in direct}
 
     return DecompositionReport(
@@ -213,7 +218,8 @@ def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
     the reconstructed equilibrium set matches the direct solver on the rest.
     The games are square, so this reads `decompose`'s `agreement`, which
     holds by construction there (see `decompose`); it exercises the pipeline
-    and its exact verifications rather than testing the correspondence.
+    and its one exact check per equilibrium rather than testing the
+    correspondence.
     Stops at the first disagreement and reports it as a counterexample.
     Raises ValidationError for `trials` < 0 or `size` < 1, and TooLarge for
     `size` above MAX_DECOMPOSE_ACTIONS, before any game is drawn."""
@@ -278,7 +284,7 @@ def report_json(report: DecompositionReport) -> dict:
         "degeneracy": degeneracy_doc(report.degeneracy),
         "per_permutation": [
             {
-                "permutation": list(entry.permutation.mapping),
+                "permutation": list(entry.permutation),
                 "cp1_equilibria": [candidate_json(c) for c in entry.cp1_equilibria],
                 "cp2_equilibria": [candidate_json(c) for c in entry.cp2_equilibria],
                 "matched_pairs": [candidate_json(c) for c in entry.matched_pairs],

@@ -226,18 +226,6 @@ class MixedStrategy:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Bijection on 0..n-1, used to reorder one player's actions."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValidationError(f"{self.mapping!r} is not a permutation of 0..{n - 1}")
-
-
-@dataclass(frozen=True)
 class PaddingRecord:
     """How a non-square game was squared up with dominated dummy actions."""
 

@@ -4,50 +4,35 @@ All equilibrium and rest-point enumeration reduces to systems of at most
 seven equations.  `solve_linear` takes integer systems, which the solver's
 `HalfTable` builds from its payoff matrix scaled to integers once, and runs
 fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
-exact, so the work stays in Python integers.  A result keeps its particular
-solution as integer numerators over one positive denominator and makes
-`Fraction`s of them only when `solution` is first read, so a caller can
-decide signs and comparisons in integers.  The reduced row echelon form is
-unique, so the status, solution and null space equal those of `Fraction`
-elimination.  `HalfTable` reads every non-singular square system off its
-minors, so elimination serves the singular and the unequal-size systems,
-whose status and null space only it gives; there is no float path
-(`cpg solve --float` renders its digits in the CLI).
+exact, so the work stays in Python integers.  The reduced row echelon form
+is unique, so the status, solution and null space equal those of
+`Fraction` elimination.  `HalfTable` reads every non-singular system off
+its minors, so elimination serves the singular systems, whose status and
+null space only it gives; there is no float path (`cpg solve --float`
+renders its digits in the CLI).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 UNIQUE = "unique"
 INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-class LinearResult:
+class LinearResult(NamedTuple):
     """The solution structure of a linear system.
 
     `solution` is the unique solution or a particular one (free variables 0),
     None when the system is inconsistent; `nullspace` is a basis of the
-    homogeneous solutions, empty unless underdetermined.  A consistent
-    result keeps the particular solution as integer `numerators` over the
-    positive integer `denominator`, and makes `solution` of them on first
-    read.
+    homogeneous solutions, empty unless underdetermined.
     """
 
-    def __init__(self, status: str, nullspace: list[list],
-                 numerators: list[int] | None = None, denominator: int = 1):
-        self.status = status
-        self._solution = None
-        self.nullspace = nullspace
-        self.numerators = numerators
-        self.denominator = denominator
-
-    @property
-    def solution(self) -> list | None:
-        if self._solution is None and self.numerators is not None:
-            self._solution = [Fraction(v, self.denominator) for v in self.numerators]
-        return self._solution
+    status: str
+    solution: list | None
+    nullspace: list
 
 
 def solve_linear(matrix, rhs) -> LinearResult:
@@ -83,7 +68,7 @@ def solve_linear(matrix, rhs) -> LinearResult:
             break
 
     if any(aug[i][n] for i in range(r, m)):
-        return LinearResult(INCONSISTENT, [])
+        return LinearResult(INCONSISTENT, None, [])
     # Numerators over d: the particular solution (free variables 0), and one
     # null-space vector per free column.
     particular = [0] * n
@@ -97,6 +82,5 @@ def solve_linear(matrix, rhs) -> LinearResult:
             for row, c in zip(aug, pivot_cols):
                 vec[c] = -row[fc]
             nullspace.append([Fraction(v, d) for v in vec])
-    if d < 0:
-        particular, d = [-v for v in particular], -d
-    return LinearResult(UNDERDETERMINED if nullspace else UNIQUE, nullspace, particular, d)
+    return LinearResult(UNDERDETERMINED if nullspace else UNIQUE,
+                        [Fraction(v, d) for v in particular], nullspace)

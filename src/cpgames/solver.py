@@ -151,24 +151,21 @@ _NO_MIX = {status: Half(status, None, [], False) for status in (UNIQUE, INCONSIS
 
 
 class HalfTable:
-    """The y halves of one payoff matrix M by sorted support pair: every row
-    in `rows` earns the same payoff u against a column mix y on `cols`, and y
-    sums to one.  Each pair is solved once, on first read.
+    """The y halves of one payoff matrix M by sorted, equal-size support
+    pair: every row in `rows` earns the same payoff u against a column mix y
+    on `cols`, and y sums to one.  Each pair is solved once, on first read.
 
     M is scaled to integers once, here, by the common denominator of its
-    entries, which leaves every system's solutions unchanged; every system
-    handed to `solve_linear` is then integer, as it requires.
-    Positivity and the best-response facts are decided on the solution's
-    integer numerators over their positive common denominator, so only the
-    halves a reader keeps, positive or underdetermined ones, are made
-    `Fraction`s.
-
-    A square half (k rows, k columns) is read off the minors of M, each
-    computed once per table: with c_j = sum_i (-1)^(i+j) minor(rows - r_i,
-    cols - c_j), total = sum_j c_j is the determinant of its bordered
-    system, so total != 0 gives the unique half y = c / total, whose common
-    payoff is M_r . c / total for any r in rows.  Only a half with
-    total = 0, or of unequal sizes, goes to `solve_linear`.
+    entries, which leaves every system's solutions unchanged.  A half (k
+    rows, k columns) is read off the minors of M, each computed once per
+    table: with c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j),
+    total = sum_j c_j is the determinant of its bordered system, so
+    total != 0 gives the unique half y = c / total, whose common payoff is
+    M_r . c / total for any r in rows.  Positivity and the best responses
+    are decided on those integers, so of these halves only the positive
+    ones are made `Fraction`s.  A half with total = 0 is singular, so
+    inconsistent or underdetermined, and only it goes to `solve_linear`, as
+    an integer system.
 
     `undominated(cols)` answers, without solving anything, which rows can be
     best responses to a mix that is positive on `cols`: direct enumeration
@@ -242,32 +239,27 @@ class HalfTable:
         return det
 
     def _solve(self, rows, cols) -> Half:
-        if len(rows) == len(cols):
-            # c = adj(M_rows,cols) @ 1, and total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
-            rmask, cmask = _bits(rows), _bits(cols)
-            drop_rows = [(rmask ^ (1 << r), -1 if i % 2 else 1) for i, r in enumerate(rows)]
-            c = []
-            for j, col in enumerate(cols):
-                sub = cmask ^ (1 << col)
-                cj = sum(sign * self._minor(rm, sub) for rm, sign in drop_rows)
-                c.append(-cj if j % 2 else cj)
-            total = sum(c)
-            if total:
-                if total < 0:
-                    c, total = [-v for v in c], -total
-                if not all(v > 0 for v in c):
-                    return _NO_MIX[UNIQUE]
-                return self._mixed(rows, cols, c, total)
+        # c = adj(M_rows,cols) @ 1, and total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
+        rmask, cmask = _bits(rows), _bits(cols)
+        drop_rows = [(rmask ^ (1 << r), -1 if i % 2 else 1) for i, r in enumerate(rows)]
+        c = []
+        for j, col in enumerate(cols):
+            sub = cmask ^ (1 << col)
+            cj = sum(sign * self._minor(rm, sub) for rm, sign in drop_rows)
+            c.append(-cj if j % 2 else cj)
+        total = sum(c)
+        if total:
+            if total < 0:
+                c, total = [-v for v in c], -total
+            if not all(v > 0 for v in c):
+                return _NO_MIX[UNIQUE]
+            return self._mixed(rows, cols, c, total)
+        # a singular bordered system has no unique solution
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
         if res.status == INCONSISTENT:
             return _NO_MIX[INCONSISTENT]
-        y = res.numerators[:-1]  # y times the positive denominator
-        positive = all(v > 0 for v in y)
-        if res.status == UNDERDETERMINED:
-            return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
-        if not positive:
-            return _NO_MIX[UNIQUE]
-        return self._mixed(rows, cols, y, res.denominator)
+        return Half(UNDERDETERMINED, res.solution, res.nullspace,
+                    all(v > 0 for v in res.solution[:-1]))
 
     def _mixed(self, rows, cols, y, den) -> Half:
         """The unique positive half whose mix is the integers `y` over `den`."""

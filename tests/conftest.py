@@ -1,14 +1,13 @@
 import pytest
 
-from cpgames import BimatrixGame, Permutation, SizeMismatch
+from cpgames import BimatrixGame, SizeMismatch
 from cpgames.cli import load_game
 
 
-def permute_columns(g: BimatrixGame, perm: Permutation) -> BimatrixGame:
+def permute_columns(g: BimatrixGame, cols: tuple[int, ...]) -> BimatrixGame:
     """Reorder the column player's actions: column j of the result is column
-    perm.mapping[j] of the original, for payoffs and labels alike.  The
-    reference the n! scan's per-permutation view is compared against."""
-    cols = perm.mapping
+    cols[j] of the original, for payoffs and labels alike.  The reference
+    the n! scan's per-permutation view is compared against."""
     if len(cols) != g.n_cols:
         raise SizeMismatch(f"permutation of size {len(cols)} applied to {g.n_cols} columns")
     return BimatrixGame(

@@ -86,7 +86,7 @@ def test_criterion_3_extended_bos(bos_extended):
         ((F(0), F(1)), (F(0), F(0), F(1))),
         ((F("3/5"), F("2/5")), (F("2/5"), F(0), F("3/5"))),
     }
-    by_perm = {e.permutation.mapping: e for e in rep.per_permutation}
+    by_perm = {e.permutation: e for e in rep.per_permutation}
     assert profiles(by_perm[(0, 1, 2)].matched_pairs) == {
         ((F(1), F(0), F(0)), (F(1), F(0), F(0)))}
     swap_pairs = profiles(by_perm[(0, 2, 1)].matched_pairs)

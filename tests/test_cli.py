@@ -1,12 +1,14 @@
 """CLI behaviour: subcommands, exit codes, output determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cpgames import cli
+import cpgames.decomposition
+from cpgames import MixedStrategy, cli, is_nash_bimatrix, parse_game
 from cpgames.cli import main
 
 
@@ -100,7 +102,7 @@ class TestDecompose:
         monkeypatch.setattr("cpgames.decomposition.is_nash_bimatrix", lambda *a, **k: False)
         code, out, err = run(capsys, "decompose", "bos_extended")
         assert code == 4
-        assert err.startswith("error: theorem: ") and "padded game" in err
+        assert err.startswith("error: theorem: ") and "original game" in err
         assert out == ""
 
 
@@ -208,6 +210,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--trials", "15", "--size", "2", "--seed", "3")
         assert code == 0
         assert "pass (0 counterexamples)" in out
+
+    def test_disagreement_fails_with_counterexample(self, capsys, monkeypatch):
+        # a round trip whose decomposition disagrees with the direct solver
+        # stops there: exit 4, FAIL, and the game with both equilibrium
+        # lists as JSON, each equilibrium an exact profile of that game
+        decompose = cpgames.decomposition.decompose
+        monkeypatch.setattr(cpgames.decomposition, "decompose",
+                            lambda *a, **k: dataclasses.replace(decompose(*a, **k), agreement=False))
+        code, out, err = run(capsys, "verify", "--trials", "10", "--size", "2", "--seed", "5")
+        assert code == 4 and err == ""
+        head, _, body = out.partition("FAIL\n")
+        assert head.startswith("trials=10 size=2 seed=5\ntested=1 ")
+        doc = json.loads(body)
+        assert set(doc) == {"game", "reconstructed", "direct_solution"}
+        game = parse_game(json.dumps(doc["game"]))
+        assert doc["direct_solution"] and doc["direct_solution"] == doc["reconstructed"]
+        for eq in doc["direct_solution"]:
+            x, y = MixedStrategy.exact(eq["x"]), MixedStrategy.exact(eq["y"])
+            assert is_nash_bimatrix(game, x, y, tol=0.0)
 
     @pytest.mark.parametrize("argv", [("--trials", "-3"), ("--size", "0"), ("--size", "6")])
     def test_arguments_it_cannot_honour_exit_2(self, capsys, argv):

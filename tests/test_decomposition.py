@@ -9,7 +9,6 @@ import pytest
 from cpgames import (
     EquilibriumCandidate,
     MixedStrategy,
-    Permutation,
     TheoremViolation,
     TooLarge,
     counterpart_games,
@@ -51,7 +50,7 @@ def reconstruct_candidates(cp1_eqs, cp2_eqs, perm):
                 continue
             probs = [Fraction(0)] * len(y_cand.x)
             for j, p in enumerate(y_cand.x.probs):
-                probs[perm.mapping[j]] = p
+                probs[perm[j]] = p
             y = MixedStrategy(tuple(probs), "exact")
             out.append(EquilibriumCandidate(
                 x=x_cand.x, y=y,
@@ -65,22 +64,20 @@ class TestReconstruct:
     def test_bos_identity_full_support(self, bos):
         cp1, cp2 = counterpart_games(bos)
         cands = reconstruct_candidates(enumerate_nash_single(cp1),
-                                       enumerate_nash_single(cp2),
-                                       Permutation((0, 1)))
+                                       enumerate_nash_single(cp2), (0, 1))
         assert ((F("3/5"), F("2/5")), (F("2/5"), F("3/5"))) in profiles(cands)
 
     def test_fullsupport_identity(self, fullsupport):
         cp1, cp2 = counterpart_games(fullsupport)
         cands = reconstruct_candidates(enumerate_nash_single(cp1),
-                                       enumerate_nash_single(cp2),
-                                       Permutation((0, 1, 2)))
+                                       enumerate_nash_single(cp2), (0, 1, 2))
         # cross-pairs with unequal supports are rejected; only full x full matches
         assert profiles(cands) == {
             ((F("1/3"), F("1/3"), F("1/3")), (F("2/7"), F("3/7"), F("2/7")))}
 
     def test_extended_bos_swap_unpermutes(self, bos_extended):
         padded, _ = pad_to_square(bos_extended)
-        perm = Permutation((0, 2, 1))
+        perm = (0, 2, 1)
         gp = permute_columns(padded, perm)
         cp1, cp2 = counterpart_games(gp)
         cands = reconstruct_candidates(enumerate_nash_single(cp1),
@@ -95,7 +92,7 @@ class TestDecompose:
         report = decompose(bos_extended)
         assert report.agreement is True
         assert report.degeneracy.degenerate
-        by_perm = {entry.permutation.mapping: entry for entry in report.per_permutation}
+        by_perm = {entry.permutation: entry for entry in report.per_permutation}
         identity_pairs = profiles(by_perm[(0, 1, 2)].matched_pairs)
         assert identity_pairs == {((F(1), F(0), F(0)), (F(1), F(0), F(0)))}
         swap_pairs = profiles(by_perm[(0, 2, 1)].matched_pairs)
@@ -137,13 +134,13 @@ class TestDecompose:
 
     def test_permutation_invariance(self, fullsupport):
         base = profiles(decompose(fullsupport).reconstructed)
-        perm = Permutation((2, 0, 1))
+        perm = (2, 0, 1)
         permuted = permute_columns(fullsupport, perm)
         mapped = set()
         for x, y in profiles(decompose(permuted).reconstructed):
             y_orig = [None] * 3
             for j in range(3):
-                y_orig[perm.mapping[j]] = y[j]
+                y_orig[perm[j]] = y[j]
             mapped.add((x, tuple(y_orig)))
         assert mapped == base
 
@@ -202,6 +199,44 @@ class TestDecompose:
         assert len(doc["per_permutation"]) == 2
         eq = doc["reconstructed"][0]
         assert set(eq) == {"x", "y", "support_x", "support_y", "strict", "payoffs"}
+
+
+class TestEachStepOnce:
+    def test_one_enumeration_per_table_and_one_check_per_equilibrium(
+            self, bos, rps, bos_extended, monkeypatch):
+        # a machine-independent work gate: decompose(verify=True) checks each
+        # reconstructed equilibrium exactly once, on the game it is reported
+        # for, and enumerates each table once: a square game's one table, or
+        # a non-square game's padded and unpadded tables
+        checks = count_calls(monkeypatch, cpgames.decomposition, "is_nash_bimatrix")
+        enumerations = count_calls(monkeypatch, cpgames.decomposition, "enumerate_nash_bimatrix")
+        seeded = random_game(random.Random(1), 4)
+        assert not detect_degeneracy(seeded).degenerate
+        for g, tables in ((bos, 1), (rps, 1), (seeded, 1), (bos_extended, 2)):
+            checks.clear()
+            enumerations.clear()
+            report = decompose(g, verify=True)
+            assert report.agreement is True
+            assert len(enumerations) == tables, g.name
+            assert len(checks) == len(report.reconstructed) > 0, g.name
+            assert all(args[0] is g for args in checks), g.name
+
+    def test_unpadded_enumeration_that_drops_an_equilibrium_disagrees(
+            self, bos_extended, monkeypatch):
+        # on a non-square game `agreement` compares the padded table's
+        # enumeration with the unpadded one's, so it sees one of them lose
+        # an equilibrium
+        enumerate_padded = cpgames.decomposition.enumerate_nash_bimatrix
+
+        def drop_first_if_unpadded(game, **kwargs):
+            found = enumerate_padded(game, **kwargs)
+            return found if game.is_square else found[1:]
+
+        monkeypatch.setattr(cpgames.decomposition, "enumerate_nash_bimatrix",
+                            drop_first_if_unpadded)
+        report = decompose(bos_extended, verify=True)
+        assert len(report.reconstructed) == 3 and len(report.direct_solution) == 2
+        assert report.agreement is False
 
 
 class TestRoundtrip:
@@ -327,7 +362,7 @@ class TestSafetyChecks:
         # the correspondence guarantees every matched pair is an equilibrium;
         # a failed exact check is reported, never dropped
         monkeypatch.setattr("cpgames.decomposition.is_nash_bimatrix", lambda *a, **k: False)
-        with pytest.raises(TheoremViolation, match="padded game"):
+        with pytest.raises(TheoremViolation, match="original game"):
             decompose(bos, verify=False)
 
     def test_rejected_on_original_raises(self, bos_extended, monkeypatch):

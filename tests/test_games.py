@@ -10,7 +10,6 @@ from cpgames import (
     MixedStrategy,
     NotSquare,
     ParseError,
-    Permutation,
     SizeMismatch,
     ValidationError,
     counterpart_games,
@@ -149,7 +148,7 @@ class TestPadding:
 class TestPermutation:
     def test_extended_bos_swap_matches_tables(self, bos_extended):
         padded, _ = pad_to_square(bos_extended)
-        swapped = permute_columns(padded, Permutation((0, 2, 1)))
+        swapped = permute_columns(padded, (0, 2, 1))
         assert swapped.col_actions == ("O", "M", "R")
         assert [list(r) for r in swapped.row_payoffs] == [
             [3, 0, F("1/2")], [0, 2, F("1/2")], [-1, -1, -1]]
@@ -157,19 +156,19 @@ class TestPermutation:
             [2, 0, F("1/2")], [0, 3, F("11/20")], [-1, -1, -1]]
 
     def test_identity(self, bos):
-        assert permute_columns(bos, Permutation((0, 1))) == bos
+        assert permute_columns(bos, (0, 1)) == bos
 
     def test_inverse_restores(self):
         rng = random.Random(3)
         g = make_bimatrix("t", ["a", "b", "c"], ["d", "e", "f"],
                           [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)],
                           [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
-        perm, inverse = Permutation((2, 0, 1)), Permutation((1, 2, 0))
+        perm, inverse = (2, 0, 1), (1, 2, 0)
         assert permute_columns(permute_columns(g, perm), inverse) == g
 
     def test_size_mismatch(self, bos):
         with pytest.raises(SizeMismatch):
-            permute_columns(bos, Permutation((0, 2, 1)))
+            permute_columns(bos, (0, 2, 1))
 
 
 class TestCounterparts:
