@@ -36,7 +36,6 @@ from .games import (
     BimatrixGame,
     MixedStrategy,
     counterpart_games,
-    expected_payoffs,
     fraction_str,
     pad_to_square,
     parse_game,
@@ -165,13 +164,18 @@ def _float_mix(mat, rows, cols, exact: MixedStrategy) -> MixedStrategy:
 
 def _render_float(g: BimatrixGame, eqs) -> list:
     """The exact equilibria of `g` in float64, for `solve --float`: each mix
-    re-solved on its exact supports, the payoffs evaluated at the float mixes."""
-    a, bt = g.a_float().tolist(), g.b_float().T.tolist()
+    re-solved on its exact supports, the payoffs evaluated at the float mixes
+    as numpy products x @ A @ y."""
+    import numpy as np
+
+    a, b = (np.array(mat, dtype=np.float64) for mat in (g.row_payoffs, g.col_payoffs))
+    a_rows, bt_rows = a.tolist(), b.T.tolist()
     rendered = []
     for c in eqs:
-        x = _float_mix(bt, c.support_y, c.support_x, c.x)
-        y = _float_mix(a, c.support_x, c.support_y, c.y)
-        rendered.append(replace(c, x=x, y=y, payoffs=expected_payoffs(g, x, y)))
+        x = _float_mix(bt_rows, c.support_y, c.support_x, c.x)
+        y = _float_mix(a_rows, c.support_x, c.support_y, c.y)
+        xa, ya = np.array(x.probs), np.array(y.probs)
+        rendered.append(replace(c, x=x, y=y, payoffs=(float(xa @ a @ ya), float(xa @ b @ ya))))
     return rendered
 
 

@@ -5,8 +5,9 @@ Three views of the same game: the single-population field on one square
 matrix, the coupled two-population field on a bimatrix game, and the two
 decoupled counterpart fields.  `_system` turns a system name into one
 (dims, mats) pair, and the field, RK4, grids and the Jacobian that
-`stability` reads all evaluate that pair.  All dynamics run in float64;
-exact payoffs enter only through the initial matrix conversion.
+`stability` reads all evaluate that pair.  All dynamics run in float64:
+`_system` converts the exact payoffs once, and every state or start passes
+the float simplex rule of `games`.
 """
 
 from __future__ import annotations
@@ -17,49 +18,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainEscape, NotSquare, SizeMismatch, TooLarge, UnsupportedDimension, ValidationError
-from .games import BimatrixGame, MixedStrategy, SingleGame, counterpart_games
+from .games import BimatrixGame, MixedStrategy, SingleGame, _check_simplex, counterpart_games
 
 SYSTEMS = ("single", "coupled", "cp1", "cp2")
 CLAMP_EPS = 1e-12
 ESCAPE_EPS = 1e-9
-SIMPLEX_TOL = 1e-9
 # float64 values an RK4 record may hold, (steps // stride + 2) * K * N: 400 MB
 MAX_RECORD_VALUES = 50_000_000
 
 
 def _as_state(value, n: int, what: str) -> np.ndarray:
     if isinstance(value, MixedStrategy):
-        arr = value.as_floats()
-    else:
-        arr = np.asarray(value, dtype=np.float64)
+        value = value.probs
+    arr = np.asarray(value, dtype=np.float64)
     if arr.shape != (n,):
         raise SizeMismatch(f"{what} has {arr.shape[0] if arr.ndim == 1 else '?'} components, expected {n}")
     return arr
 
 
-def _check_simplex(arr: np.ndarray, what: str) -> None:
-    # NaN fails every comparison, so finiteness is checked first
-    if not np.isfinite(arr).all() or arr.min() < -SIMPLEX_TOL or abs(arr.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValidationError(f"{what} is not on the probability simplex: {arr.tolist()}")
-
-
 def _system(system: str, game):
     """Return (dims, mats) for a system name: one matrix M for a one-population
-    system, or (A, B) for the coupled system on the stacked state (x, y)."""
+    system, or (A, B) for the coupled system on the stacked state (x, y), as
+    float64 arrays of the exact payoffs."""
     if system == "single":
         if not isinstance(game, SingleGame):
             raise ValidationError("system 'single' needs a SingleGame")
-        return (game.n,), (game.m_float(),)
+        return (game.n,), (np.array(game.payoffs, dtype=np.float64),)
     if not isinstance(game, BimatrixGame):
         raise ValidationError(f"system {system!r} needs a BimatrixGame")
     if system == "coupled":
-        return (game.n_rows, game.n_cols), (game.a_float(), game.b_float())
+        return (game.n_rows, game.n_cols), (np.array(game.row_payoffs, dtype=np.float64),
+                                            np.array(game.col_payoffs, dtype=np.float64))
     if system in ("cp1", "cp2"):
         if not game.is_square:
             raise NotSquare("counterpart systems require a square game; pad first")
         cp1, cp2 = counterpart_games(game)
         s = cp1 if system == "cp1" else cp2
-        return (s.n,), (s.m_float(),)
+        return (s.n,), (np.array(s.payoffs, dtype=np.float64),)
     raise ValidationError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
 

@@ -1,7 +1,10 @@
 """Game data model: bimatrix and single-population games with exact payoffs.
 
 Payoffs are stored as `fractions.Fraction` so ties and equilibrium supports
-are decided exactly; only the dynamics layer works in float64.  Game files
+are decided exactly.  The module is pure Python: float64 arrays belong to
+the dynamics layer and the CLI's `--float` output, which build them from
+the payoffs themselves.  A float strategy goes through the same arithmetic
+as an exact one, since a Fraction times a float is a float.  Game files
 are JSON documents with payoff entries given as numbers (decimals convert
 exactly, 0.55 becomes 11/20) or as "p/q" strings.
 """
@@ -15,14 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import NotSquare, ParseError, SizeMismatch, ValidationError
 
 # Float-mode tolerances.  Well above RK4/linear-solve noise, far below any
 # payoff scale we care about.
 FLOAT_SUPPORT_EPS = 1e-9
 NASH_TOL_DEFAULT = 1e-9
+SIMPLEX_TOL = 1e-9
 
 _GAME_KEYS = ("name", "row_actions", "col_actions", "row_payoffs", "col_payoffs")
 _FRACTION_STR = re.compile(r"^-?\d+(/\d+)?$")
@@ -120,12 +122,6 @@ class BimatrixGame:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def a_float(self) -> np.ndarray:
-        return np.array(self.row_payoffs, dtype=np.float64)
-
-    def b_float(self) -> np.ndarray:
-        return np.array(self.col_payoffs, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class SingleGame:
@@ -145,9 +141,6 @@ class SingleGame:
     def n(self) -> int:
         return len(self.actions)
 
-    def m_float(self) -> np.ndarray:
-        return np.array(self.payoffs, dtype=np.float64)
-
 
 def make_bimatrix(name, row_actions, col_actions, row_payoffs, col_payoffs) -> BimatrixGame:
     """Build a validated BimatrixGame from any payoff-entry representation."""
@@ -160,13 +153,24 @@ def make_bimatrix(name, row_actions, col_actions, row_payoffs, col_payoffs) -> B
     )
 
 
+def _check_simplex(values, what: str) -> None:
+    """The one rule for a float vector on the simplex, shared by float
+    strategies and the dynamics' states: every entry finite, none below
+    -SIMPLEX_TOL, and the sum within SIMPLEX_TOL of 1."""
+    # a NaN or infinite entry makes the sum NaN or infinite, which fails the
+    # second comparison, so no separate finiteness check is needed
+    if not (min(values) >= -SIMPLEX_TOL and abs(sum(values) - 1.0) <= SIMPLEX_TOL):
+        raise ValidationError(f"{what} is not on the probability simplex: {[float(v) for v in values]}")
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
-    """Probability vector on a simplex, exact (Fraction) or float64 entries.
+    """Probability vector on a simplex, exact (Fraction) or float entries.
 
-    In float mode entries may carry roundoff: values in [-1e-12, 0) are
-    clamped to zero on construction and the total may differ from 1 by at
-    most 1e-9.  The support uses a 1e-9 threshold in float mode.
+    Exact entries must be nonnegative and sum to exactly 1.  Float entries
+    follow `_check_simplex`, the rule the dynamics apply to their states:
+    finite, none below -1e-9, summing to 1 within 1e-9.  Negative float
+    entries are then clamped to zero, and the support uses a 1e-9 threshold.
     """
 
     probs: tuple
@@ -189,15 +193,9 @@ class MixedStrategy:
             if total != den:
                 raise ValidationError(f"probabilities sum to {Fraction(total, den)}, expected 1")
         else:
-            clamped = []
-            for p in self.probs:
-                p = float(p)
-                if p < -1e-12:
-                    raise ValidationError(f"negative probability {p!r}")
-                clamped.append(0.0 if p < 0.0 else p)
-            if abs(sum(clamped) - 1.0) > 1e-9:
-                raise ValidationError(f"probabilities sum to {sum(clamped)!r}, expected 1")
-            object.__setattr__(self, "probs", tuple(clamped))
+            probs = tuple(float(p) for p in self.probs)
+            _check_simplex(probs, "strategy")
+            object.__setattr__(self, "probs", tuple(0.0 if p < 0.0 else p for p in probs))
 
     @classmethod
     def exact(cls, values: Iterable) -> "MixedStrategy":
@@ -214,9 +212,6 @@ class MixedStrategy:
         if self.mode == "exact":
             return tuple(i for i, p in enumerate(self.probs) if p > 0)
         return tuple(i for i, p in enumerate(self.probs) if p > FLOAT_SUPPORT_EPS)
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(p) for p in self.probs], dtype=np.float64)
 
     def to_jsonable(self) -> list:
         """JSON-ready vector: fraction strings in exact mode, floats otherwise."""
@@ -318,32 +313,23 @@ def pad_to_square(g: BimatrixGame) -> tuple[BimatrixGame, PaddingRecord]:
     """
     flat = [v for row in g.row_payoffs for v in row] + [v for row in g.col_payoffs for v in row]
     dummy = min(flat) - 1
-    diff = g.n_rows - g.n_cols
-    if diff == 0:
-        record = PaddingRecord("row", 0, dummy, (g.n_rows, g.n_cols))
+    n = max(g.n_rows, g.n_cols)
+    add_rows, add_cols = n - g.n_rows, n - g.n_cols
+    record = PaddingRecord("col" if add_cols else "row", add_rows + add_cols, dummy, (g.n_rows, g.n_cols))
+    if not record.padded:
         return g, record
-    if diff < 0:  # fewer rows: add dummy rows
-        count = -diff
-        labels = _dummy_labels(g.row_actions, count)
-        extra = tuple(tuple(dummy for _ in range(g.n_cols)) for _ in range(count))
-        padded = BimatrixGame(
-            name=g.name,
-            row_actions=g.row_actions + tuple(labels),
-            col_actions=g.col_actions,
-            row_payoffs=g.row_payoffs + extra,
-            col_payoffs=g.col_payoffs + extra,
-        )
-        return padded, PaddingRecord("row", count, dummy, (g.n_rows, g.n_cols))
-    count = diff  # fewer columns: add dummy columns
-    labels = _dummy_labels(g.col_actions, count)
+
+    def pad(mat):
+        return tuple(row + (dummy,) * add_cols for row in mat) + ((dummy,) * n,) * add_rows
+
     padded = BimatrixGame(
         name=g.name,
-        row_actions=g.row_actions,
-        col_actions=g.col_actions + tuple(labels),
-        row_payoffs=tuple(row + (dummy,) * count for row in g.row_payoffs),
-        col_payoffs=tuple(row + (dummy,) * count for row in g.col_payoffs),
+        row_actions=g.row_actions + tuple(_dummy_labels(g.row_actions, add_rows)),
+        col_actions=g.col_actions + tuple(_dummy_labels(g.col_actions, add_cols)),
+        row_payoffs=pad(g.row_payoffs),
+        col_payoffs=pad(g.col_payoffs),
     )
-    return padded, PaddingRecord("col", count, dummy, (g.n_rows, g.n_cols))
+    return padded, record
 
 
 def counterpart_games(g: BimatrixGame) -> tuple[SingleGame, SingleGame]:
@@ -380,12 +366,11 @@ def _dot(u, v):
 
 
 def expected_payoffs(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy):
-    """Return (x^T A y, x^T B y), exact when both strategies are exact."""
+    """Return (x^T A y, x^T B y): exact when both strategies are exact, and
+    Python floats otherwise.  The float values are summed left to right in
+    Python, so they may differ in the last bit from a numpy product."""
     if len(x) != g.n_rows or len(y) != g.n_cols:
         raise SizeMismatch("strategy dimensions do not match the game")
-    if _has_float(x, y):
-        xa, ya = x.as_floats(), y.as_floats()
-        return float(xa @ g.a_float() @ ya), float(xa @ g.b_float() @ ya)
     ay = _mat_vec(g.row_payoffs, y.probs)
     xb = _vec_mat(x.probs, g.col_payoffs)
     return _dot(x.probs, ay), _dot(xb, y.probs)
@@ -396,20 +381,18 @@ def is_nash_bimatrix(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy,
     """Check the equilibrium condition via pure deviations (sufficient by
     linearity): no row beats x against y, no column beats y against x.
 
-    `tol` only applies in float mode; exact strategies are compared exactly.
+    Exact and float strategies share one arithmetic path; a float strategy
+    turns the products into floats.  `tol` is added only when a strategy is
+    float; exact strategies are compared exactly.
     """
     if len(x) != g.n_rows or len(y) != g.n_cols:
         raise SizeMismatch("strategy dimensions do not match the game")
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    if _has_float(x, y):
-        xa, ya = x.as_floats(), y.as_floats()
-        a, b = g.a_float(), g.b_float()
-        ay = a @ ya
-        xb = xa @ b
-        return bool(ay.max() <= xa @ ay + tol and xb.max() <= xb @ ya + tol)
     ay = _mat_vec(g.row_payoffs, y.probs)
     xb = _vec_mat(x.probs, g.col_payoffs)
+    if _has_float(x, y):
+        return max(ay) <= _dot(x.probs, ay) + tol and max(xb) <= _dot(xb, y.probs) + tol
     return max(ay) <= _dot(x.probs, ay) and max(xb) <= _dot(xb, y.probs)
 
 
@@ -427,14 +410,14 @@ def is_strict_equilibrium(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
 
 
 def is_nash_single(s: SingleGame, x: MixedStrategy, tol: float = NASH_TOL_DEFAULT) -> bool:
-    """Single-population equilibrium check: no action beats x against x."""
+    """Single-population equilibrium check: no action beats x against x.
+    One arithmetic path as in `is_nash_bimatrix`; `tol` applies only to a
+    float strategy."""
     if len(x) != s.n:
         raise SizeMismatch("strategy dimension does not match the game")
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    if x.mode == "float":
-        xa = x.as_floats()
-        mx = s.m_float() @ xa
-        return bool(mx.max() <= xa @ mx + tol)
     mx = _mat_vec(s.payoffs, x.probs)
+    if _has_float(x):
+        return max(mx) <= _dot(x.probs, mx) + tol
     return max(mx) <= _dot(x.probs, mx)

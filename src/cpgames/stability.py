@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNash, NotRestPoint, ValidationError
-from .games import NASH_TOL_DEFAULT, BimatrixGame, MixedStrategy, is_nash_bimatrix, is_strict_equilibrium
+from .games import BimatrixGame, MixedStrategy, is_nash_bimatrix, is_strict_equilibrium
 from .dynamics import _jacobian, _parse_state, _system, _velocities
 
 REST_TOL = 1e-9
@@ -106,8 +106,7 @@ def two_species_ess_check(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
     """Two-species evolutionary stability via its strict-equilibrium
     characterization: true exactly for pure profiles where every unilateral
     deviation is strictly worse.  Requires a Nash equilibrium as input."""
-    tol = 0.0 if x.mode == "exact" and y.mode == "exact" else NASH_TOL_DEFAULT
-    if not is_nash_bimatrix(g, x, y, tol=tol):
+    if not is_nash_bimatrix(g, x, y):
         raise NotNash("two-species ESS check requires a Nash equilibrium")
     return is_strict_equilibrium(g, x, y)
 
@@ -133,9 +132,9 @@ def classify_rest_point(system: str, game, point, nash_status: bool) -> Stabilit
     if system == "coupled" and nash_status:
         x, y = point
         if not isinstance(x, MixedStrategy):
-            x = MixedStrategy.from_floats(np.asarray(x, dtype=float))
+            x = MixedStrategy.from_floats(x)
         if not isinstance(y, MixedStrategy):
-            y = MixedStrategy.from_floats(np.asarray(y, dtype=float))
+            y = MixedStrategy.from_floats(y)
         ess_pair = two_species_ess_check(game, x, y)
     return StabilityClassification(
         category=category,

@@ -112,8 +112,8 @@ def test_criterion_4_leduc(leduc):
     (eq,) = rep.reconstructed
     rounded_x = np.array([0.83, 0.0, 0.17])
     rounded_y = np.array([0.32, 0.0, 0.68])
-    assert np.abs(eq.x.as_floats() - rounded_x).max() <= 5e-3
-    assert np.abs(eq.y.as_floats() - rounded_y).max() <= 5e-3
+    assert np.abs(np.array(eq.x.probs, dtype=float) - rounded_x).max() <= 5e-3
+    assert np.abs(np.array(eq.y.probs, dtype=float) - rounded_y).max() <= 5e-3
     _, cp2 = counterpart_games(leduc)
     cp2_points = points(enumerate_nash_single(cp2))
     assert (F(1), F(0), F(0)) in cp2_points  # pure at D
@@ -220,12 +220,12 @@ def test_criterion_8_stability(all_games, bos, rps):
         square = g if g.is_square else pad_to_square(g)[0]
         for s in counterpart_games(square):
             for rp in enumerate_rest_points(s):
-                x = rp.point.as_floats()
+                x = np.array(rp.point.probs, dtype=float)
                 analytic = rd_jacobian("single", s, x)
                 oracle = fd(lambda z: rd_single_field(s, z), x)
                 assert np.abs(analytic - oracle).max() < 1e-5
         for c in enumerate_nash_bimatrix(g):
-            x, y = c.x.as_floats(), c.y.as_floats()
+            x, y = np.array(c.x.probs, dtype=float), np.array(c.y.probs, dtype=float)
             n = g.n_rows
 
             def coupled_flat(z):

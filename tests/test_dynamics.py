@@ -32,7 +32,8 @@ def reference_field(system, game):
     """The field as 1-D products on one state, the arithmetic that batched
     evaluation must reproduce bit for bit; returns (field, dims)."""
     if system == "coupled":
-        a, b, n = game.a_float(), game.b_float(), game.n_rows
+        a, b = np.array(game.row_payoffs, dtype=float), np.array(game.col_payoffs, dtype=float)
+        n = game.n_rows
 
         def f(s):
             x, y = s[:n], s[n:]
@@ -41,7 +42,7 @@ def reference_field(system, game):
 
         return f, (n, game.n_cols)
     cp1, cp2 = counterpart_games(game)
-    m = (cp1 if system == "cp1" else cp2).m_float()
+    m = np.array((cp1 if system == "cp1" else cp2).payoffs, dtype=float)
     return (lambda x: x * (m @ x - x @ (m @ x))), (m.shape[0],)
 
 

@@ -2,10 +2,15 @@
 
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cpgames
+import cpgames.dynamics
 from cpgames import (
     MixedStrategy,
     NotSquare,
@@ -228,6 +233,18 @@ class TestPayoffsAndNash:
         rps_cp1, _ = counterpart_games(rps)
         assert is_nash_single(rps_cp1, MixedStrategy.exact(["1/3", "1/3", "1/3"]))
 
+    def test_tol_applies_to_float_strategies_only(self, bos):
+        # y is 1e-10 off the mixed equilibrium, so the first row gains 2e-10
+        off = MixedStrategy.exact([F("2/5") + F("1/10000000000"), F("3/5") - F("1/10000000000")])
+        off_float = MixedStrategy.from_floats(float(p) for p in off.probs)
+        x = MixedStrategy.exact(["3/5", "2/5"])
+        cp1, _ = counterpart_games(bos)
+        assert not is_nash_bimatrix(bos, x, off) and not is_nash_single(cp1, off)
+        assert is_nash_bimatrix(bos, x, off_float) and is_nash_single(cp1, off_float)
+        assert not is_nash_bimatrix(bos, x, off_float, tol=0.0)
+        assert not is_nash_single(cp1, off_float, tol=0.0)
+        assert expected_payoffs(bos, x, off_float) == pytest.approx((1.2 + 1e-10, 1.2))
+
     def test_nash_invariant_under_affine_transform(self, bos):
         transformed = make_bimatrix(
             "t", bos.row_actions, bos.col_actions,
@@ -282,8 +299,56 @@ class TestMixedStrategy:
         with pytest.raises(ValidationError):
             MixedStrategy.from_floats([0.5, 0.5 + 1e-6])
 
+    @pytest.mark.parametrize("values, accepted", [
+        ([1.0 + 5e-10, -5e-10], True),  # negative entries down to -1e-9 are clamped
+        ([0.5, 0.5 + 9e-10], True),
+        ([1.0 + 2e-9, -2e-9], False),
+        ([0.5, 0.5 + 2e-9], False),
+        ([float("nan"), 1.0], False),
+        ([1.0, float("nan")], False),
+        ([float("inf"), 1.0], False),
+        ([float("-inf"), 1.0], False),
+    ])
+    def test_one_float_simplex_rule(self, values, accepted):
+        # a float strategy and a dynamics state accept the same vectors
+        for parse in (MixedStrategy.from_floats, lambda v: cpgames.dynamics._parse_state((2,), v)):
+            if accepted:
+                parse(values)
+            else:
+                with pytest.raises(ValidationError, match="not on the probability simplex"):
+                    parse(values)
+        if accepted and min(values) < 0.0:
+            assert min(MixedStrategy.from_floats(values).probs) == 0.0
+
     def test_support_threshold(self):
         exact = MixedStrategy.exact([1, 0])
         assert exact.support() == (0,)
         nearly = MixedStrategy.from_floats([1.0 - 1e-10, 1e-10])
         assert nearly.support() == (0,)
+
+
+# Blocks numpy, then imports the package's modules without running its
+# __init__ (which imports the dynamics), as a stand-in package on their path.
+_WITHOUT_NUMPY = """
+import sys, types
+from pathlib import Path
+sys.modules["numpy"] = None
+package = types.ModuleType("cpgames")
+package.__path__ = [sys.argv[1]]
+sys.modules["cpgames"] = package
+from cpgames import decomposition, games, linsolve, solver
+g = games.parse_game((Path(sys.argv[1]) / "data" / "bos_extended.json").read_text())
+report = decomposition.decompose(g, verify=True)
+assert report.agreement and len(report.reconstructed) == 3, report
+padded, _ = games.pad_to_square(g)
+assert all(solver.enumerate_rest_points(cp) for cp in games.counterpart_games(padded))
+assert sys.modules["numpy"] is None
+assert not [name for name in sys.modules if name.startswith("numpy.")]
+"""
+
+
+def test_exact_core_runs_without_numpy():
+    src = Path(cpgames.__file__).parent
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

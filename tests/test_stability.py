@@ -63,9 +63,9 @@ def bundled_rest_points(all_games):
         square = g if g.is_square else pad_to_square(g)[0]
         for s in counterpart_games(square):
             for rp in enumerate_rest_points(s):
-                singles.append((s, rp.point.as_floats()))
+                singles.append((s, np.array(rp.point.probs, dtype=float)))
         for c in enumerate_nash_bimatrix(g):
-            coupleds.append((g, c.x.as_floats(), c.y.as_floats()))
+            coupleds.append((g, np.array(c.x.probs, dtype=float), np.array(c.y.probs, dtype=float)))
     return singles, coupleds
 
 
@@ -90,7 +90,7 @@ class TestJacobianMatchesFiniteDifferences:
             for rp in enumerate_rest_points(s):
                 if rp.continuum:
                     continue
-                x = rp.point.as_floats()
+                x = np.array(rp.point.probs, dtype=float)
                 assert np.abs(rd_jacobian("single", s, x) - single_fd(s, x)).max() < 1e-5
                 checked += 1
 
@@ -106,7 +106,7 @@ class TestJacobianMatchesFiniteDifferences:
                               [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)],
                               [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
             for c in enumerate_nash_bimatrix(g):
-                x, y = c.x.as_floats(), c.y.as_floats()
+                x, y = np.array(c.x.probs, dtype=float), np.array(c.y.probs, dtype=float)
                 assert np.abs(rd_jacobian("coupled", g, (x, y)) - coupled_fd(g, x, y)).max() < 1e-5
                 checked[m, n] += 1
 
@@ -192,6 +192,27 @@ class TestClassification:
         with pytest.raises(ValidationError):
             rd_jacobian("single", cp1, [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("y, accepted", [
+        ((-5e-11, 1 + 5e-11), True),
+        ((-9e-10, 1 + 9e-10), True),
+        ((0.0, 1 + 5e-10), True),
+        ((-2e-9, 1 + 2e-9), False),
+        ((0.0, 1 + 2e-9), False),
+        ((float("nan"), 1.0), False),
+        ((float("inf"), 1.0), False),
+    ])
+    def test_classify_and_jacobian_share_the_simplex_rule(self, pd, y, accepted):
+        point = ((0.0, 1.0), y)  # at or near pd's (D, D)
+        if accepted:
+            rd_jacobian("coupled", pd, point)
+            cls = classify_rest_point("coupled", pd, point, True)
+            assert (cls.category, cls.two_species_ess) == ("ess_stable", True)
+            return
+        for call in (lambda: rd_jacobian("coupled", pd, point),
+                     lambda: classify_rest_point("coupled", pd, point, True)):
+            with pytest.raises(ValidationError, match="not on the probability simplex"):
+                call()
+
     def test_only_single_and_coupled_systems(self, bos):
         for system in ("cp1", "cp2", "other"):
             with pytest.raises(ValidationError, match="expected 'single' or 'coupled'"):
@@ -249,7 +270,7 @@ class TestEigenvalueInvariance:
             "t", tuple(cp1.actions[p] for p in perm),
             tuple(tuple(cp1.payoffs[perm[i]][perm[j]] for j in range(3)) for i in range(3)))
         for c in enumerate_nash_single(cp1):
-            x = c.x.as_floats()
+            x = np.array(c.x.probs, dtype=float)
             x_perm = np.array([x[p] for p in perm])
             eig_a = tangent_eigenvalues(rd_jacobian("single", cp1, x), (3,))
             eig_b = tangent_eigenvalues(rd_jacobian("single", relabeled, x_perm), (3,))
