@@ -3,8 +3,10 @@
 Payoffs are stored as `fractions.Fraction` so ties and equilibrium supports
 are decided exactly.  The module is pure Python: float64 arrays belong to
 the dynamics layer and the CLI's `--float` output, which build them from
-the payoffs themselves.  A float strategy goes through the same arithmetic
-as an exact one, since a Fraction times a float is a float.  Game files
+the payoffs themselves.  The equilibrium checks compare an exact profile
+in integers: each payoff matrix over its common denominator, scaled once
+per game, and each strategy over its own.  A float strategy keeps the
+Fraction-times-float arithmetic, with a tolerance.  Game files
 are JSON documents with payoff entries given as numbers (decimals convert
 exactly, 0.55 becomes 11/20) or as "p/q" strings.
 """
@@ -16,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import NotSquare, ParseError, SizeMismatch, ValidationError
@@ -72,6 +75,19 @@ def _payoff_json(value: Fraction):
     return fraction_str(value)
 
 
+def _integers(values) -> tuple[list[int], int]:
+    """(n, d): rationals as integer numerators n over their common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def integer_form(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, d): a rational matrix as the integer matrix N over the common
+    denominator d of its entries, so that the matrix is N / d."""
+    d = math.lcm(*(v.denominator for row in mat for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in mat), d
+
+
 def _freeze_matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(to_fraction(v) for v in row) for row in rows)
 
@@ -122,6 +138,16 @@ class BimatrixGame:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
+    # The integer forms (see `integer_form`), computed once per game and read
+    # by its support tables and its equilibrium checks.
+    @cached_property
+    def int_row_payoffs(self) -> tuple[tuple, int]:
+        return integer_form(self.row_payoffs)
+
+    @cached_property
+    def int_col_payoffs(self) -> tuple[tuple, int]:
+        return integer_form(self.col_payoffs)
+
 
 @dataclass(frozen=True)
 class SingleGame:
@@ -140,6 +166,11 @@ class SingleGame:
     @property
     def n(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def int_payoffs(self) -> tuple[tuple, int]:
+        """The payoffs' integer form, computed once per game."""
+        return integer_form(self.payoffs)
 
 
 def make_bimatrix(name, row_actions, col_actions, row_payoffs, col_payoffs) -> BimatrixGame:
@@ -187,11 +218,9 @@ class MixedStrategy:
                     raise ValidationError("exact strategy entries must be Fractions")
                 if p.numerator < 0:
                     raise ValidationError(f"negative probability {p}")
-            # the sum in integers over the common denominator
-            den = math.lcm(*(p.denominator for p in self.probs))
-            total = sum(p.numerator * (den // p.denominator) for p in self.probs)
-            if total != den:
-                raise ValidationError(f"probabilities sum to {Fraction(total, den)}, expected 1")
+            nums, den = _integers(self.probs)  # the sum in integers
+            if sum(nums) != den:
+                raise ValidationError(f"probabilities sum to {Fraction(sum(nums), den)}, expected 1")
         else:
             probs = tuple(float(p) for p in self.probs)
             _check_simplex(probs, "strategy")
@@ -381,19 +410,24 @@ def is_nash_bimatrix(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy,
     """Check the equilibrium condition via pure deviations (sufficient by
     linearity): no row beats x against y, no column beats y against x.
 
-    Exact and float strategies share one arithmetic path; a float strategy
-    turns the products into floats.  `tol` is added only when a strategy is
-    float; exact strategies are compared exactly.
+    Exact strategies are compared in integers, on the game alone, never a
+    solver table.  With A = N / d (the game's integer form), x = n / dx and
+    y = m / dy, no row beats x exactly when dx * max(N m) <= n . (N m), and
+    likewise for the columns in B; the scales d and dy cancel.  A float
+    strategy keeps the Fraction-times-float products on the payoffs
+    themselves, with `tol` added to the payoff of the profile.
     """
     if len(x) != g.n_rows or len(y) != g.n_cols:
         raise SizeMismatch("strategy dimensions do not match the game")
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    ay = _mat_vec(g.row_payoffs, y.probs)
-    xb = _vec_mat(x.probs, g.col_payoffs)
     if _has_float(x, y):
-        return max(ay) <= _dot(x.probs, ay) + tol and max(xb) <= _dot(xb, y.probs) + tol
-    return max(ay) <= _dot(x.probs, ay) and max(xb) <= _dot(xb, y.probs)
+        (nx, dx), (ny, dy), a, b = (x.probs, 1), (y.probs, 1), g.row_payoffs, g.col_payoffs
+    else:
+        (nx, dx), (ny, dy), tol = _integers(x.probs), _integers(y.probs), 0
+        a, b = g.int_row_payoffs[0], g.int_col_payoffs[0]
+    ay, xb = _mat_vec(a, ny), _vec_mat(nx, b)
+    return dx * max(ay) <= _dot(nx, ay) + tol and dy * max(xb) <= _dot(xb, ny) + tol
 
 
 def is_strict_equilibrium(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -> bool:
@@ -411,13 +445,15 @@ def is_strict_equilibrium(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
 
 def is_nash_single(s: SingleGame, x: MixedStrategy, tol: float = NASH_TOL_DEFAULT) -> bool:
     """Single-population equilibrium check: no action beats x against x.
-    One arithmetic path as in `is_nash_bimatrix`; `tol` applies only to a
-    float strategy."""
+    An exact strategy is compared in integers, a float one with `tol`, as in
+    `is_nash_bimatrix`."""
     if len(x) != s.n:
         raise SizeMismatch("strategy dimension does not match the game")
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    mx = _mat_vec(s.payoffs, x.probs)
     if _has_float(x):
-        return max(mx) <= _dot(x.probs, mx) + tol
-    return max(mx) <= _dot(x.probs, mx)
+        (nx, dx), m = (x.probs, 1), s.payoffs
+    else:
+        (nx, dx), m, tol = _integers(x.probs), s.int_payoffs[0], 0
+    mx = _mat_vec(m, nx)
+    return dx * max(mx) <= _dot(nx, mx) + tol

@@ -8,8 +8,9 @@ of a bimatrix game (A, B) has two halves: the y half makes the rows in `rows`
 indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
-status, solution, common payoff and the best responses counted in
-integers.  A square half is read off the integer minors its table shares
+status, positivity and the best responses, counted in integers, and the
+mix and common payoff as integers whose `Fraction` solution is built on
+first read.  A square half is read off the integer minors its table shares
 (Cramer's rule); only a singular one is eliminated.  Degeneracy detection
 and direct enumeration visit the equal-size pairs in one order, and the
 decomposition reads the direct enumeration of its padded game, so all of
@@ -31,13 +32,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import TooLarge
-from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, is_nash_single
+from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, integer_form, is_nash_single
 from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 
 MAX_ACTIONS = 6
@@ -123,21 +122,46 @@ def _equal_size_pairs(n_rows: int, n_cols: int):
                 yield rows, cols
 
 
-@functools.lru_cache(maxsize=1 << 12)  # a capped game has 2^MAX_ACTIONS index sets
+@functools.lru_cache(maxsize=1 << MAX_ACTIONS)  # the index sets of a capped game
 def _bits(indices: tuple[int, ...]) -> int:
     """The bitmask of a tuple of indices."""
     return sum(1 << i for i in indices)
 
 
-class Half(NamedTuple):
-    """The solved indifference system of one half of a support pair."""
+class Half:
+    """The solved indifference system of one half of a support pair; halves
+    compare equal field by field.  A unique positive half is made from its
+    integers: the mix c over total and the common payoff u over total times
+    the table's scale.  Its `solution` is built from them on first read."""
 
-    status: str
-    solution: list | None  # the mix in support order, then the common payoff
-    nullspace: list  # underdetermined systems only
-    positive: bool  # every in-support entry of `solution` is positive
-    best: int = 0  # unique and positive: rows earning the top payoff
-    nash: bool = False  # ... and the support rows are among them
+    __slots__ = ("status", "_solution", "nullspace", "positive", "best", "nash", "_integers")
+
+    def __init__(self, status, solution, nullspace, positive, best=0, nash=False, integers=None):
+        self.status = status
+        self._solution = solution
+        self.nullspace = nullspace  # underdetermined systems only
+        self.positive = positive  # every in-support entry of `solution` is positive
+        self.best = best  # unique and positive: rows earning the top payoff
+        self.nash = nash  # ... and the support rows are among them
+        self._integers = integers  # (c, total, u, scale) until `solution` is read
+
+    @property
+    def solution(self) -> list | None:
+        """The mix in support order, then the common payoff."""
+        if self._integers:
+            c, total, u, scale = self._integers
+            self._solution = [Fraction(v, total) for v in c] + [Fraction(u, total * scale)]
+            self._integers = None
+        return self._solution
+
+    def _fields(self) -> tuple:
+        return self.status, self.solution, self.nullspace, self.positive, self.best, self.nash
+
+    def __eq__(self, other):
+        return isinstance(other, Half) and self._fields() == other._fields()
+
+    def __repr__(self):
+        return f"Half{self._fields()!r}"
 
     @property
     def mixed(self) -> bool:
@@ -145,8 +169,10 @@ class Half(NamedTuple):
         return self.status == UNIQUE and self.positive
 
 
-# Shared halves without a mix: no reader needs a non-positive solution, and
-# not keeping one per entry keeps a 6x6 game's table near half a megabyte.
+# Shared halves without a mix: no reader needs a non-positive solution.  Not
+# keeping one per entry, nor a Fraction solution before it is read, keeps the
+# degenerate 6x6 game's table in tests/test_solver.py at 0.45 MB under
+# tracemalloc once its witnesses have read every half.
 _NO_MIX = {status: Half(status, None, [], False) for status in (UNIQUE, INCONSISTENT)}
 
 
@@ -155,15 +181,17 @@ class HalfTable:
     pair: every row in `rows` earns the same payoff u against a column mix y
     on `cols`, and y sums to one.  Each pair is solved once, on first read.
 
-    M is scaled to integers once, here, by the common denominator of its
-    entries, which leaves every system's solutions unchanged.  A half (k
-    rows, k columns) is read off the minors of M, each computed once per
-    table: with c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j),
-    total = sum_j c_j is the determinant of its bordered system, so
-    total != 0 gives the unique half y = c / total, whose common payoff is
-    M_r . c / total for any r in rows.  Positivity and the best responses
-    are decided on those integers, so of these halves only the positive
-    ones are made `Fraction`s.  A half with total = 0 is singular, so
+    M is the integer form of the payoffs: `mat` scaled by `scale`, the
+    common denominator of its entries (a game's cached integer form), or
+    scaled here when `scale` is None.  Scaling leaves every system's
+    solutions unchanged.  A half (k rows, k columns) is read off the minors
+    of M, each computed once per table: with
+    c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j), total = sum_j c_j
+    is the determinant of its bordered system, so total != 0 gives the
+    unique half y = c / total, whose common payoff is M_r . c / total for
+    any r in rows.  Positivity and the best responses are decided on those
+    integers, and a positive half keeps them: its `Fraction` solution is
+    built only when first read.  A half with total = 0 is singular, so
     inconsistent or underdetermined, and only it goes to `solve_linear`, as
     an integer system.
 
@@ -172,10 +200,9 @@ class HalfTable:
     reads it to skip pairs that cannot be Nash.
     """
 
-    def __init__(self, mat):
+    def __init__(self, mat, scale=None):
         self.entries: dict[tuple, Half] = {}
-        self.scale = math.lcm(*(v.denominator for row in mat for v in row))
-        self.mat = [[v.numerator * (self.scale // v.denominator) for v in row] for row in mat]
+        self.mat, self.scale = integer_form(mat) if scale is None else (mat, scale)
         self._undominated: dict[tuple, int] = {}
         self._minors: dict[tuple[int, int], int] = {}
 
@@ -261,13 +288,11 @@ class HalfTable:
         return Half(UNDERDETERMINED, res.solution, res.nullspace,
                     all(v > 0 for v in res.solution[:-1]))
 
-    def _mixed(self, rows, cols, y, den) -> Half:
-        """The unique positive half whose mix is the integers `y` over `den`."""
-        payoffs = [sum(row[j] * w for j, w in zip(cols, y)) for row in self.mat]
-        top = max(payoffs)
-        solution = [Fraction(v, den) for v in y]
-        solution.append(Fraction(payoffs[rows[0]], den * self.scale))
-        return Half(UNIQUE, solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
+    def _mixed(self, rows, cols, c, total) -> Half:
+        """The unique positive half whose mix is the integers `c` over `total`."""
+        payoffs = [sum(row[j] * w for j, w in zip(cols, c)) for row in self.mat]
+        top, u = max(payoffs), payoffs[rows[0]]
+        return Half(UNIQUE, None, [], True, payoffs.count(top), u == top, (c, total, u, self.scale))
 
 
 class SupportTable:
@@ -277,8 +302,9 @@ class SupportTable:
 
     def __init__(self, g: BimatrixGame):
         self.game = g
-        self._y = HalfTable(g.row_payoffs)
-        self._x = HalfTable(tuple(zip(*g.col_payoffs)))
+        b, scale = g.int_col_payoffs
+        self._y = HalfTable(*g.int_row_payoffs)
+        self._x = HalfTable(tuple(zip(*b)), scale)
 
     def y_half(self, rows, cols) -> Half:
         """Rows indifferent in A against the column mix on `cols`."""
@@ -425,7 +451,7 @@ def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
     visited, and equilibria reported, by (size, support).
     """
     _guard_single(s)
-    table = HalfTable(s.payoffs)
+    table = HalfTable(*s.int_payoffs)
     found = []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
@@ -467,7 +493,7 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     continuum midpoint is checked against the game.
     """
     _guard_single(s)
-    table = HalfTable(s.payoffs)
+    table = HalfTable(*s.int_payoffs)
     found = []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):

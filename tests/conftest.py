@@ -19,6 +19,23 @@ def permute_columns(g: BimatrixGame, cols: tuple[int, ...]) -> BimatrixGame:
     )
 
 
+def fraction_is_nash_bimatrix(g: BimatrixGame, x, y) -> bool:
+    """Oracle: the exact equilibrium check in `Fraction` arithmetic on the
+    payoffs themselves, max(A y) <= x.A y and max(x B) <= x B.y, as
+    `is_nash_bimatrix` did it before it compared integers."""
+    xs, ys = x.probs, y.probs
+    ay = [sum(a * q for a, q in zip(row, ys)) for row in g.row_payoffs]
+    xb = [sum(p * row[j] for p, row in zip(xs, g.col_payoffs)) for j in range(g.n_cols)]
+    return (max(ay) <= sum(p * v for p, v in zip(xs, ay))
+            and max(xb) <= sum(v * q for v, q in zip(xb, ys)))
+
+
+def fraction_is_nash_single(s, x) -> bool:
+    """Oracle: the single-population check max(M x) <= x.M x in `Fraction`s."""
+    mx = [sum(a * q for a, q in zip(row, x.probs)) for row in s.payoffs]
+    return max(mx) <= sum(p * v for p, v in zip(x.probs, mx))
+
+
 def count_calls(monkeypatch, owner, name):
     """Route `owner.name` through a recorder; returns the list of each
     call's positional arguments."""

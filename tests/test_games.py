@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cpgames
 import cpgames.dynamics
@@ -18,6 +19,8 @@ from cpgames import (
     SizeMismatch,
     ValidationError,
     counterpart_games,
+    enumerate_nash_bimatrix,
+    enumerate_nash_single,
     expected_payoffs,
     is_nash_bimatrix,
     is_nash_single,
@@ -27,7 +30,7 @@ from cpgames import (
     serialize_game,
     to_fraction,
 )
-from conftest import permute_columns
+from conftest import fraction_is_nash_bimatrix, fraction_is_nash_single, permute_columns
 
 
 def F(s):
@@ -244,6 +247,63 @@ class TestPayoffsAndNash:
         assert not is_nash_bimatrix(bos, x, off_float, tol=0.0)
         assert not is_nash_single(cp1, off_float, tol=0.0)
         assert expected_payoffs(bos, x, off_float) == pytest.approx((1.2 + 1e-10, 1.2))
+
+    def test_integer_checks_match_fraction_oracle(self):
+        # exact checks against the Fraction oracle: rational payoffs with
+        # negative entries, whose denominators differ between A and B, and
+        # strategies over mixed denominators; the enumerated equilibria of
+        # each game and of its padded counterparts, which are exact ties;
+        # and those equilibria with 1/10^9 moved between two entries
+        seen = set()
+        nudge = Fraction(1, 10**9)
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+        @given(st.integers(1, 4), st.integers(1, 4), st.data())
+        def check(m, n, data):
+            def matrix(dens):
+                entry = st.builds(Fraction, st.integers(-20, 20), st.sampled_from(dens))
+                return data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                          min_size=m, max_size=m))
+
+            def strategy(k):
+                weight = st.builds(Fraction, st.integers(0, 9), st.sampled_from([1, 2, 3, 7]))
+                w = data.draw(st.lists(weight, min_size=k, max_size=k))
+                w[0] += not any(w)
+                return MixedStrategy(tuple(v / sum(w) for v in w), "exact")
+
+            def nudged(s):
+                if len(s) == 1:
+                    return []
+                i = data.draw(st.sampled_from(s.support()))
+                j = data.draw(st.sampled_from([k for k in range(len(s)) if k != i]))
+                probs = list(s.probs)
+                probs[i], probs[j] = probs[i] - nudge, probs[j] + nudge
+                return [MixedStrategy(tuple(probs), "exact")]
+
+            g = make_bimatrix("prop", [f"r{k}" for k in range(m)], [f"c{k}" for k in range(n)],
+                              matrix([1, 2, 4]), matrix([1, 3, 5]))
+            profiles = [("random", strategy(m), strategy(n))]
+            for c in enumerate_nash_bimatrix(g):
+                profiles.append(("equilibrium", c.x, c.y))
+                profiles += [("nudged", x, c.y) for x in nudged(c.x)]
+                profiles += [("nudged", c.x, y) for y in nudged(c.y)]
+            for kind, x, y in profiles:
+                verdict = is_nash_bimatrix(g, x, y)
+                assert verdict == fraction_is_nash_bimatrix(g, x, y), (g, x, y)
+                seen.add(("bimatrix", kind, verdict))
+            for cp in counterpart_games(pad_to_square(g)[0]):
+                points = [("random", strategy(cp.n))]
+                for c in enumerate_nash_single(cp):
+                    points += [("equilibrium", c.x)] + [("nudged", x) for x in nudged(c.x)]
+                for kind, x in points:
+                    verdict = is_nash_single(cp, x)
+                    assert verdict == fraction_is_nash_single(cp, x), (cp, x)
+                    seen.add(("single", kind, verdict))
+
+        check()
+        assert seen == {(fn, kind, verdict) for fn in ("bimatrix", "single")
+                        for kind in ("random", "nudged") for verdict in (True, False)
+                        } | {("bimatrix", "equilibrium", True), ("single", "equilibrium", True)}
 
     def test_nash_invariant_under_affine_transform(self, bos):
         transformed = make_bimatrix(

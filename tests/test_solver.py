@@ -502,6 +502,24 @@ class TestHalfTable:
         check()
         assert seen == {"total = 0", "singular, total != 0"}
 
+    def test_solutions_built_on_first_read(self):
+        # a machine-independent work gate: the verdict and its witnesses read
+        # no half's solution, so the table builds none; decompose then builds
+        # exactly the two halves' solutions of each reconstructed equilibrium
+        g = random_game(random.Random(1), 4)
+        table = SupportTable(g)
+
+        def built(halves):
+            return {key for key, half in halves.entries.items() if half._solution is not None}
+
+        assert detect_degeneracy(g, table=table).witnesses == ()
+        assert sum(h.mixed for h in table._y.entries.values()) > 30
+        assert built(table._y) == built(table._x) == set()
+        pairs = {(c.support_x, c.support_y) for c in decompose(g, table=table).reconstructed}
+        assert len(pairs) == 1
+        assert built(table._y) == pairs
+        assert built(table._x) == {(cols, rows) for rows, cols in pairs}
+
     def test_each_minor_computed_once(self, all_games, monkeypatch):
         # a machine-independent work gate: the halves of one table share its
         # minors, so reading every equal-size half of the bundled and seeded
