@@ -76,16 +76,22 @@ def _payoff_json(value: Fraction):
 
 
 def _integers(values) -> tuple[list[int], int]:
-    """(n, d): rationals as integer numerators n over their common denominator d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    """(n, d): rationals as integer numerators n over their common denominator
+    d.  Each entry's ratio is read once, and integer entries (d = 1) are
+    their numerators."""
+    nums, dens = zip(*[v.as_integer_ratio() for v in values])
+    d = math.lcm(*dens)
+    if d == 1:
+        return list(nums), 1
+    return [p * (d // q) for p, q in zip(nums, dens)], d
 
 
 def integer_form(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, d): a rational matrix as the integer matrix N over the common
     denominator d of its entries, so that the matrix is N / d."""
-    d = math.lcm(*(v.denominator for row in mat for v in row))
-    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in mat), d
+    n = len(mat[0])
+    nums, d = _integers([v for row in mat for v in row])
+    return tuple(tuple(nums[i:i + n]) for i in range(0, len(nums), n)), d
 
 
 def _freeze_matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:

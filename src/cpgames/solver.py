@@ -171,8 +171,9 @@ class Half:
 
 # Shared halves without a mix: no reader needs a non-positive solution.  Not
 # keeping one per entry, nor a Fraction solution before it is read, keeps the
-# degenerate 6x6 game's table in tests/test_solver.py at 0.45 MB under
-# tracemalloc once its witnesses have read every half.
+# table of the degenerate 6x6 game random_game(Random(3), 6) at 0.546 MB
+# under tracemalloc (Python 3.11) once its witnesses have read every half.
+# Of that, each HalfTable's minor store is a fixed 8 * 4**6 bytes, 32 KiB.
 _NO_MIX = {status: Half(status, None, [], False) for status in (UNIQUE, INCONSISTENT)}
 
 
@@ -185,7 +186,10 @@ class HalfTable:
     common denominator of its entries (a game's cached integer form), or
     scaled here when `scale` is None.  Scaling leaves every system's
     solutions unchanged.  A half (k rows, k columns) is read off the minors
-    of M, each computed once per table: with
+    of M, each computed once per table and kept in one flat list: with
+    shift the larger side of M, the minor on the rows of bitmask rmask and
+    the columns of cmask is at rmask << shift | cmask, and slot 0 holds the
+    empty minor, 1.  With
     c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j), total = sum_j c_j
     is the determinant of its bordered system, so total != 0 gives the
     unique half y = c / total, whose common payoff is M_r . c / total for
@@ -204,7 +208,9 @@ class HalfTable:
         self.entries: dict[tuple, Half] = {}
         self.mat, self.scale = integer_form(mat) if scale is None else (mat, scale)
         self._undominated: dict[tuple, int] = {}
-        self._minors: dict[tuple[int, int], int] = {}
+        self._shift = shift = max(len(self.mat), len(self.mat[0]))
+        self._minors: list[int | None] = [None] * (1 << 2 * shift)
+        self._minors[0] = 1
 
     @functools.cached_property
     def _beats(self) -> list[tuple[int, int, int]]:
@@ -242,44 +248,55 @@ class HalfTable:
             half = self.entries[(rows, cols)] = self._solve(rows, cols)
         return half
 
-    def _minor(self, rmask: int, cmask: int) -> int:
-        """The determinant of M on the rows and columns of two equal-size
-        bitmasks, by Laplace expansion along the lowest row; each is
-        computed once and kept."""
-        det = self._minors.get((rmask, cmask))
-        if det is None:
-            det = self._minors[(rmask, cmask)] = self._expand(rmask, cmask)
-        return det
-
     def _expand(self, rmask: int, cmask: int) -> int:
-        if not rmask:
-            return 1
+        """The determinant of M on the rows and columns of two equal-size,
+        non-empty bitmasks, by Laplace expansion along the lowest row; it is
+        stored, and the minors it reads are expanded only when missing."""
+        minors, shift = self._minors, self._shift
         low = rmask & -rmask
         row, rest = self.mat[low.bit_length() - 1], rmask ^ low
-        det, sign, bits = 0, 1, cmask
+        base, det, odd, bits = rest << shift, 0, False, cmask
         while bits:
             bit = bits & -bits
             v = row[bit.bit_length() - 1]
             if v:
-                det += sign * v * self._minor(rest, cmask ^ bit)
-            sign, bits = -sign, bits ^ bit
+                sub = minors[base | cmask ^ bit]
+                if sub is None:
+                    sub = self._expand(rest, cmask ^ bit)
+                if odd:
+                    det -= v * sub
+                else:
+                    det += v * sub
+            odd, bits = not odd, bits ^ bit
+        minors[rmask << shift | cmask] = det
         return det
 
     def _solve(self, rows, cols) -> Half:
         # c = adj(M_rows,cols) @ 1, and total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
+        minors, shift = self._minors, self._shift
         rmask, cmask = _bits(rows), _bits(cols)
-        drop_rows = [(rmask ^ (1 << r), -1 if i % 2 else 1) for i, r in enumerate(rows)]
-        c = []
-        for j, col in enumerate(cols):
-            sub = cmask ^ (1 << col)
-            cj = sum(sign * self._minor(rm, sub) for rm, sign in drop_rows)
-            c.append(-cj if j % 2 else cj)
-        total = sum(c)
+        c, total, odd_col = [], 0, False
+        for col in cols:
+            sub, cj, odd = cmask ^ (1 << col), 0, odd_col
+            for r in rows:
+                rm = rmask ^ (1 << r)
+                det = minors[rm << shift | sub]
+                if det is None:
+                    det = self._expand(rm, sub)
+                if odd:
+                    cj -= det
+                else:
+                    cj += det
+                odd = not odd
+            c.append(cj)
+            total += cj
+            odd_col = not odd_col
         if total:
             if total < 0:
                 c, total = [-v for v in c], -total
-            if not all(v > 0 for v in c):
-                return _NO_MIX[UNIQUE]
+            for v in c:
+                if v <= 0:
+                    return _NO_MIX[UNIQUE]
             return self._mixed(rows, cols, c, total)
         # a singular bordered system has no unique solution
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
@@ -290,7 +307,13 @@ class HalfTable:
 
     def _mixed(self, rows, cols, c, total) -> Half:
         """The unique positive half whose mix is the integers `c` over `total`."""
-        payoffs = [sum(row[j] * w for j, w in zip(cols, c)) for row in self.mat]
+        weights = list(zip(cols, c))
+        payoffs = []
+        for row in self.mat:
+            p = 0
+            for j, w in weights:
+                p += row[j] * w
+            payoffs.append(p)
         top, u = max(payoffs), payoffs[rows[0]]
         return Half(UNIQUE, None, [], True, payoffs.count(top), u == top, (c, total, u, self.scale))
 

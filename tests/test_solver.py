@@ -542,7 +542,42 @@ class TestHalfTable:
         assert len(expanded) > 1000
         assert max(collections.Counter(expanded).values()) == 1
         for table in {args[0] for args in expanded}:
-            assert len(table._minors) == sum(args[0] is table for args in expanded)
+            stored = sum(det is not None for det in table._minors) - 1  # less the empty minor
+            assert stored == sum(args[0] is table for args in expanded)
+
+    def test_wide_and_tall_tables(self):
+        # the minor store is indexed by the larger side of the matrix, so a
+        # store sized by one side alone goes wrong on the other orientation:
+        # every equal-size half of 1x6, 6x1, 2x5 and 5x2 matrices with tied
+        # and zero entries against the elimination oracle, and enumeration
+        # and the degeneracy witnesses of a 2x6 and a 6x2 game, whose halves
+        # are checked against the oracle too
+        rng = random.Random(19)
+        for m, n in ((1, 6), (6, 1), (2, 5), (5, 2)):
+            for _ in range(5):
+                mat = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+                table = HalfTable(mat)
+                for k in range(1, min(m, n) + 1):
+                    for rows in itertools.combinations(range(m), k):
+                        for cols in itertools.combinations(range(n), k):
+                            assert table.get(rows, cols) == reference_half(table, rows, cols), mat
+        a = [[1, -1, 0, 2, 0, 1], [-1, 1, 0, -2, 1, 1]]
+        b = [[-1, 1, 0, -1, -2, 1], [1, -1, 0, -1, 1, -3]]
+        half, zero = F("1/2"), F(0)
+        mixed = ((half, half), (half, half) + (zero,) * 4)
+        for g, profile in ((_matrix_game("wide", a, b), mixed),
+                           (_matrix_game("tall", [list(c) for c in zip(*b)], [list(c) for c in zip(*a)]),
+                            mixed[::-1])):
+            table = SupportTable(g)
+            eqs = enumerate_nash_bimatrix(g, table=table)
+            assert eqs == unpruned_enumeration(g)
+            assert profile in profiles(eqs) and len(eqs) == 3
+            assert all(is_nash_bimatrix(g, c.x, c.y) for c in eqs)
+            witnesses = detect_degeneracy(g, table=table).witnesses
+            assert len(witnesses) == 17 and witnesses == reference_witnesses(table)
+            for halves in (table._y, table._x):
+                for (rows, cols), got in halves.entries.items():
+                    assert got == reference_half(halves, rows, cols), (g.name, rows, cols)
 
     def test_solve_linear_gets_integer_systems(self, all_games, monkeypatch):
         # exact solve_linear takes integer systems, so every system the
