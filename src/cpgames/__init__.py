@@ -6,7 +6,6 @@ from .errors import (
     DomainEscape,
     NotNash,
     NotRestPoint,
-    NotSquare,
     ParseError,
     SizeMismatch,
     TheoremViolation,

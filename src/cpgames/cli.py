@@ -23,7 +23,6 @@ from .errors import (
     DomainEscape,
     NotNash,
     NotRestPoint,
-    NotSquare,
     ParseError,
     SizeMismatch,
     TheoremViolation,
@@ -37,7 +36,6 @@ from .games import (
     MixedStrategy,
     counterpart_games,
     fraction_str,
-    pad_to_square,
     parse_game,
     serialize_single,
 )
@@ -56,8 +54,8 @@ EXIT_THEOREM = 4
 
 _FLOAT_PIVOT_EPS = 1e-11
 
-_INPUT_ERRORS = (ParseError, ValidationError, SizeMismatch, NotSquare, TooLarge,
-                 UnsupportedDimension, NotNash, OSError)
+_INPUT_ERRORS = (ParseError, ValidationError, SizeMismatch, TooLarge, UnsupportedDimension,
+                 NotNash, OSError)
 _NUMERIC_ERRORS = (DomainEscape, NotRestPoint)
 
 
@@ -82,9 +80,10 @@ class _Parser(argparse.ArgumentParser):
 
 def load_game(spec: str) -> BimatrixGame:
     """Load a game from a file path, or from the bundled set by name.  An
-    existing file wins over a bundled game of the same name."""
+    existing file wins over a bundled game of the same name; a directory
+    does not."""
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return parse_game(path.read_text(encoding="utf-8"))
     name = spec[:-5] if spec.endswith(".json") else spec
     if name in BUNDLED_GAMES:
@@ -195,12 +194,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterparts(args) -> int:
-    g = load_game(args.game)
-    padded, _ = pad_to_square(g)
-    cp1, cp2 = counterpart_games(padded)
+    cp1, cp2 = counterpart_games(load_game(args.game))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = Path(args.game).stem if Path(args.game).exists() else args.game.removesuffix(".json")
+    base = Path(args.game).stem if Path(args.game).is_file() else args.game.removesuffix(".json")
     for tag, cp in (("cp1", cp1), ("cp2", cp2)):
         path = out / f"{base}_{tag}.json"
         path.write_text(serialize_single(cp), encoding="utf-8")
@@ -235,10 +232,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_restpoints(args) -> int:
-    g = load_game(args.game)
-    padded, _ = pad_to_square(g)
-    cp1, cp2 = counterpart_games(padded)
-    s = cp1 if args.counterpart == 1 else cp2
+    s = counterpart_games(load_game(args.game))[args.counterpart - 1]
     points = enumerate_rest_points(s)
     print(f"{s.name}: {len(points)} rest points")
     for i, rp in enumerate(points, 1):
@@ -253,12 +247,7 @@ def _cmd_restpoints(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     g = load_game(args.game)
-    if args.system == "coupled":
-        dims = (g.n_rows, g.n_cols)
-    else:
-        padded, _ = pad_to_square(g)
-        dims = (padded.n_rows,)
-        g = padded
+    dims = (g.n_rows, g.n_cols) if args.system == "coupled" else (max(g.n_rows, g.n_cols),)
     init = _parse_init(args.init, dims)
     traj = integrate(args.system, g, init, dt=args.dt, t_max=args.t_max)
     Path(args.out).write_text(export_csv(traj), encoding="utf-8")
@@ -274,9 +263,7 @@ def _cmd_plot(args) -> int:
                         trajectory_starts=_parse_plot_starts(starts, (g.n_rows, g.n_cols)))
         svg = plot_unit_square(g, spec)
     else:
-        padded, _ = pad_to_square(g)
-        cp1, cp2 = counterpart_games(padded)
-        s = cp1 if args.kind == "cp1" else cp2
+        s = counterpart_games(g)[args.kind == "cp2"]
         spec = PlotSpec(kind="simplex", grid_resolution=args.grid,
                         trajectory_starts=_parse_plot_starts(starts, (s.n,)))
         svg = plot_simplex(s, spec)

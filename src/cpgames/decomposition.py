@@ -154,7 +154,8 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     `direct_solution` is `reconstructed`, no table is enumerated twice, and
     `agreement` is True by construction.  On a non-square game `agreement`
     is a real comparison: the padded table's enumeration, dummies stripped,
-    against the unpadded table's.  The correspondence itself is checked
+    against the unpadded table's, which only this comparison reads (or
+    builds, when no `table` is given).  The correspondence itself is checked
     against the counterparts' own enumerations under every permutation by
     `test_scan_matches_single_enumeration`.  `degeneracy` is the padded
     game's report, which reads the padded table lazily (see
@@ -165,8 +166,7 @@ def decompose(g: BimatrixGame, verify: bool = True, *,
     n = padded.n_rows
     if n > MAX_DECOMPOSE_ACTIONS:
         raise TooLarge(f"decomposition capped at {MAX_DECOMPOSE_ACTIONS} actions after padding, got {n}")
-    table = table or SupportTable(g)
-    padded_table = table if padded is g else SupportTable(padded)
+    padded_table = (table or SupportTable(g)) if padded is g else SupportTable(padded)
 
     # (S, T) -> the padded game's equilibrium on it, in (k, S, T) order
     matched = {(c.support_x, c.support_y): c

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscape, NotSquare, SizeMismatch, TooLarge, UnsupportedDimension, ValidationError
+from .errors import DomainEscape, SizeMismatch, TooLarge, UnsupportedDimension, ValidationError
 from .games import BimatrixGame, MixedStrategy, SingleGame, _check_simplex, counterpart_games
 
 SYSTEMS = ("single", "coupled", "cp1", "cp2")
@@ -39,7 +39,8 @@ def _as_state(value, n: int, what: str) -> np.ndarray:
 def _system(system: str, game):
     """Return (dims, mats) for a system name: one matrix M for a one-population
     system, or (A, B) for the coupled system on the stacked state (x, y), as
-    float64 arrays of the exact payoffs."""
+    float64 arrays of the exact payoffs.  A counterpart system ("cp1",
+    "cp2") of a non-square game is that of its padded game."""
     if system == "single":
         if not isinstance(game, SingleGame):
             raise ValidationError("system 'single' needs a SingleGame")
@@ -50,10 +51,7 @@ def _system(system: str, game):
         return (game.n_rows, game.n_cols), (np.array(game.row_payoffs, dtype=np.float64),
                                             np.array(game.col_payoffs, dtype=np.float64))
     if system in ("cp1", "cp2"):
-        if not game.is_square:
-            raise NotSquare("counterpart systems require a square game; pad first")
-        cp1, cp2 = counterpart_games(game)
-        s = cp1 if system == "cp1" else cp2
+        s = counterpart_games(game)[system == "cp2"]
         return (s.n,), (np.array(s.payoffs, dtype=np.float64),)
     raise ValidationError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
@@ -260,7 +258,9 @@ def integrate_batch(system: str, game, starts, dt: float = 0.01, t_max: float = 
 
 def integrate(system: str, game, init, dt: float = 0.01, t_max: float = 50.0) -> Trajectory:
     """Classical fixed-step RK4 on the requested system, recording every step:
-    the one-start, stride-1 case of `integrate_batch`."""
+    the one-start, stride-1 case of `integrate_batch`.  A counterpart system
+    of a non-square game runs on its padded game, so `init` has
+    max(n_rows, n_cols) components."""
     states = _rk4(system, game, [init], dt, t_max, 1)[:-1, 0]
     times = np.arange(states.shape[0]) * dt
     if system == "coupled":

@@ -18,10 +18,6 @@ class SizeMismatch(CpgError):
     """Strategy or permutation dimensions do not match the game."""
 
 
-class NotSquare(CpgError):
-    """Operation requires equal action counts; pad the game first."""
-
-
 class TooLarge(CpgError):
     """Input exceeds a size guard: the enumeration's action cap or the RK4
     record's value cap."""

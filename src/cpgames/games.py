@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import NotSquare, ParseError, SizeMismatch, ValidationError
+from .errors import ParseError, SizeMismatch, ValidationError
 
 # Float-mode tolerances.  Well above RK4/linear-solve noise, far below any
 # payoff scale we care about.
@@ -368,14 +368,16 @@ def pad_to_square(g: BimatrixGame) -> tuple[BimatrixGame, PaddingRecord]:
 
 
 def counterpart_games(g: BimatrixGame) -> tuple[SingleGame, SingleGame]:
-    """Split a square game into its two decoupled single-population games.
+    """Split a game into its two decoupled single-population games.
 
+    A non-square game is padded first (`pad_to_square`), so both
+    counterparts have max(n_rows, n_cols) actions, the dummies last.
     Counterpart 1 is the row player's matrix A; its population state plays the
     role of the column player's strategy y.  Counterpart 2 is B transposed
     (fitness of action i is (B^T x)_i); its state plays the role of x.
     """
     if not g.is_square:
-        raise NotSquare(f"game is {g.n_rows}x{g.n_cols}; pad_to_square first")
+        g, _ = pad_to_square(g)
     n = g.n_rows
     cp1 = SingleGame(name=f"{g.name} counterpart 1", actions=g.row_actions, payoffs=g.row_payoffs)
     bt = tuple(tuple(g.col_payoffs[i][j] for i in range(n)) for j in range(n))

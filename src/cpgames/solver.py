@@ -377,11 +377,6 @@ def _guard_bimatrix(g: BimatrixGame) -> None:
         raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game is {g.n_rows}x{g.n_cols}")
 
 
-def _guard_single(s: SingleGame) -> None:
-    if s.n > MAX_ACTIONS:
-        raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game has {s.n}")
-
-
 def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandidate:
     """The symmetric equilibrium on `support` of a single-population game
     whose indifference system is `half` (unique, positive and Nash), with
@@ -465,6 +460,19 @@ def enumerate_nash_bimatrix(g: BimatrixGame, *,
     return found
 
 
+def _single_halves(s: SingleGame):
+    """(support, half) for every support of a single-population game, by
+    (size, support): the support's indifference system, each solved once on
+    one table of the game's payoffs.  Both single-population enumerations
+    read this scan."""
+    if s.n > MAX_ACTIONS:
+        raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game has {s.n}")
+    table = HalfTable(*s.int_payoffs)
+    for k in range(1, s.n + 1):
+        for supp in itertools.combinations(range(s.n), k):
+            yield supp, table.get(supp, supp)
+
+
 def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
     """All symmetric Nash equilibria of a single-population game.
 
@@ -473,15 +481,9 @@ def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
     out-of-support fitnesses do not exceed the common payoff.  Supports are
     visited, and equilibria reported, by (size, support).
     """
-    _guard_single(s)
-    table = HalfTable(*s.int_payoffs)
-    found = []
-    for k in range(1, s.n + 1):
-        for supp in itertools.combinations(range(s.n), k):
-            half = table.get(supp, supp)
-            if half.mixed and half.nash:
-                found.append(_single_candidate(s.n, supp, half.solution[:-1], half))
-    return found
+    # a Nash half is unique and positive (see HalfTable._mixed)
+    return [_single_candidate(s.n, supp, half.solution[:-1], half)
+            for supp, half in _single_halves(s) if half.nash]
 
 
 def _segment_barycentre(particular, direction):
@@ -515,20 +517,16 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     unique point's Nash flag is its half's, decided in integers, and only a
     continuum midpoint is checked against the game.
     """
-    _guard_single(s)
-    table = HalfTable(*s.int_payoffs)
     found = []
-    for k in range(1, s.n + 1):
-        for supp in itertools.combinations(range(s.n), k):
-            half = table.get(supp, supp)
-            if half.mixed:
-                x = _full_vector(s.n, supp, half.solution[:-1])
-                found.append(RestPoint(x, supp, half.nash, half.solution[-1]))
-            elif half.status == UNDERDETERMINED and len(half.nullspace) == 1:
-                sol = _segment_barycentre(half.solution, half.nullspace[0])
-                if sol is not None:  # strictly inside the segment, so positive
-                    x = _full_vector(s.n, supp, sol[:-1])
-                    found.append(RestPoint(x, supp, is_nash_single(s, x), sol[-1], continuum=True))
+    for supp, half in _single_halves(s):
+        if half.mixed:
+            x = _full_vector(s.n, supp, half.solution[:-1])
+            found.append(RestPoint(x, supp, half.nash, half.solution[-1]))
+        elif half.status == UNDERDETERMINED and len(half.nullspace) == 1:
+            sol = _segment_barycentre(half.solution, half.nullspace[0])
+            if sol is not None:  # strictly inside the segment, so positive
+                x = _full_vector(s.n, supp, sol[:-1])
+                found.append(RestPoint(x, supp, is_nash_single(s, x), sol[-1], continuum=True))
     return found
 
 

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import cpgames.decomposition
-from cpgames import MixedStrategy, cli, is_nash_bimatrix, parse_game
+from cpgames import (MixedStrategy, PlotSpec, cli, counterpart_games, export_csv, integrate,
+                     is_nash_bimatrix, pad_to_square, parse_game, plot_simplex)
 from cpgames.cli import main
 
 
@@ -146,6 +147,21 @@ class TestDynamics:
         assert code == 0
         assert out_path.read_text().startswith("t,x1,x2,x3\n")
 
+    @pytest.mark.parametrize("system", ["cp1", "cp2"])
+    def test_cp_system_of_non_square_game(self, tmp_path, capsys, system):
+        # bos_extended is 2x3, so its counterparts are those of the padded 3x3 game
+        padded, _ = pad_to_square(cli.load_game("bos_extended"))
+        out_path = tmp_path / "cp.csv"
+        code, _, err = run(capsys, "dynamics", "bos_extended", "--system", system,
+                           "--init", "0.4,0.4,0.2", "--t-max", "2", "--out", str(out_path))
+        assert code == 0 and err == ""
+        traj = integrate(system, padded, [0.4, 0.4, 0.2], t_max=2)
+        assert out_path.read_bytes() == export_csv(traj).encode("utf-8")
+        code, _, err = run(capsys, "dynamics", "bos_extended", "--system", system,
+                           "--init", "0.5,0.5", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err == "error: input: --init population has 2 components, expected 3\n"
+
     def test_bad_init_exits_2(self, tmp_path, capsys):
         for bad in ("0.5,0.6;0.5,0.5", "0.9,0.1", "-0.1,1.1;0.5,0.5", "a,b;0.5,0.5", "nan,1;0.5,0.5"):
             code, _, err = run(capsys, "dynamics", "pd", "--system", "coupled",
@@ -184,6 +200,15 @@ class TestPlot:
         assert code == 0
         svg = tri.read_text()
         assert svg.count('<circle class="marker-nash-stable"') == 1
+
+    @pytest.mark.parametrize("kind", ["cp1", "cp2"])
+    def test_simplex_of_non_square_game(self, tmp_path, capsys, kind):
+        padded, _ = pad_to_square(cli.load_game("bos_extended"))
+        out_path = tmp_path / "cp.svg"
+        code, _, err = run(capsys, "plot", "bos_extended", "--kind", kind, "--out", str(out_path))
+        assert code == 0 and err == ""
+        svg = plot_simplex(counterpart_games(padded)[kind == "cp2"], PlotSpec(kind="simplex"))
+        assert out_path.read_bytes() == svg.encode("utf-8")
 
     def test_square_on_3x3_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "plot", "rps", "--kind", "square",
@@ -374,6 +399,13 @@ class TestParser:
         (tmp_path / "pd").unlink()
         _, out, _ = run(capsys, "solve", "pd")
         assert out.startswith("Prisoner's Dilemma: 1 equilibria")
+
+    def test_directory_does_not_shadow_bundled_name(self, tmp_path, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "solve", "pd")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "counterparts", "pd", "--out", "pd")
+        assert code == 0 and out == "wrote pd/pd_cp1.json\nwrote pd/pd_cp2.json\n"
+        assert run(capsys, "solve", "pd") == (0, expected, "")
 
 
 class TestModuleEntry:

@@ -221,6 +221,15 @@ class TestEachStepOnce:
             assert len(checks) == len(report.reconstructed) > 0, g.name
             assert all(args[0] is g for args in checks), g.name
 
+    def test_unpadded_table_built_only_to_verify(self, bos_extended, monkeypatch):
+        # a work gate: a non-square game's unpadded table serves only the
+        # `verify` comparison, so without it only the padded table is built
+        tables = count_calls(monkeypatch, cpgames.solver.SupportTable, "__init__")
+        for verify, built in ((False, 1), (True, 2)):
+            tables.clear()
+            decompose(bos_extended, verify=verify)
+            assert len(tables) == built, verify
+
     def test_unpadded_enumeration_that_drops_an_equilibrium_disagrees(
             self, bos_extended, monkeypatch):
         # on a non-square game `agreement` compares the padded table's

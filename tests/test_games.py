@@ -14,7 +14,6 @@ import cpgames
 import cpgames.dynamics
 from cpgames import (
     MixedStrategy,
-    NotSquare,
     ParseError,
     SizeMismatch,
     ValidationError,
@@ -198,9 +197,20 @@ class TestCounterparts:
         cp1, cp2 = counterpart_games(pd)
         assert cp1.payoffs == cp2.payoffs
 
-    def test_not_square(self, bos_extended):
-        with pytest.raises(NotSquare):
-            counterpart_games(bos_extended)
+    def test_non_square_game_is_padded(self, bos_extended):
+        # the counterparts of a non-square game, and their fields, are those
+        # of its padded game, bit for bit
+        padded, _ = pad_to_square(bos_extended)
+        assert counterpart_games(bos_extended) == counterpart_games(padded)
+        for system in ("cp1", "cp2"):
+            got, want = (cpgames.dynamics.integrate(system, g, [0.4, 0.4, 0.2], t_max=2)
+                         for g in (bos_extended, padded))
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.xs.tobytes() == want.xs.tobytes() and got.ys is want.ys is None
+            got, want = ([(p.tobytes(), v.tobytes()) for f in cpgames.dynamics.sample_field_grid(
+                              system, g, 20) for p, v in zip(f.points, f.velocities)]
+                         for g in (bos_extended, padded))
+            assert got == want and len(got) == 231
 
 
 class TestPayoffsAndNash:
