@@ -19,7 +19,6 @@ from .games import (
     PaddingRecord,
     SingleGame,
     counterpart_games,
-    expected_payoffs,
     fraction_str,
     is_nash_bimatrix,
     is_nash_single,
@@ -49,7 +48,6 @@ from .decomposition import (
     verify_roundtrip,
 )
 from .dynamics import (
-    FieldSample,
     Trajectory,
     integrate,
     integrate_batch,

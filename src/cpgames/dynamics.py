@@ -152,14 +152,6 @@ class Trajectory:
         return self.xs.shape[0]
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One grid point of a velocity field; tuples hold one or two populations."""
-
-    points: tuple[np.ndarray, ...]
-    velocities: tuple[np.ndarray, ...]
-
-
 def _parse_state(dims, state) -> np.ndarray:
     """One state on the simplex as an (N,) array: a vector for one population,
     an (x, y) pair for the coupled system."""
@@ -268,8 +260,10 @@ def integrate(system: str, game, init, dt: float = 0.01, t_max: float = 50.0) ->
     return Trajectory(system=system, times=times, xs=states, ys=None)
 
 
-def sample_field_grid(system: str, game, resolution: int) -> list[FieldSample]:
-    """Velocity samples on a regular grid.
+def sample_field_grid(system: str, game, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity samples on a regular grid, as (points, velocities): two
+    (K, N) arrays with each sample's populations concatenated, as in the
+    states of `integrate_batch`.
 
     Coupled 2x2 systems sample ((p, 1-p), (q, 1-q)) on a resolution^2 lattice
     over the unit square; one-population 3-action systems sample the
@@ -288,6 +282,4 @@ def sample_field_grid(system: str, game, resolution: int) -> list[FieldSample]:
             raise UnsupportedDimension("simplex grids need exactly 3 actions")
         points = np.array([[i, j, resolution - i - j] for i in range(resolution + 1)
                            for j in range(resolution + 1 - i)], dtype=np.float64) / resolution
-    velocities = _velocities(dims, mats, points)
-    return [FieldSample(points=p, velocities=v) for p, v in
-            zip(zip(*_blocks(points, dims)), zip(*_blocks(velocities, dims)))]
+    return points, _velocities(dims, mats, points)

@@ -402,17 +402,6 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def expected_payoffs(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy):
-    """Return (x^T A y, x^T B y): exact when both strategies are exact, and
-    Python floats otherwise.  The float values are summed left to right in
-    Python, so they may differ in the last bit from a numpy product."""
-    if len(x) != g.n_rows or len(y) != g.n_cols:
-        raise SizeMismatch("strategy dimensions do not match the game")
-    ay = _mat_vec(g.row_payoffs, y.probs)
-    xb = _vec_mat(x.probs, g.col_payoffs)
-    return _dot(x.probs, ay), _dot(xb, y.probs)
-
-
 def is_nash_bimatrix(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy,
                      tol: float = NASH_TOL_DEFAULT) -> bool:
     """Check the equilibrium condition via pure deviations (sufficient by

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLarge
-from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, integer_form, is_nash_single
+from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, is_nash_single
 from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 
 MAX_ACTIONS = 6
@@ -51,7 +51,7 @@ class EquilibriumCandidate:
     support_x: tuple[int, ...]
     support_y: tuple[int, ...] | None
     is_strict: bool
-    payoffs: object  # (u, v) for bimatrix, scalar for single, None if not computed
+    payoffs: object  # (u, v) for bimatrix, scalar for single
 
     def key(self):
         """Value identity: the strategy profile, ignoring derived fields."""
@@ -183,9 +183,9 @@ class HalfTable:
     on `cols`, and y sums to one.  Each pair is solved once, on first read.
 
     M is the integer form of the payoffs: `mat` scaled by `scale`, the
-    common denominator of its entries (a game's cached integer form), or
-    scaled here when `scale` is None.  Scaling leaves every system's
-    solutions unchanged.  A half (k rows, k columns) is read off the minors
+    common denominator of its entries (a game's cached integer form, see
+    `games.integer_form`).  Scaling leaves every system's solutions
+    unchanged.  A half (k rows, k columns) is read off the minors
     of M, each computed once per table and kept in one flat list: with
     shift the larger side of M, the minor on the rows of bitmask rmask and
     the columns of cmask is at rmask << shift | cmask, and slot 0 holds the
@@ -204,9 +204,9 @@ class HalfTable:
     reads it to skip pairs that cannot be Nash.
     """
 
-    def __init__(self, mat, scale=None):
+    def __init__(self, mat, scale):
         self.entries: dict[tuple, Half] = {}
-        self.mat, self.scale = integer_form(mat) if scale is None else (mat, scale)
+        self.mat, self.scale = mat, scale
         self._undominated: dict[tuple, int] = {}
         self._shift = shift = max(len(self.mat), len(self.mat[0]))
         self._minors: list[int | None] = [None] * (1 << 2 * shift)
@@ -545,9 +545,7 @@ def candidate_json(c: EquilibriumCandidate) -> dict:
     if c.support_y is not None:
         doc["support_y"] = list(c.support_y)
     doc["strict"] = c.is_strict
-    if c.payoffs is None:
-        doc["payoffs"] = None
-    elif isinstance(c.payoffs, tuple):
+    if isinstance(c.payoffs, tuple):
         doc["payoffs"] = [val(v) for v in c.payoffs]
     else:
         doc["payoffs"] = val(c.payoffs)

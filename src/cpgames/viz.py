@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimension
+from .errors import TooLarge, UnsupportedDimension
 from .games import BimatrixGame, SingleGame
 from .dynamics import Trajectory, _n_steps, integrate_batch, sample_field_grid
 from .solver import enumerate_nash_bimatrix, enumerate_rest_points
@@ -91,6 +91,9 @@ def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin
     entries of a stacked state and `to_plane` maps them linearly into the unit
     plot; markers come as (plotted entries, marker class)."""
     side = SIZE_PX - 2 * margin
+    if cells > side:  # before sampling: the grid's cost grows as res^2
+        raise TooLarge(f"grid resolution {res} puts arrows less than 1 px apart; "
+                       f"at most {res - cells + int(side)} fits this plot")
 
     def to_px(u, v):
         return margin + u * side, SIZE_PX - margin - v * side
@@ -100,11 +103,12 @@ def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin
 
     max_speed = 0.0
     arrows = []
-    for sample in sample_field_grid(system, game, res):
-        vel = to_plane(np.concatenate(sample.velocities)[columns])
+    points, velocities = sample_field_grid(system, game, res)
+    for point, velocity in zip(points[:, columns], velocities[:, columns]):
+        vel = to_plane(velocity)
         speed = math.hypot(*vel)
         max_speed = max(max_speed, speed)
-        arrows.append((to_plane(np.concatenate(sample.points)[columns]), vel, speed))
+        arrows.append((to_plane(point), vel, speed))
     if max_speed > 0.0:
         spacing = side / cells
         scale = ARROW_FILL * spacing / max_speed
@@ -228,33 +232,17 @@ def _simplex_markers(s: SingleGame):
         yield tuple(float(p) for p in rp.point.probs), cls
 
 
-def export_csv(data) -> str:
-    """Bit-exact CSV for a Trajectory or a list of FieldSamples.
-
-    Trajectories use header t,x1..xn[,y1..ym]; field samples use p1..pk
-    followed by v1..vk over the concatenated populations.  Floats carry 17
-    significant digits so a re-parse reproduces them exactly.
-    """
-    if isinstance(data, Trajectory):
-        n = data.xs.shape[1]
-        header = ["t"] + [f"x{i + 1}" for i in range(n)]
-        if data.ys is not None:
-            header += [f"y{j + 1}" for j in range(data.ys.shape[1])]
-        rows = [",".join(header)]
-        for idx in range(data.n_states):
-            vals = [data.times[idx], *data.xs[idx]]
-            if data.ys is not None:
-                vals += list(data.ys[idx])
-            rows.append(",".join(_fmt17(v) for v in vals))
-        return "\n".join(rows) + "\n"
-    samples = list(data)
-    if not samples:
-        return "p1,v1\n"
-    k = sum(len(p) for p in samples[0].points)
-    header = [f"p{i + 1}" for i in range(k)] + [f"v{i + 1}" for i in range(k)]
+def export_csv(traj: Trajectory) -> str:
+    """Bit-exact CSV of a Trajectory, with header t,x1..xn[,y1..ym].  Floats
+    carry 17 significant digits so a re-parse reproduces them exactly."""
+    n = traj.xs.shape[1]
+    header = ["t"] + [f"x{i + 1}" for i in range(n)]
+    if traj.ys is not None:
+        header += [f"y{j + 1}" for j in range(traj.ys.shape[1])]
     rows = [",".join(header)]
-    for sample in samples:
-        flat = [v for block in sample.points for v in block]
-        flat += [v for block in sample.velocities for v in block]
-        rows.append(",".join(_fmt17(v) for v in flat))
+    for idx in range(traj.n_states):
+        vals = [traj.times[idx], *traj.xs[idx]]
+        if traj.ys is not None:
+            vals += list(traj.ys[idx])
+        rows.append(",".join(_fmt17(v) for v in vals))
     return "\n".join(rows) + "\n"

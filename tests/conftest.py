@@ -36,6 +36,14 @@ def fraction_is_nash_single(s, x) -> bool:
     return max(mx) <= sum(p * v for p, v in zip(x.probs, mx))
 
 
+def exact_payoffs(g: BimatrixGame, x, y):
+    """Oracle: the profile's payoffs (x.A y, x.B y) in `Fraction`s, summed
+    on the payoffs themselves."""
+    ay = [sum(a * q for a, q in zip(row, y.probs)) for row in g.row_payoffs]
+    by = [sum(b * q for b, q in zip(row, y.probs)) for row in g.col_payoffs]
+    return (sum(p * v for p, v in zip(x.probs, ay)), sum(p * v for p, v in zip(x.probs, by)))
+
+
 def count_calls(monkeypatch, owner, name):
     """Route `owner.name` through a recorder; returns the list of each
     call's positional arguments."""

@@ -229,6 +229,15 @@ class TestPlot:
         assert err == "error: input: resolution must be at least 2\n"
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("game, kind, res, largest", [("bos", "square", 502, 501), ("rps", "cp1", 481, 480)])
+    def test_grid_below_one_px_exits_2(self, tmp_path, capsys, game, kind, res, largest):
+        code, out, err = run(capsys, "plot", game, "--kind", kind, "--grid", str(res),
+                             "--out", str(tmp_path / "x.svg"))
+        assert code == 2 and out == ""
+        assert err == (f"error: input: grid resolution {res} puts arrows less than 1 px apart; "
+                       f"at most {largest} fits this plot\n")
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestVerify:
     def test_small_run(self, capsys):

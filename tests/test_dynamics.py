@@ -265,29 +265,27 @@ class TestIntegrate:
 
 class TestGrids:
     def test_pd_square_grid(self, pd):
-        samples = sample_field_grid("coupled", pd, 15)
-        assert len(samples) == 225
-        for s in samples:
-            for v in s.velocities:
-                assert abs(v.sum()) <= 1e-12
+        points, velocities = sample_field_grid("coupled", pd, 15)
+        assert points.shape == velocities.shape == (225, 4)
+        assert np.abs(velocities[:, :2].sum(axis=1)).max() <= 1e-12
+        assert np.abs(velocities[:, 2:].sum(axis=1)).max() <= 1e-12
 
     def test_bos_corner_zero_velocity(self, bos):
-        samples = sample_field_grid("coupled", bos, 3)
-        corner = next(s for s in samples
-                      if s.points[0][0] == 0.0 and s.points[1][0] == 0.0)
-        assert np.allclose(corner.velocities[0], 0) and np.allclose(corner.velocities[1], 0)
+        points, velocities = sample_field_grid("coupled", bos, 3)
+        corner = next(i for i, p in enumerate(points) if p[0] == 0.0 and p[2] == 0.0)
+        assert np.allclose(velocities[corner], 0)
 
     def test_rps_simplex_grid(self, rps):
-        samples = sample_field_grid("cp1", rps, 20)
-        assert len(samples) == 231
-        for s in samples:
-            assert abs(s.velocities[0].sum()) <= 1e-12
+        points, velocities = sample_field_grid("cp1", rps, 20)
+        assert points.shape == velocities.shape == (231, 3)
+        assert np.abs(velocities.sum(axis=1)).max() <= 1e-12
         cp1, _ = counterpart_games(rps)
         assert np.allclose(rd_single_field(cp1, [1 / 3, 1 / 3, 1 / 3]), 0, atol=1e-15)
         # at an exactly representable lattice resolution the centroid is sampled
-        for s in sample_field_grid("cp1", rps, 21):
-            if np.allclose(s.points[0], 1 / 3):
-                assert np.allclose(s.velocities[0], 0, atol=1e-15)
+        points, velocities = sample_field_grid("cp1", rps, 21)
+        for p, v in zip(points, velocities):
+            if np.allclose(p, 1 / 3):
+                assert np.allclose(v, 0, atol=1e-15)
                 break
         else:
             pytest.fail("centroid missing from resolution-21 lattice")
@@ -295,19 +293,17 @@ class TestGrids:
     def test_grid_matches_pointwise_fields(self, pd, bos, rps, leduc):
         for g in (pd, bos):
             f, _ = reference_field("coupled", g)
-            for sample in sample_field_grid("coupled", g, 15):
-                vx, vy = rd_coupled_field(g, *sample.points)
-                assert np.array_equal(sample.velocities[0], vx)
-                assert np.array_equal(sample.velocities[1], vy)
-                assert np.array_equal(np.hstack([vx, vy]), f(np.hstack(sample.points)))
+            for p, v in zip(*sample_field_grid("coupled", g, 15)):
+                vx, vy = rd_coupled_field(g, p[:2], p[2:])
+                assert np.array_equal(v, np.hstack([vx, vy]))
+                assert np.array_equal(v, f(p))
         for g in (rps, leduc):
             for system, s in zip(("cp1", "cp2"), counterpart_games(g)):
                 f, _ = reference_field(system, g)
                 for grid in (sample_field_grid(system, g, 20), sample_field_grid("single", s, 7)):
-                    for sample in grid:
-                        v = rd_single_field(s, sample.points[0])
-                        assert np.array_equal(sample.velocities[0], v)
-                        assert np.array_equal(v, f(sample.points[0]))
+                    for p, v in zip(*grid):
+                        assert np.array_equal(v, rd_single_field(s, p))
+                        assert np.array_equal(v, f(p))
 
     def test_unsupported_dimensions(self, fullsupport, bos):
         with pytest.raises(UnsupportedDimension):

@@ -21,7 +21,6 @@ from cpgames import (
     enumerate_nash_bimatrix,
     enumerate_nash_single,
     enumerate_rest_points,
-    expected_payoffs,
     is_nash_bimatrix,
     is_nash_single,
     is_strict_equilibrium,
@@ -32,9 +31,10 @@ from cpgames import (
 import cpgames.solver
 from cpgames.cli import BUNDLED_GAMES, run_cli
 from cpgames.decomposition import random_game, report_json
+from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 from cpgames.solver import DegeneracyWitness, Half, HalfTable, SupportTable, _indifference
-from conftest import count_calls
+from conftest import count_calls, exact_payoffs
 
 
 def F(s):
@@ -232,7 +232,7 @@ class TestBimatrixEnumeration:
             reconstructed = decompose(g, verify=False).reconstructed
             reconstructed_nonsquare += 0 if g.is_square else len(reconstructed)
             for c in enumerate_nash_bimatrix(g) + list(reconstructed):
-                assert c.payoffs == expected_payoffs(g, c.x, c.y), (g.name, c.key())
+                assert c.payoffs == exact_payoffs(g, c.x, c.y), (g.name, c.key())
                 assert all(isinstance(v, Fraction) for v in c.payoffs)
                 assert c.support_x == c.x.support() and c.support_y == c.y.support(), (g.name, c.key())
                 assert c.is_strict == is_strict_equilibrium(g, c.x, c.y), (g.name, c.key())
@@ -434,7 +434,7 @@ class TestDominanceFilter:
         # row 0 ties row 1 on column 0 and beats it on column 1, so row 1 is
         # pruned on {0, 1} and on {1} but not on {0}, where the rows are
         # equal; row 2 equals row 0 and neither prunes the other
-        table = HalfTable([[F(3), F(2)], [F(3), F(1)], [F(3), F(2)]])
+        table = HalfTable(*integer_form([[F(3), F(2)], [F(3), F(1)], [F(3), F(2)]]))
         assert table.undominated((0, 1)) == 0b101
         assert table.undominated((1,)) == 0b101
         assert table.undominated((0,)) == 0b111
@@ -449,7 +449,7 @@ class TestHalfTable:
         seen = set()
         for i in range(60):
             mat = seeded_game(rng, f"half-{i}").row_payoffs
-            table = HalfTable(mat)
+            table = HalfTable(*integer_form(mat))
             m, n = len(mat), len(mat[0])
             for k in range(1, min(m, n) + 1):
                 for rows in itertools.combinations(range(m), k):
@@ -487,7 +487,7 @@ class TestHalfTable:
             elif force == "diagonal":
                 for i in range(min(m, n)):
                     mat[i][i] -= 10**7
-            table = HalfTable(mat)
+            table = HalfTable(*integer_form(mat))
             for k in range(1, min(m, n) + 1):
                 for rows in itertools.combinations(range(m), k):
                     for cols in itertools.combinations(range(n), k):
@@ -556,7 +556,7 @@ class TestHalfTable:
         for m, n in ((1, 6), (6, 1), (2, 5), (5, 2)):
             for _ in range(5):
                 mat = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
-                table = HalfTable(mat)
+                table = HalfTable(*integer_form(mat))
                 for k in range(1, min(m, n) + 1):
                     for rows in itertools.combinations(range(m), k):
                         for cols in itertools.combinations(range(n), k):

@@ -8,6 +8,7 @@ import pytest
 
 from cpgames import (
     PlotSpec,
+    TooLarge,
     UnsupportedDimension,
     ValidationError,
     counterpart_games,
@@ -18,7 +19,6 @@ from cpgames import (
     pad_to_square,
     plot_simplex,
     plot_unit_square,
-    sample_field_grid,
 )
 from cpgames import viz
 from cpgames.viz import _bary_to_xy, _TRI
@@ -76,6 +76,26 @@ class TestUnitSquare:
     def test_byte_deterministic(self, bos):
         spec = PlotSpec(kind="square", t_max=5.0)
         assert plot_unit_square(bos, spec) == plot_unit_square(bos, spec)
+
+
+@pytest.mark.parametrize("kind, largest", [("square", 501), ("simplex", 480)])
+def test_grid_bound_checked_before_sampling(bos, rps, monkeypatch, kind, largest):
+    # a grid whose arrows sit less than 1 px apart is refused before it is
+    # sampled, as sampling costs the resolution squared; the largest grid
+    # that fits reaches the sampler
+    class Sampled(Exception):
+        pass
+
+    def sampler(*args):
+        raise Sampled
+
+    monkeypatch.setattr(viz, "sample_field_grid", sampler)
+    plot, game = (plot_unit_square, bos) if kind == "square" else (plot_simplex, counterpart_games(rps)[0])
+    with pytest.raises(Sampled):
+        plot(game, PlotSpec(kind=kind, grid_resolution=largest, trajectory_starts=None))
+    for res in (largest + 1, 10**9):
+        with pytest.raises(TooLarge, match=f"at most {largest} fits"):
+            plot(game, PlotSpec(kind=kind, grid_resolution=res, trajectory_starts=None))
 
 
 class TestSimplex:
@@ -210,22 +230,14 @@ class TestCsv:
         traj = integrate("cp1", rps, [0.5, 0.3, 0.2], dt=0.01, t_max=0.02)
         assert export_csv(traj).split("\n")[0] == "t,x1,x2,x3"
 
-    def test_roundtrip_bit_exact(self, rps):
-        traj = integrate("cp1", rps, [0.5, 0.3, 0.2], dt=0.01, t_max=1.0)
-        lines = export_csv(traj).strip().split("\n")
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(parsed[:, 0], traj.times)
-        assert np.array_equal(parsed[:, 1:], traj.xs)
-
-    def test_field_csv(self, pd):
-        samples = sample_field_grid("coupled", pd, 3)
-        text = export_csv(samples)
-        lines = text.strip().split("\n")
-        assert lines[0] == "p1,p2,p3,p4,v1,v2,v3,v4"
-        assert len(lines) == 10
-
-    def test_empty_field_list(self):
-        assert export_csv([]) == "p1,v1\n"
+    def test_roundtrip_bit_exact(self, rps, fullsupport):
+        for traj in (integrate("cp1", rps, [0.5, 0.3, 0.2], dt=0.01, t_max=1.0),
+                     integrate("coupled", fullsupport, ([0.2, 0.5, 0.3], [0.4, 0.4, 0.2]), t_max=1.0)):
+            lines = export_csv(traj).strip().split("\n")
+            parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+            states = traj.xs if traj.ys is None else np.hstack([traj.xs, traj.ys])
+            assert np.array_equal(parsed[:, 0], traj.times)
+            assert np.array_equal(parsed[:, 1:], states)
 
     def test_lf_line_endings(self, pd):
         traj = integrate("coupled", pd, ([0.9, 0.1], [0.9, 0.1]), dt=0.01, t_max=0.02)
