@@ -2,7 +2,8 @@
 classify -> plot, with JSON/CSV/SVG outputs and deterministic exit codes.
 
 Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
-3 numerical failure, 4 counterpart-correspondence violation.
+3 numerical failure, 4 counterpart-correspondence violation.  Each code, and
+the category on the stderr line, is set on the error class (`cpgames.errors`).
 
 `run_cli` builds only the parser of the subcommand it runs (the whole parser
 only for top-level help and usage errors) and reads its game afresh on every
@@ -19,17 +20,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import (
-    DomainEscape,
-    NotNash,
-    NotRestPoint,
-    ParseError,
-    SizeMismatch,
-    TheoremViolation,
-    TooLarge,
-    UnsupportedDimension,
-    ValidationError,
-)
+from .errors import CpgError, ParseError, TheoremViolation, ValidationError
 from .games import (
     FLOAT_SUPPORT_EPS,
     BimatrixGame,
@@ -41,26 +32,21 @@ from .games import (
 )
 from .solver import candidate_json, enumerate_nash_bimatrix, enumerate_rest_points
 from .decomposition import decompose, report_json, verify_roundtrip
-from .dynamics import integrate
+from .dynamics import _float_matrix, integrate
 from .viz import PlotSpec, export_csv, plot_simplex, plot_unit_square
 
 BUNDLED_GAMES = ("pd", "bos", "rps", "bos_extended", "leduc_empirical", "fullsupport")
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
-EXIT_THEOREM = 4
 
 _FLOAT_PIVOT_EPS = 1e-11
 
-_INPUT_ERRORS = (ParseError, ValidationError, SizeMismatch, TooLarge, UnsupportedDimension,
-                 NotNash, OSError)
-_NUMERIC_ERRORS = (DomainEscape, NotRestPoint)
 
+class UsageError(CpgError):
+    """Bad command line: unknown subcommand or option, missing argument."""
 
-class UsageError(Exception):
-    pass
+    exit_code = 1
+    category = "usage"
 
 
 class _ParserExit(SystemExit):
@@ -84,7 +70,11 @@ def load_game(spec: str) -> BimatrixGame:
     does not."""
     path = Path(spec)
     if path.is_file():
-        return parse_game(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"game file is not UTF-8: {exc}") from exc
+        return parse_game(text)
     name = spec[:-5] if spec.endswith(".json") else spec
     if name in BUNDLED_GAMES:
         text = resources.files("cpgames").joinpath("data", f"{name}.json").read_text(encoding="utf-8")
@@ -167,7 +157,7 @@ def _render_float(g: BimatrixGame, eqs) -> list:
     as numpy products x @ A @ y."""
     import numpy as np
 
-    a, b = (np.array(mat, dtype=np.float64) for mat in (g.row_payoffs, g.col_payoffs))
+    a, b = _float_matrix(g.row_payoffs), _float_matrix(g.col_payoffs)
     a_rows, bt_rows = a.tolist(), b.T.tolist()
     rendered = []
     for c in eqs:
@@ -301,7 +291,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     print("FAIL")
     print(json.dumps(report.counterexample, indent=2))
-    return EXIT_THEOREM
+    return TheoremViolation.exit_code
 
 
 # each subcommand's help line and handler, in the order `cpg --help` lists them
@@ -381,22 +371,15 @@ def _parse(argv) -> argparse.Namespace:
 def run_cli(argv) -> int:
     try:
         args = _parse(argv)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.fn(args)
     except _ParserExit as exc:
         return exc.code
-    try:
-        return args.fn(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TheoremViolation as exc:
-        print(f"error: theorem: {exc}", file=sys.stderr)
-        return EXIT_THEOREM
+    except CpgError as exc:
+        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {CpgError.category}: {exc}", file=sys.stderr)
+        return CpgError.exit_code
 
 
 def main(argv=None) -> int:

@@ -36,6 +36,15 @@ def _as_state(value, n: int, what: str) -> np.ndarray:
     return arr
 
 
+def _float_matrix(mat) -> np.ndarray:
+    """Exact payoffs as a float64 array; TooLarge for a payoff past the
+    float64 range, which no float computation could use."""
+    try:
+        return np.array(mat, dtype=np.float64)
+    except OverflowError:
+        raise TooLarge("a payoff is beyond the float64 range (about 1.8e308)") from None
+
+
 def _system(system: str, game):
     """Return (dims, mats) for a system name: one matrix M for a one-population
     system, or (A, B) for the coupled system on the stacked state (x, y), as
@@ -44,15 +53,15 @@ def _system(system: str, game):
     if system == "single":
         if not isinstance(game, SingleGame):
             raise ValidationError("system 'single' needs a SingleGame")
-        return (game.n,), (np.array(game.payoffs, dtype=np.float64),)
+        return (game.n,), (_float_matrix(game.payoffs),)
     if not isinstance(game, BimatrixGame):
         raise ValidationError(f"system {system!r} needs a BimatrixGame")
     if system == "coupled":
-        return (game.n_rows, game.n_cols), (np.array(game.row_payoffs, dtype=np.float64),
-                                            np.array(game.col_payoffs, dtype=np.float64))
+        return (game.n_rows, game.n_cols), (_float_matrix(game.row_payoffs),
+                                            _float_matrix(game.col_payoffs))
     if system in ("cp1", "cp2"):
         s = counterpart_games(game)[system == "cp2"]
-        return (s.n,), (np.array(s.payoffs, dtype=np.float64),)
+        return (s.n,), (_float_matrix(s.payoffs),)
     raise ValidationError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
 

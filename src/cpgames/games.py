@@ -8,7 +8,8 @@ in integers: each payoff matrix over its common denominator, scaled once
 per game, and each strategy over its own.  A float strategy keeps the
 Fraction-times-float arithmetic, with a tolerance.  Game files
 are JSON documents with payoff entries given as numbers (decimals convert
-exactly, 0.55 becomes 11/20) or as "p/q" strings.
+exactly, 0.55 becomes 11/20) or as "p/q" strings, each with at most
+MAX_PAYOFF_DIGITS digits in its numerator and its denominator.
 """
 
 from __future__ import annotations
@@ -21,13 +22,20 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ParseError, SizeMismatch, ValidationError
+from .errors import ParseError, SizeMismatch, TooLarge, ValidationError
 
 # Float-mode tolerances.  Well above RK4/linear-solve noise, far below any
 # payoff scale we care about.
 FLOAT_SUPPORT_EPS = 1e-9
 NASH_TOL_DEFAULT = 1e-9
 SIMPLEX_TOL = 1e-9
+
+# The most digits a payoff's numerator or denominator may have: CPython's
+# default limit on int-to-str conversion (sys.int_info.default_max_str_digits).
+# Past it no `cpg` output and no `serialize_game` could print the payoff, and
+# building a decimal literal such as 1e3000000 exactly takes over a second.
+MAX_PAYOFF_DIGITS = 4300
+_PAYOFF_LIMIT = 10 ** MAX_PAYOFF_DIGITS
 
 _GAME_KEYS = ("name", "row_actions", "col_actions", "row_payoffs", "col_payoffs")
 _FRACTION_STR = re.compile(r"^-?\d+(/\d+)?$")
@@ -53,26 +61,53 @@ def to_fraction(value) -> Fraction:
         if not _FRACTION_STR.match(value):
             raise ParseError(f"payoff string {value!r} is not of the form 'p/q'")
         num, _, den = value.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ValidationError(f"zero denominator in payoff {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:  # a part past CPython's int-from-str limit
+            raise ParseError(f"payoff string has a part of more than {MAX_PAYOFF_DIGITS} digits") from exc
+        if den == 0:
+            raise ValidationError(f"zero denominator in payoff {value!r}")
+        return Fraction(num, den)
     raise ParseError(f"payoff entry has wrong type: {value!r}")
 
 
+def _decimal(literal: str) -> Fraction:
+    """A JSON decimal literal as an exact Fraction (0.55 -> 11/20).  Written
+    as d x 10^e with d not a multiple of 10, it is refused unbuilt when |e|
+    exceeds 4 x MAX_PAYOFF_DIGITS: then 10^e, or the reduced denominator
+    (at least 2^|e|), has more than MAX_PAYOFF_DIGITS digits.  A d past
+    CPython's int-from-str limit raises ValueError, as an integer literal
+    does; `make_bimatrix` checks the payoffs that are built."""
+    mantissa, _, exp = literal.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("-0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return Fraction(0)
+    scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
+    if abs(scale) > 4 * MAX_PAYOFF_DIGITS:
+        raise ValidationError(f"decimal payoff's exponent is out of range: {literal[:40]}")
+    num = -int(significant) if literal.startswith("-") else int(significant)
+    return Fraction(num * 10 ** scale) if scale >= 0 else Fraction(num, 10 ** -scale)
+
+
 def fraction_str(value: Fraction) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as "p/q", or "p" when the denominator is 1.  A value
+    derived from payoffs can outgrow CPython's int-to-str limit, which the
+    payoffs themselves stay under: it raises TooLarge."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise TooLarge(f"a value with more than {MAX_PAYOFF_DIGITS} digits "
+                       f"in its numerator or denominator cannot be printed") from None
 
 
 def _payoff_json(value: Fraction):
     """JSON form of a payoff: plain integer when possible, else "p/q"."""
-    if value.denominator == 1:
-        return value.numerator
-    return fraction_str(value)
+    text = fraction_str(value)  # TooLarge for a derived payoff past the limit
+    return value.numerator if value.denominator == 1 else text
 
 
 def _integers(values) -> tuple[list[int], int]:
@@ -95,7 +130,13 @@ def integer_form(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def _freeze_matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(to_fraction(v) for v in row) for row in rows)
+    mat = tuple(tuple(to_fraction(v) for v in row) for row in rows)
+    for row in mat:
+        for v in row:
+            if not (-_PAYOFF_LIMIT < v.numerator < _PAYOFF_LIMIT and v.denominator < _PAYOFF_LIMIT):
+                raise ValidationError(f"payoff has a numerator or denominator of more than "
+                                      f"{MAX_PAYOFF_DIGITS} digits")
+    return mat
 
 
 def _check_labels(labels: Sequence[str], which: str) -> None:
@@ -272,17 +313,20 @@ class PaddingRecord:
 def parse_game(text: str) -> BimatrixGame:
     """Parse a JSON game document into a validated BimatrixGame.
 
-    Decimal payoff literals convert exactly (0.55 -> 11/20).  Unknown keys,
-    missing keys and wrong field types raise ParseError; dimension mismatches,
-    duplicate labels and zero denominators raise ValidationError.
+    Decimal payoff literals convert exactly (0.55 -> 11/20).  Invalid JSON,
+    nesting too deep for the parser, numbers written with more than
+    MAX_PAYOFF_DIGITS digits, unknown keys, missing keys and wrong field
+    types raise ParseError; dimension mismatches, duplicate labels, zero
+    denominators and payoffs past MAX_PAYOFF_DIGITS raise ValidationError.
     """
     def reject_constant(token):
         raise ParseError(f"non-finite payoff constant {token!r} not allowed")
 
     try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=int,
-                         parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_decimal, parse_constant=reject_constant)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or a number with more digits than
+        # CPython's int-from-str limit; RecursionError: nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("game document must be a JSON object")

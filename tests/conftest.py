@@ -58,6 +58,26 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def game_text(payoff: str) -> str:
+    """A 2x2 game document whose first row payoff is the JSON text `payoff`."""
+    return ('{"name": "t", "row_actions": ["a", "b"], "col_actions": ["c", "d"], '
+            f'"row_payoffs": [[{payoff}, 0], [0, 1]], "col_payoffs": [[1, 0], [0, 1]]}}')
+
+
+# game documents past the parser's limits, each refused with a ParseError or
+# a ValidationError: nesting past the recursion limit, numbers past CPython's
+# 4,300-digit int-from-str limit, and payoffs whose exact value would have more
+# than 4,300 digits (1e3000000 takes over a second to build)
+HOSTILE_DOCUMENTS = {
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "5000-digit-int": game_text("1" * 5000),
+    "long-fraction": game_text('"1/' + "3" * 5000 + '"'),
+    "1e5000": game_text("1e5000"),
+    "1e-5000": game_text("1e-5000"),
+    "1e3000000": game_text("1e3000000"),
+}
+
+
 @pytest.fixture(scope="session")
 def pd():
     return load_game("pd")

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 import cpgames.decomposition
-from cpgames import (MixedStrategy, PlotSpec, cli, counterpart_games, export_csv, integrate,
-                     is_nash_bimatrix, pad_to_square, parse_game, plot_simplex)
+from cpgames import (CpgError, DomainEscape, MixedStrategy, NotRestPoint, PlotSpec, TheoremViolation,
+                     cli, counterpart_games, export_csv, integrate, is_nash_bimatrix, pad_to_square,
+                     parse_game, plot_simplex)
 from cpgames.cli import main
+from conftest import HOSTILE_DOCUMENTS, game_text
 
 
 def run(capsys, *argv):
@@ -415,6 +417,61 @@ class TestParser:
         code, out, _ = run(capsys, "counterparts", "pd", "--out", "pd")
         assert code == 0 and out == "wrote pd/pd_cp1.json\nwrote pd/pd_cp2.json\n"
         assert run(capsys, "solve", "pd") == (0, expected, "")
+
+
+class Unforeseen(CpgError):
+    """An error class that cli.py does not name."""
+
+
+class TestFailurePath:
+    """Every failure ends in one `error: <category>: <reason>` line and the
+    exit code of its error class, never in a traceback."""
+
+    @pytest.mark.parametrize("error, code, category", [
+        (Unforeseen, 2, "input"), (DomainEscape, 3, "numeric"), (NotRestPoint, 3, "numeric"),
+        (TheoremViolation, 4, "theorem")], ids=lambda v: getattr(v, "__name__", None))
+    def test_code_and_category_come_from_the_class(self, capsys, monkeypatch, error, code, category):
+        def fail(args):
+            raise error("stubbed failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", ("stubbed solve", fail))
+        assert run(capsys, "solve", "pd") == (code, "", f"error: {category}: stubbed failure\n")
+
+    # a 2x2 coordination game with 3,000-digit payoffs, under the bound, whose
+    # mixed equilibrium has numerators and denominators of about 6,000 digits
+    P, Q, R = "7" * 2999 + "1", "3" * 2999 + "1", "9" * 2999 + "7"
+    HUGE_MIX = json.dumps({"name": "t", "row_actions": ["a", "b"], "col_actions": ["c", "d"],
+                           "row_payoffs": [[f"{P}/{Q}", 0], [0, f"1/{R}"]],
+                           "col_payoffs": [[f"{Q}/{R}", 0], [0, f"{R}/{P}"]]})
+
+    CASES = [*((name, text, ("solve",)) for name, text in HOSTILE_DOCUMENTS.items()),
+             ("non-utf8", b"\xff\xfe{}", ("solve",)),
+             ("3000-digit-solve", HUGE_MIX, ("solve",)),
+             ("3000-digit-decompose", HUGE_MIX, ("decompose",)),
+             ("1e400-float", game_text("1e400"), ("solve", "--float")),
+             ("1e400-dynamics", game_text("1e400"), ("dynamics", "--system", "coupled",
+                                                     "--init", "0.5,0.5;0.5,0.5", "--out", "x.csv")),
+             ("1e400-plot", game_text("1e400"), ("plot", "--kind", "square", "--out", "x.svg"))]
+
+    @pytest.mark.parametrize("text, argv", [case[1:] for case in CASES], ids=[c[0] for c in CASES])
+    def test_hostile_game_file_exits_2(self, tmp_path, capsys, monkeypatch, text, argv):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "game.json"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert err.startswith("error: input: ") and err.count("\n") == 1 and err.endswith("\n")
+        # only a value derived from the payoffs can fail after output has begun
+        assert out == "" or argv == ("solve",) or argv == ("decompose",)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_exact_commands_run_past_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(game_text("1e400"))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 0 and err == "" and out.startswith("t: 3 equilibria (exact mode)\n")
+        assert f"payoffs=(1{'0' * 400}, 1)" in out
+        assert run(capsys, "decompose", str(path))[0] == 0
 
 
 class TestModuleEntry:

@@ -1,5 +1,6 @@
 """Game model: parsing, serialization, padding, permutation, counterparts."""
 
+import json
 import random
 import re
 import subprocess
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 import cpgames
 import cpgames.dynamics
 from cpgames import (
+    BimatrixGame,
+    CpgError,
     MixedStrategy,
     ParseError,
     SizeMismatch,
@@ -28,7 +31,8 @@ from cpgames import (
     serialize_game,
     to_fraction,
 )
-from conftest import fraction_is_nash_bimatrix, fraction_is_nash_single, permute_columns
+from conftest import (HOSTILE_DOCUMENTS, fraction_is_nash_bimatrix, fraction_is_nash_single,
+                      game_text, permute_columns)
 
 
 def F(s):
@@ -80,6 +84,67 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_game("""{"name": "t", "row_actions": ["a"], "col_actions": ["b"],
                 "row_payoffs": [[Infinity]], "col_payoffs": [[1]]}""")
+
+    @pytest.mark.parametrize("name", HOSTILE_DOCUMENTS)
+    def test_hostile_document_refused(self, name):
+        with pytest.raises((ParseError, ValidationError)):
+            parse_game(HOSTILE_DOCUMENTS[name])
+
+    def test_payoff_digit_bound(self):
+        # 4,300 digits in a numerator or denominator pass, 4,301 do not,
+        # however the payoff is written
+        assert parse_game(game_text("9" * 4300)).row_payoffs[0][0] == 10**4300 - 1
+        assert parse_game(game_text("1e4299")).row_payoffs[0][0] == 10**4299
+        assert parse_game(game_text("5e-4300")).row_payoffs[0][0] == Fraction(1, 2 * 10**4299)
+        assert parse_game(game_text("1%se-4300" % ("0" * 4300))).row_payoffs[0][0] == 1
+        for payoff in ("1e4300", "1e-4300", "5e-4301"):
+            with pytest.raises(ValidationError, match="more than 4300 digits"):
+                parse_game(game_text(payoff))
+        # refused from the exponent, before 10^3000000 is built
+        for payoff in ("1e3000000", "-0.5e-3000000", "1e99999999"):
+            with pytest.raises(ValidationError, match="exponent is out of range"):
+                parse_game(game_text(payoff))
+        # ParseError where CPython limits int-from-str conversion (3.10.7 on)
+        for payoff in ("0." + "1" * 4301, '"1/%s"' % ("3" * 4301), "1" * 4301):
+            with pytest.raises((ParseError, ValidationError)):
+                parse_game(game_text(payoff))
+        with pytest.raises(ValidationError, match="more than 4300 digits"):
+            make_bimatrix("t", ["a"], ["b"], [[10**4300]], [[0]])
+
+    def test_parse_game_raises_only_cpg_errors(self):
+        # arbitrary text, arbitrary JSON values, objects over the game's own
+        # keys, and games with an arbitrary decimal literal as a payoff: every
+        # document gives a game or a CpgError, and a decimal literal of modest
+        # exponent gives the payoff Fraction reads from it
+        values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(["3/5", "-2/7", "1/0", "1/-2"]),
+            lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+            max_leaves=12)
+        keys = st.sampled_from(["name", "row_actions", "col_actions", "row_payoffs", "col_payoffs"])
+        decimals = st.builds("{}{}{}".format, st.integers(-10**20, 10**20),
+                             st.just("") | st.text("0123456789", min_size=1, max_size=20).map(".{}".format),
+                             st.just("") | st.integers(-10**8, 10**8).map("e{}".format))
+        seen = set()
+
+        documents = st.one_of(st.text(), values.map(json.dumps), st.dictionaries(keys, values).map(json.dumps))
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+        @given(documents.map(lambda doc: (None, doc)) | decimals.map(lambda d: (d, game_text(d))))
+        def check(case):
+            literal, doc = case
+            try:
+                g = parse_game(doc)
+            except CpgError as exc:
+                seen.add(type(exc))
+                return
+            seen.add(BimatrixGame)
+            exponent = re.search(r"[eE]([-+]?\d+)", literal or "")
+            if literal is not None and (exponent is None or abs(int(exponent[1])) < 1000):
+                assert g.row_payoffs[0][0] == Fraction(literal), literal
+
+        check()
+        assert seen == {BimatrixGame, ParseError, ValidationError}
 
     def test_roundtrip_all_bundled(self, all_games):
         for g in all_games.values():
