@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainEscape, SizeMismatch, TooLarge, UnsupportedDimension, ValidationError
-from .games import BimatrixGame, MixedStrategy, SingleGame, _check_simplex, counterpart_games
+from .games import SIMPLEX_TOL, BimatrixGame, MixedStrategy, SingleGame, _check_simplex, counterpart_games
 
 SYSTEMS = ("single", "coupled", "cp1", "cp2")
 CLAMP_EPS = 1e-12
-ESCAPE_EPS = 1e-9
 # float64 values an RK4 record may hold, (steps // stride + 2) * K * N: 400 MB
 MAX_RECORD_VALUES = 50_000_000
 
@@ -189,6 +188,7 @@ def _n_steps(dt: float, t_max: float) -> int:
     return max(1, int(round(ratio)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in NaN, which raises DomainEscape
 def _rk4(system: str, game, starts, dt: float, t_max: float, stride: int) -> np.ndarray:
     """The one RK4 loop, in place on a (K, N) array; see `integrate_batch`."""
     steps = _n_steps(dt, t_max)
@@ -223,9 +223,10 @@ def _rk4(system: str, game, starts, dt: float, t_max: float, stride: int) -> np.
         np.add(v1, v4, v1)
         np.multiply(v1, sixth, v1)
         np.add(s, v1, s)
-        low = np.fmin.reduce(s, None)
-        if low < -ESCAPE_EPS:
-            raise DomainEscape(f"state component {low} below -{ESCAPE_EPS}; reduce dt")
+        low = np.minimum.reduce(s, None)  # NaN if any component is, and NaN fails the bound
+        if not low >= -SIMPLEX_TOL:
+            raise DomainEscape(f"state component {low} below -{SIMPLEX_TOL}; reduce dt" if not math.isnan(low)
+                               else "state component is not a number: the field overflowed float64")
         if low < 0.0:
             np.copyto(s, 0.0, where=(s < 0.0) & (s >= -CLAMP_EPS))
         for block, total in sums:
@@ -246,9 +247,9 @@ def integrate_batch(system: str, game, starts, dt: float = 0.01, t_max: float = 
     stride, 2*stride, ... and then the final one, with each start's
     populations concatenated (x then y for the coupled system).  A record of
     more than MAX_RECORD_VALUES values raises TooLarge before any step or
-    allocation.  After each step a component below -ESCAPE_EPS raises
-    DomainEscape, values in [-CLAMP_EPS, 0) are clamped to 0 and each
-    population is renormalized.
+    allocation.  After each step a component below -SIMPLEX_TOL (the
+    simplex rule's bound) or NaN raises DomainEscape, values in
+    [-CLAMP_EPS, 0) are clamped to 0 and each population is renormalized.
     Faces stay invariant exactly: a zero component has zero velocity at
     every RK4 stage and scaling preserves it.
     """

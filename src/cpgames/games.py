@@ -61,33 +61,39 @@ def to_fraction(value) -> Fraction:
         if not _FRACTION_STR.match(value):
             raise ParseError(f"payoff string {value!r} is not of the form 'p/q'")
         num, _, den = value.partition("/")
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError as exc:  # a part past CPython's int-from-str limit
-            raise ParseError(f"payoff string has a part of more than {MAX_PAYOFF_DIGITS} digits") from exc
+        num, den = _int(num), _int(den or "1")
         if den == 0:
             raise ValidationError(f"zero denominator in payoff {value!r}")
         return Fraction(num, den)
     raise ParseError(f"payoff entry has wrong type: {value!r}")
 
 
+def _int(numeral: str) -> int:
+    """A decimal numeral as an int, refused with ValidationError past
+    MAX_PAYOFF_DIGITS digits, before CPython's int-from-str limit (the same
+    number) raises a ValueError whose advice no `cpg` user can act on."""
+    if len(numeral.lstrip("+-")) > MAX_PAYOFF_DIGITS:
+        raise ValidationError(f"payoff has a number of more than {MAX_PAYOFF_DIGITS} digits")
+    return int(numeral)
+
+
 def _decimal(literal: str) -> Fraction:
     """A JSON decimal literal as an exact Fraction (0.55 -> 11/20).  Written
     as d x 10^e with d not a multiple of 10, it is refused unbuilt when |e|
     exceeds 4 x MAX_PAYOFF_DIGITS: then 10^e, or the reduced denominator
-    (at least 2^|e|), has more than MAX_PAYOFF_DIGITS digits.  A d past
-    CPython's int-from-str limit raises ValueError, as an integer literal
-    does; `make_bimatrix` checks the payoffs that are built."""
+    (at least 2^|e|), has more than MAX_PAYOFF_DIGITS digits.  `_int` refuses
+    a d or an e of more digits; `make_bimatrix` checks the payoffs that are
+    built."""
     mantissa, _, exp = literal.lower().partition("e")
     whole, _, frac = mantissa.partition(".")
     digits = (whole + frac).lstrip("-0")
     significant = digits.rstrip("0")
     if not significant:
         return Fraction(0)
-    scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
+    scale = _int(exp or "0") - len(frac) + len(digits) - len(significant)
     if abs(scale) > 4 * MAX_PAYOFF_DIGITS:
         raise ValidationError(f"decimal payoff's exponent is out of range: {literal[:40]}")
-    num = -int(significant) if literal.startswith("-") else int(significant)
+    num = -_int(significant) if literal.startswith("-") else _int(significant)
     return Fraction(num * 10 ** scale) if scale >= 0 else Fraction(num, 10 ** -scale)
 
 
@@ -314,19 +320,17 @@ def parse_game(text: str) -> BimatrixGame:
     """Parse a JSON game document into a validated BimatrixGame.
 
     Decimal payoff literals convert exactly (0.55 -> 11/20).  Invalid JSON,
-    nesting too deep for the parser, numbers written with more than
-    MAX_PAYOFF_DIGITS digits, unknown keys, missing keys and wrong field
-    types raise ParseError; dimension mismatches, duplicate labels, zero
-    denominators and payoffs past MAX_PAYOFF_DIGITS raise ValidationError.
+    nesting too deep for the parser, unknown keys, missing keys and wrong
+    field types raise ParseError; dimension mismatches, duplicate labels,
+    zero denominators, and numbers or payoffs past MAX_PAYOFF_DIGITS raise
+    ValidationError.
     """
     def reject_constant(token):
         raise ParseError(f"non-finite payoff constant {token!r} not allowed")
 
     try:
-        doc = json.loads(text, parse_float=_decimal, parse_constant=reject_constant)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: a JSONDecodeError, or a number with more digits than
-        # CPython's int-from-str limit; RecursionError: nesting too deep
+        doc = json.loads(text, parse_float=_decimal, parse_int=_int, parse_constant=reject_constant)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("game document must be a JSON object")

@@ -62,29 +62,15 @@ def rd_jacobian(system: str, game, point) -> np.ndarray:
     return _rest_jacobian(system, game, point)[1]
 
 
-def _tangent_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the zero-sum subspace of R^n (n-1 columns)."""
-    basis = np.zeros((n, n - 1))
-    for k in range(1, n):
-        col = np.zeros(n)
-        col[:k] = 1.0
-        col[k] = -k
-        basis[:, k - 1] = col / np.sqrt(k * (k + 1))
-    return basis
-
-
 def tangent_eigenvalues(jacobian: np.ndarray, dims) -> tuple[complex, ...]:
-    """Eigenvalues of the Jacobian restricted to the simplex tangent space(s)."""
-    blocks = [_tangent_basis(d) for d in dims]
-    total = sum(dims)
-    reduced = sum(d - 1 for d in dims)
-    proj = np.zeros((total, reduced))
-    r_off = c_off = 0
-    for block in blocks:
-        proj[r_off:r_off + block.shape[0], c_off:c_off + block.shape[1]] = block
-        r_off += block.shape[0]
-        c_off += block.shape[1]
-    eig = np.linalg.eigvals(proj.T @ jacobian @ proj)
+    """Eigenvalues of the Jacobian restricted to the simplex tangent space(s),
+    on the basis e_i - e_last of each population: the field maps that space
+    into itself, so the restriction is J[keep][:, keep] - J[keep][:, last]."""
+    ends = np.cumsum(dims)
+    keep = np.delete(np.arange(ends[-1]), ends - 1)
+    last = np.repeat(ends - 1, np.asarray(dims) - 1)
+    rows = jacobian[keep]
+    eig = np.linalg.eigvals(rows[:, keep] - rows[:, last])
     return tuple(sorted((complex(z) for z in eig), key=lambda z: (z.real, z.imag)))
 
 

@@ -25,12 +25,6 @@ from .dynamics import Trajectory, _n_steps, integrate_batch, sample_field_grid
 from .solver import enumerate_nash_bimatrix, enumerate_rest_points
 from .stability import classify_rest_point
 
-MARKER_CLASSES = {
-    "nash_stable": "marker-nash-stable",
-    "nash_unstable": "marker-nash-unstable",
-    "rest_non_nash": "marker-rest",
-}
-
 _STYLE = """\
 .frame { stroke: #888888; stroke-width: 1; fill: none; }
 .label { font: 14px sans-serif; fill: #333333; }
@@ -89,7 +83,7 @@ def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin
     the `sample_field_grid` grid of resolution `res` (`cells` cells a side),
     trajectories, `markers(game)` and the close.  `columns` picks the plotted
     entries of a stacked state and `to_plane` maps them linearly into the unit
-    plot; markers come as (plotted entries, marker class)."""
+    plot; markers come as (plotted entries, CSS class)."""
     side = SIZE_PX - 2 * margin
     if cells > side:  # before sampling: the grid's cost grows as res^2
         raise TooLarge(f"grid resolution {res} puts arrows less than 1 px apart; "
@@ -101,25 +95,23 @@ def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SIZE_PX} {SIZE_PX}" '
              f'width="{SIZE_PX}" height="{SIZE_PX}">', f"<style>\n{_STYLE}\n</style>", *frame(game, to_px)]
 
-    max_speed = 0.0
-    arrows = []
     points, velocities = sample_field_grid(system, game, res)
-    for point, velocity in zip(points[:, columns], velocities[:, columns]):
-        vel = to_plane(velocity)
-        speed = math.hypot(*vel)
-        max_speed = max(max_speed, speed)
-        arrows.append((to_plane(point), vel, speed))
+    points = points[:, columns]
+    planar = [to_plane(velocity) for velocity in velocities[:, columns].tolist()]
+    speeds = [math.hypot(*vel) for vel in planar]
+    max_speed = max([0.0, *speeds])  # 0.0 first, so a NaN speed is never the max
     if max_speed > 0.0:
         spacing = side / cells
         scale = ARROW_FILL * spacing / max_speed
-        for pos, vel, speed in arrows:
+        for point, vel, speed in zip(points, planar, speeds):
             if speed < ARROW_MIN_SPEED:
                 continue
-            cx, cy = to_px(*pos)
+            cx, cy = to_px(*to_plane(point))
             # SVG y grows downward; flip the vertical velocity component.
             dx, dy = vel[0] * scale, -vel[1] * scale
             path = _arrow_path(cx - dx / 2, cy - dy / 2, cx + dx / 2, cy + dy / 2)
             lines.append(f'<path class="arrow" d="{path}"/>')
+    del points, velocities, planar, speeds  # before the join: about 30 MB at a grid of 501
 
     # Every (steps // TRAJ_MAX_POINTS)-th state and the final state of each start.
     starts = spec.trajectory_starts
@@ -135,9 +127,9 @@ def _portrait(system: str, game, spec: PlotSpec, res: int, *, cells: int, margin
 
     for coords, cls in markers(game):
         cx, cy = to_px(*to_plane(coords))
-        lines.append(f'<circle class="{MARKER_CLASSES[cls]}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="6"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        lines.append(f'<circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="6"/>')
+    lines.append("</svg>\n")
+    return "\n".join(lines)
 
 
 # Equilateral triangle with unit side: corner 0 bottom-left, corner 1
@@ -192,9 +184,10 @@ def _square_frame(g: BimatrixGame, to_px):
 
 
 def _square_markers(g: BimatrixGame):
+    # a coupled equilibrium is a sink exactly when it is strict (Selten 1980),
+    # so the exact flag decides at any payoff scale
     for eq in enumerate_nash_bimatrix(g):
-        cls_info = classify_rest_point("coupled", g, (eq.x, eq.y), nash_status=True)
-        cls = "nash_stable" if cls_info.category == "ess_stable" else "nash_unstable"
+        cls = "marker-nash-stable" if eq.is_strict else "marker-nash-unstable"
         yield (float(eq.x.probs[0]), float(eq.y.probs[0])), cls
 
 
@@ -224,11 +217,11 @@ def _simplex_frame(s: SingleGame, to_px):
 def _simplex_markers(s: SingleGame):
     for rp in enumerate_rest_points(s):
         if not rp.is_nash:  # the class whatever the spectrum, so not classified
-            cls = "rest_non_nash"
+            cls = "marker-rest"
         elif classify_rest_point("single", s, rp.point, nash_status=True).category == "ess_stable":
-            cls = "nash_stable"
+            cls = "marker-nash-stable"
         else:
-            cls = "nash_unstable"
+            cls = "marker-nash-unstable"
         yield tuple(float(p) for p in rp.point.probs), cls
 
 

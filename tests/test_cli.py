@@ -127,6 +127,15 @@ class TestRestpoints:
         assert "4 rest points" in out
         assert out.count("not-nash") == 2
 
+    def test_continuum_flag(self, tmp_path, capsys):
+        # counterpart 1 is [[1, 1], [1, 1]], so every mix is a rest point
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"name": "flat", "row_actions": ["a", "b"], "col_actions": ["c", "d"],
+                                    "row_payoffs": [[1, 1], [1, 1]], "col_payoffs": [[1, 0], [0, 1]]}))
+        code, out, err = run(capsys, "restpoints", str(path), "--counterpart", "1")
+        assert code == 0 and err == ""
+        assert out.endswith("3. x=(1/2, 1/2)  support=[a,b]  nash,continuum  payoff=1\n")
+
     def test_requires_counterpart(self, capsys):
         code, _, err = run(capsys, "restpoints", "bos_extended")
         assert code == 1
@@ -212,6 +221,15 @@ class TestPlot:
         svg = plot_simplex(counterpart_games(padded)[kind == "cp2"], PlotSpec(kind="simplex"))
         assert out_path.read_bytes() == svg.encode("utf-8")
 
+    def test_simplex_trajectories(self, tmp_path, capsys):
+        out_path = tmp_path / "cp.svg"
+        code, _, err = run(capsys, "plot", "rps", "--kind", "cp1", "--out", str(out_path),
+                           "--trajectories", "0.2,0.3,0.5;0.6,0.1,0.3")
+        assert code == 0 and err == ""
+        cp1 = counterpart_games(cli.load_game("rps"))[0]
+        svg = plot_simplex(cp1, PlotSpec(kind="simplex", trajectory_starts=[[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
+        assert out_path.read_bytes() == svg.encode("utf-8")
+
     def test_square_on_3x3_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "plot", "rps", "--kind", "square",
                            "--out", str(tmp_path / "x.svg"))
@@ -221,6 +239,16 @@ class TestPlot:
         code, _, err = run(capsys, "plot", "bos", "--kind", "square", "--out", str(tmp_path / "x.svg"),
                            "--trajectories", "nan,1,0.5,0.5")
         assert code == 2 and err.startswith("error: input:")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("game, kind, starts, message", [
+        ("bos", "square", "0.5,x,0.5,0.5", "trajectory start is not numeric: '0.5,x,0.5,0.5'"),
+        ("bos", "square", "0.5,0.5", "trajectory start needs 4 components: '0.5,0.5'"),
+        ("rps", "cp1", "0.5,0.5", "trajectory start needs 3 components: '0.5,0.5'")])
+    def test_malformed_trajectories_exit_2(self, tmp_path, capsys, game, kind, starts, message):
+        code, out, err = run(capsys, "plot", game, "--kind", kind, "--out", str(tmp_path / "x.svg"),
+                             "--trajectories", starts)
+        assert (code, out, err) == (2, "", f"error: input: {message}\n")
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("game, kind", [("bos", "square"), ("rps", "cp1")])
@@ -464,6 +492,28 @@ class TestFailurePath:
         # only a value derived from the payoffs can fail after output has begun
         assert out == "" or argv == ("solve",) or argv == ("decompose",)
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("argv", [
+        ("dynamics", "--system", "coupled", "--init", "0.5,0.5;0.5,0.5", "--t-max", "1", "--out", "x.csv"),
+        ("plot", "--kind", "square", "--out", "x.svg")], ids=lambda argv: argv[0])
+    def test_float_overflow_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+        # a payoff of 1e300 is in float64's range, but the RK4 products
+        # overflow it; the state turns NaN, which the simplex rule refuses
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "game.json"
+        path.write_text(game_text("1e300"))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == "error: numeric: state component is not a number: the field overflowed float64\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_os_error_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "dynamics", "pd", "--system", "coupled", "--init", "0.5,0.5;0.5,0.5",
+                             "--t-max", "1", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: input: [Errno 2] No such file or directory: '{out_path}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_exact_commands_run_past_the_float_range(self, tmp_path, capsys):
         path = tmp_path / "game.json"

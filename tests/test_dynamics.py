@@ -9,6 +9,7 @@ import pytest
 import cpgames.dynamics
 from cpgames import (
     DomainEscape,
+    SizeMismatch,
     TooLarge,
     UnsupportedDimension,
     ValidationError,
@@ -16,6 +17,7 @@ from cpgames import (
     enumerate_nash_bimatrix,
     integrate,
     integrate_batch,
+    make_bimatrix,
     rd_coupled_field,
     rd_single_field,
     sample_field_grid,
@@ -199,6 +201,13 @@ class TestIntegrate:
         with pytest.raises(DomainEscape):
             integrate("coupled", pd, ([0.9, 0.1], [0.9, 0.1]), dt=40.0, t_max=4000.0)
 
+    def test_overflow_escapes(self):
+        # 1e300 is a float64, but an RK4 stage's products overflow to inf and
+        # then NaN, which fails the simplex rule's bound as no number does
+        g = make_bimatrix("t", ["a", "b"], ["c", "d"], [[10**300, 0], [0, 1]], [[1, 0], [0, 1]])
+        with pytest.raises(DomainEscape, match="^state component is not a number"):
+            integrate_batch("coupled", g, [([0.5, 0.5], [0.5, 0.5])], t_max=1)
+
     def test_batch_matches_single_starts_bit_for_bit(self, bos, leduc, fullsupport):
         # BoS lattice starts such as ((1/2, 1/2), (1/2, 1/2)) lie on the
         # separatrix, where one ulp decides which equilibrium is reached.
@@ -241,6 +250,27 @@ class TestIntegrate:
             integrate_batch("coupled", pd, [])
         with pytest.raises(ValidationError):
             integrate_batch("coupled", pd, [([0.5, 0.5], [0.5, 0.5])], stride=0)
+
+    @pytest.mark.parametrize("system, single_game, times, message", [
+        ("single", False, {}, "system 'single' needs a SingleGame"),
+        ("coupled", True, {}, "system 'coupled' needs a BimatrixGame"),
+        ("cp3", False, {}, "unknown system 'cp3'"),
+        ("coupled", False, {"dt": 0.0}, "dt must be positive"),
+        ("coupled", False, {"dt": 0.1, "t_max": 0.05}, "t_max must be at least dt"),
+    ])
+    def test_refused_system_and_times(self, pd, system, single_game, times, message):
+        game = counterpart_games(pd)[0] if single_game else pd
+        with pytest.raises(ValidationError, match=message):
+            integrate_batch(system, game, [([0.5, 0.5], [0.5, 0.5])], **times)
+
+    @pytest.mark.parametrize("start, error, message", [
+        ([0.2, 0.3, 0.5], ValidationError, "coupled systems need a state per population"),
+        (([0.5, 0.5, 0.0], [0.5, 0.5]), SizeMismatch, "row state has 3 components, expected 2"),
+        ([0.5, 0.5], SizeMismatch, r"row state has \? components, expected 2")],
+        ids=["one", "long", "scalars"])
+    def test_refused_coupled_start(self, pd, start, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            integrate("coupled", pd, start)
 
     def test_record_cap(self, pd, monkeypatch):
         # the record is (steps // stride + 2) * K * N values: here

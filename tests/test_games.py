@@ -18,6 +18,7 @@ from cpgames import (
     CpgError,
     MixedStrategy,
     ParseError,
+    SingleGame,
     SizeMismatch,
     ValidationError,
     counterpart_games,
@@ -104,9 +105,10 @@ class TestParsing:
         for payoff in ("1e3000000", "-0.5e-3000000", "1e99999999"):
             with pytest.raises(ValidationError, match="exponent is out of range"):
                 parse_game(game_text(payoff))
-        # ParseError where CPython limits int-from-str conversion (3.10.7 on)
+        # a number written with more digits is refused before int() reads it,
+        # where CPython's int-from-str limit (3.10.7 on) would raise
         for payoff in ("0." + "1" * 4301, '"1/%s"' % ("3" * 4301), "1" * 4301):
-            with pytest.raises((ParseError, ValidationError)):
+            with pytest.raises(ValidationError, match="more than 4300 digits"):
                 parse_game(game_text(payoff))
         with pytest.raises(ValidationError, match="more than 4300 digits"):
             make_bimatrix("t", ["a"], ["b"], [[10**4300]], [[0]])
@@ -154,6 +156,50 @@ class TestParsing:
     def test_serialize_is_stable(self, leduc):
         text = serialize_game(leduc)
         assert serialize_game(parse_game(text)) == text
+
+
+# each names a check on the game model that no other test reaches
+ONE = make_bimatrix("t", ["a"], ["b"], [[1]], [[1]])
+E1 = MixedStrategy.exact([1])
+REFUSED = {
+    "bool-payoff": (lambda: to_fraction(True), ParseError, "payoff entry has wrong type: True"),
+    "inf-payoff": (lambda: to_fraction(float("inf")), ValidationError, "payoff entry must be finite"),
+    "list-payoff": (lambda: to_fraction([1]), ParseError, r"payoff entry has wrong type: \[1\]"),
+    "no-actions": (lambda: make_bimatrix("t", [], ["c"], [], []), ValidationError,
+                   "row_actions must not be empty"),
+    "empty-label": (lambda: make_bimatrix("t", ["a", ""], ["c"], [[1], [2]], [[1], [2]]), ValidationError,
+                    "row_actions contains an empty or non-string label"),
+    "int-label": (lambda: make_bimatrix("t", ["a"], [3], [[1]], [[1]]), ValidationError,
+                  "col_actions contains an empty or non-string label"),
+    "ragged-row": (lambda: make_bimatrix("t", ["a", "b"], ["c", "d"], [[1, 2], [3]], [[1, 2], [3, 4]]),
+                   ValidationError, "row_payoffs has a row of length 1, expected 2"),
+    "single-shape": (lambda: SingleGame("t", ("a", "b"), ((F(1), F(2)),)), ValidationError,
+                     "payoff matrix must be 2x2 to match the action list"),
+    "strategy-mode": (lambda: MixedStrategy((F(1),), "approx"), ValidationError,
+                      "unknown arithmetic mode 'approx'"),
+    "strategy-empty": (lambda: MixedStrategy((), "exact"), ValidationError,
+                       "strategy must have at least one component"),
+    "negative-tol": (lambda: is_nash_bimatrix(ONE, E1, E1, tol=-1e-9), ValidationError,
+                     "tolerance must be nonnegative"),
+    "negative-tol-single": (lambda: is_nash_single(counterpart_games(ONE)[0], E1, tol=-1e-9), ValidationError,
+                            "tolerance must be nonnegative"),
+    "not-an-object": (lambda: parse_game("[]"), ParseError, "game document must be a JSON object"),
+    "missing-keys": (lambda: parse_game('{"name": "t", "row_actions": ["a"]}'), ParseError,
+                     "missing keys in game document: col_actions, row_payoffs, col_payoffs"),
+    "actions-not-strings": (lambda: parse_game('{"name": "t", "row_actions": ["a", 1], "col_actions": ["b"], '
+                                               '"row_payoffs": [[1]], "col_payoffs": [[1]]}'),
+                            ParseError, "field 'row_actions' must be an array of strings"),
+    "payoffs-not-arrays": (lambda: parse_game('{"name": "t", "row_actions": ["a"], "col_actions": ["b"], '
+                                              '"row_payoffs": [[1]], "col_payoffs": [1]}'),
+                           ParseError, "field 'col_payoffs' must be an array of arrays"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_malformed_input_refused(name):
+    build, error, message = REFUSED[name]
+    with pytest.raises(error, match=f"^{message}"):
+        build()
 
 
 class TestFractions:

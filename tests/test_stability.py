@@ -42,6 +42,34 @@ def fd_jacobian(f, z, h=1e-6):
     return jac
 
 
+def orthonormal_tangent_eigenvalues(jacobian, dims):
+    """Oracle: the tangent spectrum as P^T J P, with P an orthonormal basis of
+    each population's zero-sum subspace, as `tangent_eigenvalues` computed it
+    before it read the restriction on the basis e_i - e_last off J."""
+    proj = np.zeros((sum(dims), sum(dims) - len(dims)))
+    r_off = c_off = 0
+    for n in dims:
+        for k in range(1, n):
+            col = np.zeros(n)
+            col[:k] = 1.0
+            col[k] = -k
+            proj[r_off:r_off + n, c_off + k - 1] = col / np.sqrt(k * (k + 1))
+        r_off += n
+        c_off += n - 1
+    return np.linalg.eigvals(proj.T @ jacobian @ proj)
+
+
+def assert_same_spectrum(jacobian, dims):
+    """`tangent_eigenvalues` equals the orthonormal oracle within 1e-12, each
+    eigenvalue matched to its nearest counterpart."""
+    rest = list(orthonormal_tangent_eigenvalues(jacobian, dims))
+    got = tangent_eigenvalues(jacobian, dims)
+    assert len(got) == len(rest)
+    for z in got:
+        k = min(range(len(rest)), key=lambda i: abs(rest[i] - z))
+        assert abs(rest.pop(k) - z) < 1e-12, (z, got)
+
+
 def single_fd(s, x):
     return fd_jacobian(lambda z: rd_single_field(s, z), x)
 
@@ -91,7 +119,9 @@ class TestJacobianMatchesFiniteDifferences:
                 if rp.continuum:
                     continue
                 x = np.array(rp.point.probs, dtype=float)
-                assert np.abs(rd_jacobian("single", s, x) - single_fd(s, x)).max() < 1e-5
+                jac = rd_jacobian("single", s, x)
+                assert np.abs(jac - single_fd(s, x)).max() < 1e-5
+                assert_same_spectrum(jac, (n,))
                 checked += 1
 
     def test_random_coupled_equilibria(self):
@@ -107,7 +137,9 @@ class TestJacobianMatchesFiniteDifferences:
                               [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
             for c in enumerate_nash_bimatrix(g):
                 x, y = np.array(c.x.probs, dtype=float), np.array(c.y.probs, dtype=float)
-                assert np.abs(rd_jacobian("coupled", g, (x, y)) - coupled_fd(g, x, y)).max() < 1e-5
+                jac = rd_jacobian("coupled", g, (x, y))
+                assert np.abs(jac - coupled_fd(g, x, y)).max() < 1e-5
+                assert_same_spectrum(jac, (m, n))
                 checked[m, n] += 1
 
     def test_not_rest_point_rejected(self, bos):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestUnitSquare:
         assert len(unstable) == 1
         assert abs(unstable[0][0] - 0.6) < 1e-3 and abs(unstable[0][1] - 0.4) < 1e-3
 
+    def test_markers_do_not_change_with_payoff_scale(self, bos):
+        # BoS x 1e-8 has BoS's equilibria and orbits on a slower clock, so its
+        # 2 strict equilibria are sinks; their tangent eigenvalues (-2e-8,
+        # -3e-8) sit inside the float spectrum's 1e-7 tolerance
+        scale = Fraction(1, 10**8)
+        slow = make_bimatrix("bos-slow", bos.row_actions, bos.col_actions,
+                             [[v * scale for v in row] for row in bos.row_payoffs],
+                             [[v * scale for v in row] for row in bos.col_payoffs])
+        spec = PlotSpec(kind="square", trajectory_starts=None)
+        markers = [re.findall(r"<circle [^>]*>", plot_unit_square(g, spec)) for g in (bos, slow)]
+        assert markers[1] == markers[0]
+        assert [m.count("marker-nash-stable") for m in markers[1]] == [1, 1, 0]
+
     def test_pd_single_marker(self, pd):
         svg = plot_unit_square(pd, PlotSpec(kind="square", trajectory_starts=None))
         stable = [from_px(p) for p in marker_positions(svg, "marker-nash-stable")]
@@ -76,6 +90,18 @@ class TestUnitSquare:
     def test_byte_deterministic(self, bos):
         spec = PlotSpec(kind="square", t_max=5.0)
         assert plot_unit_square(bos, spec) == plot_unit_square(bos, spec)
+
+
+def test_nan_speed_never_scales_the_arrows(bos, monkeypatch):
+    # a NaN velocity at the first sample (a corner, so no arrow otherwise)
+    # gets a NaN arrow, and every other arrow keeps its length
+    spec = PlotSpec(kind="square", grid_resolution=5, trajectory_starts=None)
+    expected = re.findall(r'<path class="arrow" d="[^"]*"/>', plot_unit_square(bos, spec))
+    points, velocities = viz.sample_field_grid("coupled", bos, 5)
+    velocities[0] = np.nan
+    monkeypatch.setattr(viz, "sample_field_grid", lambda *args: (points, velocities))
+    got = re.findall(r'<path class="arrow" d="[^"]*"/>', plot_unit_square(bos, spec))
+    assert "nan" in got[0] and got[1:] == expected
 
 
 @pytest.mark.parametrize("kind, largest", [("square", 501), ("simplex", 480)])
