@@ -101,10 +101,14 @@ def _field(plan) -> None:
     np.multiply(s, out, out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a velocity that overflows raises DomainEscape
 def _velocities(dims, mats, states: np.ndarray) -> np.ndarray:
-    """Field at every row of a (K, N) state array, as a new (K, N) array."""
+    """Field at every row of a (K, N) state array, as a new (K, N) array;
+    DomainEscape if some velocity is not finite."""
     out = np.empty_like(states)
     _field(_field_plan(dims, mats, states, out))
+    if not np.isfinite(out).all():
+        raise DomainEscape("field velocity is not finite: the field overflowed float64")
     return out
 
 

@@ -38,7 +38,7 @@ MAX_PAYOFF_DIGITS = 4300
 _PAYOFF_LIMIT = 10 ** MAX_PAYOFF_DIGITS
 
 _GAME_KEYS = ("name", "row_actions", "col_actions", "row_payoffs", "col_payoffs")
-_FRACTION_STR = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits, whole string (fullmatch)
 
 
 def to_fraction(value) -> Fraction:
@@ -58,7 +58,7 @@ def to_fraction(value) -> Fraction:
             raise ValidationError(f"payoff entry must be finite, got {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
-        if not _FRACTION_STR.match(value):
+        if not _FRACTION_STR.fullmatch(value):
             raise ParseError(f"payoff string {value!r} is not of the form 'p/q'")
         num, _, den = value.partition("/")
         num, den = _int(num), _int(den or "1")

@@ -23,9 +23,13 @@ which some action is weakly dominated on the other side's support: a Nash
 half puts positive weight on every column of its support, and against such
 a mix a weakly dominated row earns strictly less, so it is no best response
 (conditional dominance, as in Porter, Nudelman & Shoham 2008, "Simple
-search methods for finding a Nash equilibrium", GEB 63).  The degeneracy
-scan, the n! per-permutation view and the rest points still read every
-half, since they report non-Nash halves too.
+search methods for finding a Nash equilibrium", GEB 63).  It tests each
+pair with bit operations before any call.  The rest points, and so the
+symmetric equilibria, solve no support S on which a row of S weakly
+dominates another row of S: against a mix positive on S the two rows earn
+different payoffs, so S has no positive half.  The degeneracy scan and the
+n! per-permutation view still read every half, since a singular half is a
+witness whatever its sign.
 """
 
 from __future__ import annotations
@@ -201,7 +205,10 @@ class HalfTable:
 
     `undominated(cols)` answers, without solving anything, which rows can be
     best responses to a mix that is positive on `cols`: direct enumeration
-    reads it to skip pairs that cannot be Nash.
+    reads it to skip pairs that cannot be Nash.  `holds_dominated(mask)`
+    answers whether a row of a square support weakly dominates another row
+    of it there: the single-population scan reads it to skip supports that
+    have no positive half.
     """
 
     def __init__(self, mat, scale):
@@ -213,18 +220,23 @@ class HalfTable:
         self._minors[0] = 1
 
     @functools.cached_property
-    def _beats(self) -> list[tuple[int, int, int]]:
-        """(ge, gt, b's bit) for each ordered pair of rows (a, b): ge and gt
-        are the bitmasks of the columns where a pays at least, and more than,
-        b.  Pairs whose gt is empty are left out: there a dominates b on no
-        column set."""
+    def _beats(self) -> list[tuple[int, int, int, int]]:
+        """(ge, gt, a's bit, b's bit) for each ordered pair of rows (a, b):
+        ge and gt are the bitmasks of the columns where a pays at least, and
+        more than, b.  Pairs whose gt is empty are left out: there a
+        dominates b on no column set."""
         beats = []
         for b, low in enumerate(self.mat):
-            for high in self.mat:
-                gt = _bits(tuple(j for j, (p, q) in enumerate(zip(high, low)) if p > q))
+            for a, high in enumerate(self.mat):
+                ge = gt = 0
+                for j, (p, q) in enumerate(zip(high, low)):
+                    if p > q:
+                        gt |= 1 << j
+                        ge |= 1 << j
+                    elif p == q:
+                        ge |= 1 << j
                 if gt:
-                    ge = _bits(tuple(j for j, (p, q) in enumerate(zip(high, low)) if p >= q))
-                    beats.append((ge, gt, 1 << b))
+                    beats.append((ge, gt, 1 << a, 1 << b))
         return beats
 
     def undominated(self, cols: tuple[int, ...]) -> int:
@@ -236,11 +248,21 @@ class HalfTable:
         mask = self._undominated.get(cols)
         if mask is None:
             want, mask = _bits(cols), (1 << len(self.mat)) - 1
-            for ge, gt, bit in self._beats:
+            for ge, gt, _, bit in self._beats:
                 if gt & want and ge & want == want:
                     mask &= ~bit
             self._undominated[cols] = mask
         return mask
+
+    def holds_dominated(self, want: int) -> bool:
+        """Whether some row in the bitmask `want` weakly dominates another row
+        in it on the columns of `want`.  Then the two rows earn different
+        payoffs against every mix that is positive on `want`, so the half
+        (want, want) is neither unique and positive nor a positive segment."""
+        for ge, gt, a, b in self._beats:
+            if a & want and b & want and gt & want and ge & want == want:
+                return True
+        return False
 
     def get(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Half:
         half = self.entries.get((rows, cols))
@@ -337,13 +359,6 @@ class SupportTable:
         """Columns indifferent in B against the row mix on `rows`."""
         return self._x.get(cols, rows)
 
-    def undominated(self, rows, cols) -> bool:
-        """No row of `rows` is weakly dominated on `cols` in A, and no column
-        of `cols` on `rows` in B.  A pair that fails this has no Nash half on
-        the failing side (see HalfTable.undominated), so it is no equilibrium."""
-        return (_bits(rows) & ~self._y.undominated(cols) == 0
-                and _bits(cols) & ~self._x.undominated(rows) == 0)
-
     def degeneracy(self) -> DegeneracyReport:
         """The game's degeneracy report, scanning the equal-size support
         pairs' halves by (k, rows, cols) as it is read.
@@ -394,15 +409,11 @@ def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandida
 
 def _bimatrix_candidate(table: SupportTable, rows, cols):
     """The equilibrium on one support pair, or None.  Both halves must be
-    unique, positive and Nash; a pair with a weakly dominated action is
-    dropped before either half is read, and the x half is read only after
-    the y half is Nash.  The supports are the pair, since both mixes are
-    positive on it.  It is strict when it is pure and each player's action is
-    the only best response to the other's, as each half's best-response
-    count says."""
+    unique, positive and Nash, and the x half is read only after the y half
+    is Nash.  The supports are the pair, since both mixes are positive on
+    it.  It is strict when it is pure and each player's action is the only
+    best response to the other's, as each half's best-response count says."""
     g = table.game
-    if not table.undominated(rows, cols):
-        return None
     yh = table.y_half(rows, cols)
     if not yh.nash:
         return None
@@ -444,7 +455,9 @@ def enumerate_nash_bimatrix(g: BimatrixGame, *,
     on `rows` in B: against the other side's mix, positive on the pair, that
     action earns less than its dominator, so it is no best response
     (conditional dominance; Porter, Nudelman & Shoham 2008).  Only the pairs
-    left are solved.
+    left are solved.  For each size the column sets, their bitmasks and A's
+    undominated rows on each are made once, and for each row set B's
+    undominated columns, so a pair is tested with bit operations alone.
     Equilibria inside a continuum are not reported, and that includes every
     equilibrium whose supports differ in size; detect_degeneracy flags the
     games that have them.  `table` is a SupportTable of `g` to share (as in
@@ -453,24 +466,35 @@ def enumerate_nash_bimatrix(g: BimatrixGame, *,
     _guard_bimatrix(g)
     table = table or SupportTable(g)
     found = []
-    for rows, cols in _equal_size_pairs(g.n_rows, g.n_cols):
-        cand = _bimatrix_candidate(table, rows, cols)
-        if cand is not None:
-            found.append(cand)
+    for k in range(1, min(g.n_rows, g.n_cols) + 1):
+        col_sets = [(cols, _bits(cols), table._y.undominated(cols))
+                    for cols in itertools.combinations(range(g.n_cols), k)]
+        for rows in itertools.combinations(range(g.n_rows), k):
+            rmask, free_cols = _bits(rows), table._x.undominated(rows)
+            for cols, cmask, free_rows in col_sets:
+                if cmask & ~free_cols or rmask & ~free_rows:
+                    continue
+                cand = _bimatrix_candidate(table, rows, cols)
+                if cand is not None:
+                    found.append(cand)
     return found
 
 
 def _single_halves(s: SingleGame):
-    """(support, half) for every support of a single-population game, by
-    (size, support): the support's indifference system, each solved once on
-    one table of the game's payoffs.  Both single-population enumerations
-    read this scan."""
+    """(support, half) for every support of a single-population game that
+    can hold a positive half, by (size, support): the support's indifference
+    system, each solved once on one table of the game's payoffs.  A support
+    on which one of its rows weakly dominates another is skipped unsolved
+    (see HalfTable.holds_dominated): it has no rest point, continuum or
+    symmetric equilibrium.  Both single-population enumerations read this
+    scan."""
     if s.n > MAX_ACTIONS:
         raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game has {s.n}")
     table = HalfTable(*s.int_payoffs)
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
-            yield supp, table.get(supp, supp)
+            if not table.holds_dominated(_bits(supp)):
+                yield supp, table.get(supp, supp)
 
 
 def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
@@ -513,9 +537,10 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     solution is strictly positive; every vertex qualifies trivially.  A
     singular system with a positive solution segment is reported once, as the
     segment's midpoint flagged `continuum`.  Rest points are reported by
-    (support size, support).  Every support's half is read, Nash or not; a
-    unique point's Nash flag is its half's, decided in integers, and only a
-    continuum midpoint is checked against the game.
+    (support size, support).  Every support that can hold a positive half is
+    read, Nash or not, and one on which a row weakly dominates another is
+    skipped unsolved; a unique point's Nash flag is its half's, decided in
+    integers, and only a continuum midpoint is checked against the game.
     """
     found = []
     for supp, half in _single_halves(s):

@@ -66,8 +66,9 @@ def game_text(payoff: str) -> str:
 
 # game documents past the parser's limits, each refused with a ParseError or
 # a ValidationError: nesting past the recursion limit, numbers past CPython's
-# 4,300-digit int-from-str limit, and payoffs whose exact value would have more
-# than 4,300 digits (1e3000000 takes over a second to build)
+# 4,300-digit int-from-str limit, payoffs whose exact value would have more
+# than 4,300 digits (1e3000000 takes over a second to build), and "p/q"
+# strings with non-ASCII digits or a trailing newline, which int() would read
 HOSTILE_DOCUMENTS = {
     "deep-nesting": "[" * 200_000 + "]" * 200_000,
     "5000-digit-int": game_text("1" * 5000),
@@ -75,6 +76,8 @@ HOSTILE_DOCUMENTS = {
     "1e5000": game_text("1e5000"),
     "1e-5000": game_text("1e-5000"),
     "1e3000000": game_text("1e3000000"),
+    "arabic-indic-digits": game_text(r'"\u0661/\u0662"'),
+    "trailing-newline": game_text(r'"3\n"'),
 }
 
 

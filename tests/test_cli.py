@@ -507,6 +507,19 @@ class TestFailurePath:
         assert err == "error: numeric: state component is not a number: the field overflowed float64\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_grid_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the grid's fitness differences overflow float64 before any RK4
+        # step; the suite turns a numpy RuntimeWarning into a failure
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"name": "t", "row_actions": ["a", "b"], "col_actions": ["c", "d"],
+                                    "row_payoffs": [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
+                                    "col_payoffs": [[1, 0], [0, 1]]}))
+        code, out, err = run(capsys, "plot", str(path), "--kind", "square", "--out", "x.svg")
+        assert (code, out) == (3, "")
+        assert err == "error: numeric: field velocity is not finite: the field overflowed float64\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_os_error_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.csv"
         code, out, err = run(capsys, "dynamics", "pd", "--system", "coupled", "--init", "0.5,0.5;0.5,0.5",

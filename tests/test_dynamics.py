@@ -208,6 +208,17 @@ class TestIntegrate:
         with pytest.raises(DomainEscape, match="^state component is not a number"):
             integrate_batch("coupled", g, [([0.5, 0.5], [0.5, 0.5])], t_max=1)
 
+    def test_grid_overflow_escapes(self):
+        # a fitness difference of 3.4e308 overflows float64 on the grid; under
+        # the suite's warnings-as-errors a numpy RuntimeWarning would surface
+        # here instead of DomainEscape
+        g = make_bimatrix("t", ["a", "b"], ["c", "d"], [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
+                          [[1, 0], [0, 1]])
+        with pytest.raises(DomainEscape, match="^field velocity is not finite"):
+            sample_field_grid("coupled", g, 5)
+        with pytest.raises(DomainEscape, match="^field velocity is not finite"):
+            rd_coupled_field(g, [1.0, 0.0], [0.5, 0.5])
+
     def test_batch_matches_single_starts_bit_for_bit(self, bos, leduc, fullsupport):
         # BoS lattice starts such as ((1/2, 1/2), (1/2, 1/2)) lie on the
         # separatrix, where one ulp decides which equilibrium is reached.

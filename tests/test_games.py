@@ -212,6 +212,12 @@ class TestFractions:
         with pytest.raises(ParseError):
             to_fraction("3//5")
 
+    @pytest.mark.parametrize("text", ["\u0661/\u0662", "3\n", "1/2\n"])
+    def test_ascii_digits_only_whole_string(self, text):
+        # int() would read the Arabic-Indic "١/٢" as 1/2 and "3\n" as 3
+        with pytest.raises(ParseError):
+            to_fraction(text)
+
 
 class TestPadding:
     def test_extended_bos_dummy_row(self, bos_extended):

@@ -33,7 +33,8 @@ from cpgames.cli import BUNDLED_GAMES, run_cli
 from cpgames.decomposition import random_game, report_json
 from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
-from cpgames.solver import DegeneracyWitness, Half, HalfTable, SupportTable, _indifference
+from cpgames.solver import (DegeneracyWitness, Half, HalfTable, RestPoint, SupportTable,
+                            _full_vector, _indifference, _segment_barycentre)
 from conftest import count_calls, exact_payoffs
 
 
@@ -142,20 +143,58 @@ def unpruned_enumeration(g):
     return found
 
 
+def unpruned_single(s):
+    """Oracle: `enumerate_nash_single` and `enumerate_rest_points` without
+    the support pruning.  Every support's half is read from a fresh
+    `HalfTable`, continuum midpoints included; returns (equilibria, rest
+    points)."""
+    table = HalfTable(*s.int_payoffs)
+    nash, rest = [], []
+    for k in range(1, s.n + 1):
+        for supp in itertools.combinations(range(s.n), k):
+            half = table.get(supp, supp)
+            if half.mixed:
+                x = _full_vector(s.n, supp, half.solution[:-1])
+                rest.append(RestPoint(x, supp, half.nash, half.solution[-1]))
+                if half.nash:
+                    nash.append(EquilibriumCandidate(x, None, supp, None, k == 1 and half.best == 1,
+                                                     half.solution[-1]))
+            elif half.status == UNDERDETERMINED and len(half.nullspace) == 1:
+                sol = _segment_barycentre(half.solution, half.nullspace[0])
+                if sol is not None:
+                    x = _full_vector(s.n, supp, sol[:-1])
+                    rest.append(RestPoint(x, supp, is_nash_single(s, x), sol[-1], continuum=True))
+    return nash, rest
+
+
+def bitmask(indices):
+    return sum(1 << i for i in indices)
+
+
 def assert_filter_matches_oracle(g):
-    """The pruned enumeration equals the unpruned scan on `g`, and every rest
-    point of its padded counterparts has the Nash flag of an exact check.
-    Returns the number of equal-size pairs the filter skipped."""
+    """The pruned enumeration equals the unpruned scan on `g`, the symmetric
+    equilibria and rest points of its padded counterparts equal theirs, and
+    every rest point has the Nash flag of an exact check.  Returns the
+    numbers of equal-size pairs and of counterpart supports the filters
+    skip."""
     table = SupportTable(g)
     assert enumerate_nash_bimatrix(g, table=table) == unpruned_enumeration(g), serialize_game(g)
+    skipped = sum(bool(bitmask(rows) & ~table._y.undominated(cols)
+                       or bitmask(cols) & ~table._x.undominated(rows))
+                  for k in range(1, min(g.n_rows, g.n_cols) + 1)
+                  for rows, cols in itertools.product(itertools.combinations(range(g.n_rows), k),
+                                                      itertools.combinations(range(g.n_cols), k)))
+    supports = 0
     for cp in counterpart_games(pad_to_square(g)[0]):
-        for rp in enumerate_rest_points(cp):
+        nash, rest = unpruned_single(cp)
+        assert enumerate_nash_single(cp) == nash, serialize_game(g)
+        assert enumerate_rest_points(cp) == rest, serialize_game(g)
+        for rp in rest:
             assert rp.is_nash == is_nash_single(cp, rp.point), (serialize_game(g), rp)
             assert all(rp.point.probs[i] > 0 for i in rp.support)
-    return sum(not table.undominated(rows, cols)
-               for k in range(1, min(g.n_rows, g.n_cols) + 1)
-               for rows, cols in itertools.product(itertools.combinations(range(g.n_rows), k),
-                                                   itertools.combinations(range(g.n_cols), k)))
+        cp_table = HalfTable(*cp.int_payoffs)
+        supports += sum(cp_table.holds_dominated(want) for want in range(1, 1 << cp.n))
+    return skipped, supports
 
 
 def _matrix_game(name, a, b):
@@ -363,6 +402,19 @@ class TestBimatrixEnumeration:
         assert bound == 1846
         assert 0 < len(calls) <= 91
 
+    def test_rest_point_work_gate(self, monkeypatch):
+        # a machine-independent work gate: the rest-point scan solves no
+        # support on which one of its rows weakly dominates another, so on
+        # the counterparts of the same game it solves 41 and 28 of the 63
+        # halves, and still finds every rest point
+        calls = count_halves(monkeypatch)
+        g = random_game(random.Random(3), 6)
+        for cp, solved, found in zip(counterpart_games(g), (41, 28), (19, 16)):
+            calls.clear()
+            rest = enumerate_rest_points(cp)
+            assert 0 < len(calls) <= solved < 2 ** 6 - 1
+            assert len(rest) == found and rest == unpruned_single(cp)[1]
+
     def test_degenerate_contract(self):
         # Row T is dominant and the column player is indifferent at T, so every
         # (T, y) is an equilibrium: a continuum.  Only its isolated equal-size
@@ -412,11 +464,19 @@ class TestDominanceFilter:
             g = _matrix_game(f"rect-{i}", [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)],
                              [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)])
             games += [g, pad_to_square(g)[0]]
-        skipped = sum(assert_filter_matches_oracle(g) for g in games)
+        # all ties, so a continuum on every edge; and rows 0 and 1 of A, and
+        # of Bᵀ, equal on columns {0, 1}, which must not prune each other
+        games.append(_matrix_game("ties", [[1] * 3] * 3, [[1] * 3] * 3))
+        games.append(_matrix_game("equal-rows", [[1, 2, 3], [1, 2, 0], [0, 0, 4]],
+                                  [[1, 1, 3], [2, 2, 0], [0, 5, 0]]))
+        skipped = [sum(counts) for counts in zip(*map(assert_filter_matches_oracle, games))]
         verdicts = [detect_degeneracy(g).degenerate for g in games]
         assert verdicts.count(True) > 60 and verdicts.count(False) > 30
         assert sum(not g.is_square for g in games) > 40
-        assert skipped > 5000
+        assert skipped[0] > 5000 and skipped[1] > 1000  # pairs, counterpart supports
+        continua = [[rp.support for cp in counterpart_games(g)
+                     for rp in enumerate_rest_points(cp) if rp.continuum] for g in games[-2:]]
+        assert continua == [[(0, 1), (0, 2), (1, 2)] * 2, [(0, 1)] * 2]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.data())
