@@ -7,9 +7,9 @@ fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
 exact, so the work stays in Python integers.  The reduced row echelon form
 is unique, so the status, solution and null space equal those of
 `Fraction` elimination.  `HalfTable` reads every non-singular system off
-its minors, so elimination serves the singular systems, whose status and
-null space only it gives; there is no float path (`cpg solve --float`
-renders its digits in the CLI).
+its minors, so elimination serves the singular systems: only it gives their
+status, and the solution line whose positive segment `HalfTable` searches.
+There is no float path (`cpg solve --float` renders its digits in the CLI).
 """
 
 from __future__ import annotations

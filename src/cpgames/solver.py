@@ -70,13 +70,13 @@ class RestPoint:
     support: tuple[int, ...]
     is_nash: bool
     common_payoff: Fraction
-    continuum: bool = False  # representative (barycentre) of a solution segment
+    continuum: bool = False  # the midpoint of a positive segment on a solution line
 
 
 @dataclass(frozen=True)
 class DegeneracyWitness:
     supports: tuple
-    reason: str  # "singular-system" | "excess-best-responses" | "continuum"
+    reason: str  # "excess-best-responses", "continuum" (a singular positive half) or "singular-system"
 
 
 class DegeneracyReport:
@@ -134,16 +134,17 @@ def _bits(indices: tuple[int, ...]) -> int:
 
 class Half:
     """The solved indifference system of one half of a support pair; halves
-    compare equal field by field.  A unique positive half is made from its
-    integers: the mix c over total and the common payoff u over total times
-    the table's scale.  Its `solution` is built from them on first read."""
+    compare equal field by field.  A positive half's `solution` is a mix
+    positive on the support: a unique half's, or the midpoint of a solution
+    line's positive segment.  A unique positive half is made from its
+    integers, the mix c over total and the common payoff u over total times
+    the table's scale, and builds its `solution` on first read."""
 
-    __slots__ = ("status", "_solution", "nullspace", "positive", "best", "nash", "_integers")
+    __slots__ = ("status", "_solution", "positive", "best", "nash", "_integers")
 
-    def __init__(self, status, solution, nullspace, positive, best=0, nash=False, integers=None):
+    def __init__(self, status, solution, positive, best=0, nash=False, integers=None):
         self.status = status
         self._solution = solution
-        self.nullspace = nullspace  # underdetermined systems only
         self.positive = positive  # every in-support entry of `solution` is positive
         self.best = best  # unique and positive: rows earning the top payoff
         self.nash = nash  # ... and the support rows are among them
@@ -159,7 +160,7 @@ class Half:
         return self._solution
 
     def _fields(self) -> tuple:
-        return self.status, self.solution, self.nullspace, self.positive, self.best, self.nash
+        return self.status, self.solution, self.positive, self.best, self.nash
 
     def __eq__(self, other):
         return isinstance(other, Half) and self._fields() == other._fields()
@@ -167,18 +168,32 @@ class Half:
     def __repr__(self):
         return f"Half{self._fields()!r}"
 
-    @property
-    def mixed(self) -> bool:
-        """A unique, strictly positive mix on the support."""
-        return self.status == UNIQUE and self.positive
-
 
 # Shared halves without a mix: no reader needs a non-positive solution.  Not
 # keeping one per entry, nor a Fraction solution before it is read, keeps the
-# table of the degenerate 6x6 game random_game(Random(3), 6) at 0.546 MB
+# table of the degenerate 6x6 game random_game(Random(3), 6) at 0.495 MB
 # under tracemalloc (Python 3.11) once its witnesses have read every half.
 # Of that, each HalfTable's minor store is a fixed 8 * 4**6 bytes, 32 KiB.
-_NO_MIX = {status: Half(status, None, [], False) for status in (UNIQUE, INCONSISTENT)}
+_NO_MIX = {status: Half(status, None, False) for status in (UNIQUE, INCONSISTENT, UNDERDETERMINED)}
+
+
+def _segment_barycentre(particular, direction):
+    """Midpoint of the positive segment {p + t*d > 0} of a 1-dim solution set,
+    over the in-support coordinates (the common-payoff unknown rides along)."""
+    lo, hi = None, None
+    for p, d in zip(particular[:-1], direction[:-1]):
+        if d > 0:
+            bound = -p / d
+            lo = bound if lo is None else max(lo, bound)
+        elif d < 0:
+            bound = -p / d
+            hi = bound if hi is None else min(hi, bound)
+        elif p <= 0:
+            return None
+    if lo is None or hi is None or lo >= hi:
+        return None
+    t = (lo + hi) / 2
+    return [p + t * d for p, d in zip(particular, direction)]
 
 
 class HalfTable:
@@ -201,7 +216,9 @@ class HalfTable:
     integers, and a positive half keeps them: its `Fraction` solution is
     built only when first read.  A half with total = 0 is singular, so
     inconsistent or underdetermined, and only it goes to `solve_linear`, as
-    an integer system.
+    an integer system.  A singular half is positive (a continuum) when its
+    solutions form a line with a positive segment, and keeps its midpoint;
+    a solution set of 2 or more dimensions is never positive.
 
     `undominated(cols)` answers, without solving anything, which rows can be
     best responses to a mix that is positive on `cols`: direct enumeration
@@ -214,7 +231,6 @@ class HalfTable:
     def __init__(self, mat, scale):
         self.entries: dict[tuple, Half] = {}
         self.mat, self.scale = mat, scale
-        self._undominated: dict[tuple, int] = {}
         self._shift = shift = max(len(self.mat), len(self.mat[0]))
         self._minors: list[int | None] = [None] * (1 << 2 * shift)
         self._minors[0] = 1
@@ -245,20 +261,17 @@ class HalfTable:
         one.  A weakly dominated row earns strictly less than its dominator
         against every mix that is positive on `cols`, so it is in no Nash
         half's support there; rows equal on `cols` do not prune each other."""
-        mask = self._undominated.get(cols)
-        if mask is None:
-            want, mask = _bits(cols), (1 << len(self.mat)) - 1
-            for ge, gt, _, bit in self._beats:
-                if gt & want and ge & want == want:
-                    mask &= ~bit
-            self._undominated[cols] = mask
+        want, mask = _bits(cols), (1 << len(self.mat)) - 1
+        for ge, gt, _, bit in self._beats:
+            if gt & want and ge & want == want:
+                mask &= ~bit
         return mask
 
     def holds_dominated(self, want: int) -> bool:
         """Whether some row in the bitmask `want` weakly dominates another row
         in it on the columns of `want`.  Then the two rows earn different
         payoffs against every mix that is positive on `want`, so the half
-        (want, want) is neither unique and positive nor a positive segment."""
+        (want, want) is not positive."""
         for ge, gt, a, b in self._beats:
             if a & want and b & want and gt & want and ge & want == want:
                 return True
@@ -322,10 +335,10 @@ class HalfTable:
             return self._mixed(rows, cols, c, total)
         # a singular bordered system has no unique solution
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
-        if res.status == INCONSISTENT:
-            return _NO_MIX[INCONSISTENT]
-        return Half(UNDERDETERMINED, res.solution, res.nullspace,
-                    all(v > 0 for v in res.solution[:-1]))
+        point = _segment_barycentre(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
+        if point is None:
+            return _NO_MIX[res.status]
+        return Half(UNDERDETERMINED, point, True)
 
     def _mixed(self, rows, cols, c, total) -> Half:
         """The unique positive half whose mix is the integers `c` over `total`."""
@@ -337,7 +350,7 @@ class HalfTable:
                 p += row[j] * w
             payoffs.append(p)
         top, u = max(payoffs), payoffs[rows[0]]
-        return Half(UNIQUE, None, [], True, payoffs.count(top), u == top, (c, total, u, self.scale))
+        return Half(UNIQUE, None, True, payoffs.count(top), u == top, (c, total, u, self.scale))
 
 
 class SupportTable:
@@ -377,7 +390,7 @@ class SupportTable:
             for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
                 if half.status == UNDERDETERMINED:
                     reason = "continuum" if half.positive else "singular-system"
-                elif half.mixed and half.best > len(rows):
+                elif half.positive and half.best > len(rows):
                     reason = "excess-best-responses"
                 else:
                     continue
@@ -510,48 +523,26 @@ def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
             for supp, half in _single_halves(s) if half.nash]
 
 
-def _segment_barycentre(particular, direction):
-    """Midpoint of the positive segment {p + t*d > 0} of a 1-dim solution set,
-    over the in-support coordinates (the common-payoff unknown rides along)."""
-    lo, hi = None, None
-    for p, d in zip(particular[:-1], direction[:-1]):
-        if d > 0:
-            bound = -p / d
-            lo = bound if lo is None else max(lo, bound)
-        elif d < 0:
-            bound = -p / d
-            hi = bound if hi is None else min(hi, bound)
-        elif p <= 0:
-            return None
-    if lo is None or hi is None or lo >= hi:
-        return None
-    t = (lo + hi) / 2
-    return [p + t * d for p, d in zip(particular, direction)]
-
-
 def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     """Every interior-of-support rest point of the replicator dynamics.
 
     A state is a rest point exactly when all in-support fitnesses are equal,
-    so each support contributes its indifference-system solution when that
-    solution is strictly positive; every vertex qualifies trivially.  A
-    singular system with a positive solution segment is reported once, as the
-    segment's midpoint flagged `continuum`.  Rest points are reported by
-    (support size, support).  Every support that can hold a positive half is
-    read, Nash or not, and one on which a row weakly dominates another is
-    skipped unsolved; a unique point's Nash flag is its half's, decided in
-    integers, and only a continuum midpoint is checked against the game.
+    so each support whose half is positive contributes its solution; every
+    vertex qualifies trivially.  A singular positive half is reported once,
+    as its segment's midpoint flagged `continuum` (see HalfTable).  Rest
+    points are reported by (support size, support).  Every support that can
+    hold a positive half is read, Nash or not, and one on which a row weakly
+    dominates another is skipped unsolved; a unique point's Nash flag is its
+    half's, decided in integers, and only a continuum midpoint is checked
+    against the game.
     """
     found = []
     for supp, half in _single_halves(s):
-        if half.mixed:
+        if half.positive:
             x = _full_vector(s.n, supp, half.solution[:-1])
-            found.append(RestPoint(x, supp, half.nash, half.solution[-1]))
-        elif half.status == UNDERDETERMINED and len(half.nullspace) == 1:
-            sol = _segment_barycentre(half.solution, half.nullspace[0])
-            if sol is not None:  # strictly inside the segment, so positive
-                x = _full_vector(s.n, supp, sol[:-1])
-                found.append(RestPoint(x, supp, is_nash_single(s, x), sol[-1], continuum=True))
+            continuum = half.status == UNDERDETERMINED
+            is_nash = is_nash_single(s, x) if continuum else half.nash
+            found.append(RestPoint(x, supp, is_nash, half.solution[-1], continuum))
     return found
 
 

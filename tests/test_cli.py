@@ -128,13 +128,23 @@ class TestRestpoints:
         assert out.count("not-nash") == 2
 
     def test_continuum_flag(self, tmp_path, capsys):
-        # counterpart 1 is [[1, 1], [1, 1]], so every mix is a rest point
-        path = tmp_path / "flat.json"
-        path.write_text(json.dumps({"name": "flat", "row_actions": ["a", "b"], "col_actions": ["c", "d"],
-                                    "row_payoffs": [[1, 1], [1, 1]], "col_payoffs": [[1, 0], [0, 1]]}))
-        code, out, err = run(capsys, "restpoints", str(path), "--counterpart", "1")
-        assert code == 0 and err == ""
-        assert out.endswith("3. x=(1/2, 1/2)  support=[a,b]  nash,continuum  payoff=1\n")
+        cases = [
+            # counterpart 1 is [[1, 1], [1, 1]], so every mix is a rest point
+            ([[1, 1], [1, 1]], "3. x=(1/2, 1/2)  support=[a,b]  nash,continuum  payoff=1"),
+            # rows a and c tie against every mix on {a, c}: the positive segment
+            # of that solution line has the midpoint (1/2, 0, 1/2), and
+            # elimination's particular solution, (0, 0, 1), is one of its ends
+            ([[1, 1, 0], [2, 2, 1], [1, -1, 0]],
+             "4. x=(1/2, 0, 1/2)  support=[a,c]  not-nash,continuum  payoff=1/2"),
+        ]
+        for payoffs, last in cases:
+            actions = list("abc"[:len(payoffs)])
+            path = tmp_path / "flat.json"
+            path.write_text(json.dumps({"name": "flat", "row_actions": actions, "col_actions": actions,
+                                        "row_payoffs": payoffs, "col_payoffs": payoffs}))
+            code, out, err = run(capsys, "restpoints", str(path), "--counterpart", "1")
+            assert code == 0 and err == ""
+            assert out.endswith(last + "\n")
 
     def test_requires_counterpart(self, capsys):
         code, _, err = run(capsys, "restpoints", "bos_extended")

@@ -34,7 +34,7 @@ from cpgames.decomposition import random_game, report_json
 from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 from cpgames.solver import (DegeneracyWitness, Half, HalfTable, RestPoint, SupportTable,
-                            _full_vector, _indifference, _segment_barycentre)
+                            _full_vector, _indifference)
 from conftest import count_calls, exact_payoffs
 
 
@@ -68,7 +68,7 @@ def reference_witnesses(table):
                 for half in (table.y_half(rows, cols), table.x_half(rows, cols)):
                     if half.status == UNDERDETERMINED:
                         reason = "continuum" if half.positive else "singular-system"
-                    elif half.mixed and half.best > k:
+                    elif half.positive and half.best > k:
                         reason = "excess-best-responses"
                     else:
                         continue
@@ -78,24 +78,40 @@ def reference_witnesses(table):
     return tuple(witnesses)
 
 
+def reference_midpoint(particular, direction):
+    """Oracle: the midpoint of the positive segment of the solution line
+    particular + t * direction, or None.  The segment is open, and its ends
+    are values of t at which a mix entry is 0, so it is the one gap between
+    consecutive such values whose midpoint is positive on the mix."""
+    ends = sorted({-p / d for p, d in zip(particular[:-1], direction[:-1]) if d})
+    for lo, hi in zip(ends, ends[1:]):
+        t = (lo + hi) / 2
+        point = [p + t * d for p, d in zip(particular, direction)]
+        if all(v > 0 for v in point[:-1]):
+            return point
+    return None
+
+
 def reference_half(table, rows, cols):
     """Oracle: `HalfTable._solve` as it was before the integer read-off.  The
     solution is made Fractions first, then its signs and best responses are
-    decided, with y scaled by the common denominator of its entries."""
+    decided, with y scaled by the common denominator of its entries.  A
+    singular half is positive exactly when its solutions form a line with a
+    positive segment, and then keeps the segment's midpoint."""
     res = solve_linear(*_indifference(table.mat, rows, cols, table.scale))
     if res.status == INCONSISTENT:
-        return Half(INCONSISTENT, None, [], False)
-    positive = all(v.numerator > 0 for v in res.solution[:-1])
+        return Half(INCONSISTENT, None, False)
     if res.status == UNDERDETERMINED:
-        return Half(UNDERDETERMINED, res.solution, res.nullspace, positive)
-    if not positive:
-        return Half(UNIQUE, None, [], False)
+        point = reference_midpoint(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
+        return Half(UNDERDETERMINED, point, point is not None)
+    if not all(v.numerator > 0 for v in res.solution[:-1]):
+        return Half(UNIQUE, None, False)
     y = res.solution[:-1]
     scale = math.lcm(*(v.denominator for v in y))
     weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
     payoffs = [sum(row[j] * w for j, w in weights) for row in table.mat]
     top = max(payoffs)
-    return Half(UNIQUE, res.solution, [], True, payoffs.count(top), payoffs[rows[0]] == top)
+    return Half(UNIQUE, res.solution, True, payoffs.count(top), payoffs[rows[0]] == top)
 
 
 def seeded_game(rng, name):
@@ -146,24 +162,24 @@ def unpruned_enumeration(g):
 def unpruned_single(s):
     """Oracle: `enumerate_nash_single` and `enumerate_rest_points` without
     the support pruning.  Every support's half is read from a fresh
-    `HalfTable`, continuum midpoints included; returns (equilibria, rest
-    points)."""
+    `HalfTable`, and each positive one is a rest point: a continuum
+    midpoint when the half is singular, checked against the game; returns
+    (equilibria, rest points)."""
     table = HalfTable(*s.int_payoffs)
     nash, rest = [], []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
             half = table.get(supp, supp)
-            if half.mixed:
-                x = _full_vector(s.n, supp, half.solution[:-1])
-                rest.append(RestPoint(x, supp, half.nash, half.solution[-1]))
-                if half.nash:
-                    nash.append(EquilibriumCandidate(x, None, supp, None, k == 1 and half.best == 1,
-                                                     half.solution[-1]))
-            elif half.status == UNDERDETERMINED and len(half.nullspace) == 1:
-                sol = _segment_barycentre(half.solution, half.nullspace[0])
-                if sol is not None:
-                    x = _full_vector(s.n, supp, sol[:-1])
-                    rest.append(RestPoint(x, supp, is_nash_single(s, x), sol[-1], continuum=True))
+            if not half.positive:
+                continue
+            x = _full_vector(s.n, supp, half.solution[:-1])
+            if half.status == UNDERDETERMINED:
+                rest.append(RestPoint(x, supp, is_nash_single(s, x), half.solution[-1], continuum=True))
+                continue
+            rest.append(RestPoint(x, supp, half.nash, half.solution[-1]))
+            if half.nash:
+                nash.append(EquilibriumCandidate(x, None, supp, None, k == 1 and half.best == 1,
+                                                 half.solution[-1]))
     return nash, rest
 
 
@@ -504,11 +520,15 @@ class TestHalfTable:
     def test_integer_decisions_match_fraction_oracle(self):
         # status, solution, positivity, best-response count and Nash flag of
         # every equal-size support pair's half, on seeded payoff matrices,
-        # against the Fraction-first oracle
+        # against the Fraction-first oracle.  Two fixed matrices add the
+        # singular halves that are not positive: on the full support of the
+        # first the solutions form a line, y = (-t, t, 1), with no positive
+        # segment, and on that of the second, all zeros, a plane
         rng = random.Random(404)
+        mats = [seeded_game(rng, f"half-{i}").row_payoffs for i in range(60)]
+        mats += [[[F(0)] * 3, [F(0)] * 3, [F(-1), F(-1), F(0)]], [[F(0)] * 3] * 3]
         seen = set()
-        for i in range(60):
-            mat = seeded_game(rng, f"half-{i}").row_payoffs
+        for mat in mats:
             table = HalfTable(*integer_form(mat))
             m, n = len(mat), len(mat[0])
             for k in range(1, min(m, n) + 1):
@@ -573,7 +593,7 @@ class TestHalfTable:
             return {key for key, half in halves.entries.items() if half._solution is not None}
 
         assert detect_degeneracy(g, table=table).witnesses == ()
-        assert sum(h.mixed for h in table._y.entries.values()) > 30
+        assert sum(h.positive for h in table._y.entries.values()) > 30
         assert built(table._y) == built(table._x) == set()
         pairs = {(c.support_x, c.support_y) for c in decompose(g, table=table).reconstructed}
         assert len(pairs) == 1
@@ -812,6 +832,52 @@ class TestDegeneracy:
     def test_leduc_fullsupport_not_degenerate(self, leduc, fullsupport):
         assert not detect_degeneracy(leduc).degenerate
         assert not detect_degeneracy(fullsupport).degenerate
+
+    def test_continuum_witness_reads_the_segment(self):
+        # rows 0 and 2 of A tie against every mix on columns {0, 2}, so the
+        # solutions of that half form a line whose positive segment has the
+        # midpoint (1/2, 1/2), while elimination's particular solution, (0, 1),
+        # is an end of it; the witness on the pair reads the segment, as the
+        # rest point on that support does.  The x half there, Aᵀ's, is
+        # inconsistent: column 0 pays 1 and column 2 pays 0 against any mix
+        a = [[1, 1, 0], [2, 2, 1], [1, -1, 0]]
+        g = _matrix_game("segment", a, a)
+        table = SupportTable(g)
+        res = solve_linear(*_indifference(table._y.mat, (0, 2), (0, 2), table._y.scale))
+        assert res.solution[:-1] == [0, 1] and len(res.nullspace) == 1
+        assert table.x_half((0, 2), (0, 2)).status == INCONSISTENT
+        witnesses = detect_degeneracy(g, table=table).witnesses
+        assert [w.reason for w in witnesses if w.supports == ((0, 2), (0, 2))] == ["continuum"]
+        cp1, _ = counterpart_games(g)
+        assert [rp for rp in enumerate_rest_points(cp1) if rp.support == (0, 2)] == [
+            RestPoint(MixedStrategy.exact(["1/2", 0, "1/2"]), (0, 2), False, F("1/2"), True)]
+
+    def test_witnesses_and_rest_points_read_one_continuum(self):
+        # the two readers of a singular half agree: in the game (A, A) the y
+        # half of a pair (S, S) is counterpart 1's half on S and the x half
+        # is counterpart 2's (Aᵀ), so the witness on (S, S) reads `continuum`
+        # exactly when the rest points of one of the counterparts hold a
+        # continuum point on S
+        seen = collections.Counter()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+        @given(st.integers(2, 4), st.integers(1, 2), st.data())
+        def check(n, r, data):
+            a = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
+                                   min_size=n, max_size=n))
+            g = _matrix_game("prop", a, a)
+            reasons = collections.defaultdict(set)
+            for w in detect_degeneracy(g).witnesses:
+                reasons[w.supports].add(w.reason)
+            continua = {rp.support for cp in counterpart_games(g)
+                        for rp in enumerate_rest_points(cp) if rp.continuum}
+            for k in range(1, n + 1):
+                for supp in itertools.combinations(range(n), k):
+                    assert ("continuum" in reasons[(supp, supp)]) == (supp in continua), (a, supp)
+            seen.update(reason for found in reasons.values() for reason in found)
+
+        check()
+        assert seen["continuum"] > 100 and seen["singular-system"] > 10
 
     def test_lazy_report_matches_eager_scan(self, all_games):
         # the six bundled games, their padded forms and 200 seeded games with
