@@ -101,18 +101,14 @@ def _parse_init(text: str, dims: tuple[int, ...]):
 
 
 def _format_candidate(idx: int, cand) -> str:
+    """One line of a bimatrix equilibrium, as `solve` and `decompose` print it."""
     doc = candidate_json(cand)
     def fmt_vec(v):
         return "(" + ", ".join(str(c) for c in v) + ")"
-    parts = [f"{idx}. x={fmt_vec(doc['x'])}"]
-    if "y" in doc:
-        parts.append(f"y={fmt_vec(doc['y'])}")
-    parts.append(f"supports={list(cand.support_x)}" +
-                 (f"/{list(cand.support_y)}" if cand.support_y is not None else ""))
-    parts.append(f"strict={'true' if cand.is_strict else 'false'}")
-    pay = doc["payoffs"]
-    parts.append(f"payoffs={fmt_vec(pay) if isinstance(pay, list) else pay}")
-    return "  ".join(parts)
+    return "  ".join((f"{idx}. x={fmt_vec(doc['x'])}", f"y={fmt_vec(doc['y'])}",
+                      f"supports={list(cand.support_x)}/{list(cand.support_y)}",
+                      f"strict={'true' if cand.is_strict else 'false'}",
+                      f"payoffs={fmt_vec(doc['payoffs'])}"))
 
 
 def _float_gauss_jordan(aug):

@@ -126,7 +126,7 @@ def _equal_size_pairs(n_rows: int, n_cols: int):
                 yield rows, cols
 
 
-@functools.lru_cache(maxsize=1 << MAX_ACTIONS)  # the index sets of a capped game
+@functools.lru_cache(maxsize=1 << MAX_ACTIONS)  # the index sets of a matrix HalfTable accepts
 def _bits(indices: tuple[int, ...]) -> int:
     """The bitmask of a tuple of indices."""
     return sum(1 << i for i in indices)
@@ -200,6 +200,9 @@ class HalfTable:
     """The y halves of one payoff matrix M by sorted, equal-size support
     pair: every row in `rows` earns the same payoff u against a column mix y
     on `cols`, and y sums to one.  Each pair is solved once, on first read.
+    A matrix with more than MAX_ACTIONS rows or columns raises TooLarge
+    before the minor store below, 4**n slots for n its larger side, is
+    allocated: every solver, and `SupportTable(g)` itself, meets the cap here.
 
     M is the integer form of the payoffs: `mat` scaled by `scale`, the
     common denominator of its entries (a game's cached integer form, see
@@ -220,18 +223,21 @@ class HalfTable:
     solutions form a line with a positive segment, and keeps its midpoint;
     a solution set of 2 or more dimensions is never positive.
 
-    `undominated(cols)` answers, without solving anything, which rows can be
-    best responses to a mix that is positive on `cols`: direct enumeration
-    reads it to skip pairs that cannot be Nash.  `holds_dominated(mask)`
-    answers whether a row of a square support weakly dominates another row
-    of it there: the single-population scan reads it to skip supports that
-    have no positive half.
+    `undominated(mask)` answers, without solving anything, which rows can be
+    best responses to a mix that is positive on the columns of `mask`:
+    direct enumeration reads it to skip pairs that cannot be Nash.
+    `holds_dominated(mask)` answers whether a row of a square support weakly
+    dominates another row of it there: the single-population scan reads it
+    to skip supports that have no positive half.
     """
 
     def __init__(self, mat, scale):
+        m, n = len(mat), len(mat[0])
+        if max(m, n) > MAX_ACTIONS:
+            raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, payoff matrix is {m}x{n}")
         self.entries: dict[tuple, Half] = {}
         self.mat, self.scale = mat, scale
-        self._shift = shift = max(len(self.mat), len(self.mat[0]))
+        self._shift = shift = max(m, n)
         self._minors: list[int | None] = [None] * (1 << 2 * shift)
         self._minors[0] = 1
 
@@ -255,13 +261,13 @@ class HalfTable:
                     beats.append((ge, gt, 1 << a, 1 << b))
         return beats
 
-    def undominated(self, cols: tuple[int, ...]) -> int:
-        """The bitmask of the rows that no other row weakly dominates on
-        `cols`: pays at least as much on every column of `cols` and more on
-        one.  A weakly dominated row earns strictly less than its dominator
-        against every mix that is positive on `cols`, so it is in no Nash
-        half's support there; rows equal on `cols` do not prune each other."""
-        want, mask = _bits(cols), (1 << len(self.mat)) - 1
+    def undominated(self, want: int) -> int:
+        """The bitmask of the rows that no other row weakly dominates on the
+        columns of the bitmask `want`: pays at least as much on each and more
+        on one.  A weakly dominated row earns strictly less than its dominator
+        against every mix that is positive on `want`, so it is in no Nash
+        half's support there; rows equal on `want` do not prune each other."""
+        mask = (1 << len(self.mat)) - 1
         for ge, gt, _, bit in self._beats:
             if gt & want and ge & want == want:
                 mask &= ~bit
@@ -360,8 +366,8 @@ class SupportTable:
 
     def __init__(self, g: BimatrixGame):
         self.game = g
+        self._y = HalfTable(*g.int_row_payoffs)  # built first: a refusal names the game's m x n
         b, scale = g.int_col_payoffs
-        self._y = HalfTable(*g.int_row_payoffs)
         self._x = HalfTable(tuple(zip(*b)), scale)
 
     def y_half(self, rows, cols) -> Half:
@@ -398,11 +404,6 @@ class SupportTable:
                     reasons.append(reason)
             for reason in reasons:
                 yield DegeneracyWitness((rows, cols), reason)
-
-
-def _guard_bimatrix(g: BimatrixGame) -> None:
-    if g.n_rows > MAX_ACTIONS or g.n_cols > MAX_ACTIONS:
-        raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game is {g.n_rows}x{g.n_cols}")
 
 
 def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandidate:
@@ -449,9 +450,9 @@ def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> 
     completes it.
 
     `table`, a SupportTable of `g`, shares its solved systems with other
-    calls on the same game.
+    calls on the same game.  A game with more than MAX_ACTIONS actions on a
+    side raises TooLarge when its table is built (see HalfTable).
     """
-    _guard_bimatrix(g)
     return (table or SupportTable(g)).degeneracy()
 
 
@@ -473,17 +474,16 @@ def enumerate_nash_bimatrix(g: BimatrixGame, *,
     undominated columns, so a pair is tested with bit operations alone.
     Equilibria inside a continuum are not reported, and that includes every
     equilibrium whose supports differ in size; detect_degeneracy flags the
-    games that have them.  `table` is a SupportTable of `g` to share (as in
-    detect_degeneracy).
+    games that have them.  `table` is a SupportTable of `g` to share, and
+    the cap is checked when a table is built (as in detect_degeneracy).
     """
-    _guard_bimatrix(g)
     table = table or SupportTable(g)
     found = []
     for k in range(1, min(g.n_rows, g.n_cols) + 1):
-        col_sets = [(cols, _bits(cols), table._y.undominated(cols))
+        col_sets = [(cols, cmask := _bits(cols), table._y.undominated(cmask))
                     for cols in itertools.combinations(range(g.n_cols), k)]
         for rows in itertools.combinations(range(g.n_rows), k):
-            rmask, free_cols = _bits(rows), table._x.undominated(rows)
+            free_cols = table._x.undominated(rmask := _bits(rows))
             for cols, cmask, free_rows in col_sets:
                 if cmask & ~free_cols or rmask & ~free_rows:
                     continue
@@ -501,8 +501,6 @@ def _single_halves(s: SingleGame):
     (see HalfTable.holds_dominated): it has no rest point, continuum or
     symmetric equilibrium.  Both single-population enumerations read this
     scan."""
-    if s.n > MAX_ACTIONS:
-        raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, game has {s.n}")
     table = HalfTable(*s.int_payoffs)
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):

@@ -2,17 +2,25 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cpgames.decomposition
 from cpgames import (CpgError, DomainEscape, MixedStrategy, NotRestPoint, PlotSpec, TheoremViolation,
                      cli, counterpart_games, export_csv, integrate, is_nash_bimatrix, pad_to_square,
                      parse_game, plot_simplex)
-from cpgames.cli import main
+from cpgames.cli import BUNDLED_GAMES, main, run_cli
 from conftest import HOSTILE_DOCUMENTS, game_text
+
+
+# a 2x2 game whose square plot's field grid overflows float64
+GRID_OVERFLOW = json.dumps({"name": "t", "row_actions": ["a", "b"], "col_actions": ["c", "d"],
+                            "row_payoffs": [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
+                            "col_payoffs": [[1, 0], [0, 1]]})
 
 
 def run(capsys, *argv):
@@ -522,9 +530,7 @@ class TestFailurePath:
         # step; the suite turns a numpy RuntimeWarning into a failure
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "game.json"
-        path.write_text(json.dumps({"name": "t", "row_actions": ["a", "b"], "col_actions": ["c", "d"],
-                                    "row_payoffs": [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
-                                    "col_payoffs": [[1, 0], [0, 1]]}))
+        path.write_text(GRID_OVERFLOW)
         code, out, err = run(capsys, "plot", str(path), "--kind", "square", "--out", "x.svg")
         assert (code, out) == (3, "")
         assert err == "error: numeric: field velocity is not finite: the field overflowed float64\n"
@@ -545,6 +551,124 @@ class TestFailurePath:
         assert code == 0 and err == "" and out.startswith("t: 3 equilibria (exact mode)\n")
         assert f"payoffs=(1{'0' * 400}, 1)" in out
         assert run(capsys, "decompose", str(path))[0] == 0
+
+
+# the argv fuzz draws half its argv clean, each value from its option's
+# well-formed values, and the other half with any value hostile at even odds:
+# numbers that are empty, not finite, negative or huge, and paths that are
+# empty, a directory or under a file.  --trials and --t-max are capped, so
+# that an argv runs in milliseconds.  A plot that succeeds takes a quarter of
+# a second, so --trajectories never plots the default start lattice, and its
+# well-formed starts lie off the simplex: they pass the parser, the grid
+# checks and the field sampling, and the first RK4 step refuses them
+NUMBERS = ["", "nan", "inf", "-inf", "-1", "0", "1e400", "99999999999999999999"]
+PATHS = ["", ".", "bad.json/x"]
+OPTIONS = {  # name: (well-formed values, hostile values), or None for a flag
+    "solve": {"--float": None, "--exact": None, "--json": None},
+    "counterparts": {"--out": (["cp"], PATHS)},
+    "decompose": {"--no-verify": None, "--report": (["r.json"], PATHS)},
+    "restpoints": {"--counterpart": (["1", "2"], ["3", *NUMBERS])},
+    "dynamics": {"--system": (["coupled", "cp1", "cp2"], ["cp3", ""]),
+                 "--init": (["0.5,0.5;0.5,0.5", "0.9,0.1", "0.2,0.3,0.5"],
+                            ["1,0;0", "nan,nan", "2,-1", ";", "a", "", "1e400,0"]),
+                 "--dt": (["0.01", "0.25"], ["1e-300", "1e308", *NUMBERS]),
+                 "--t-max": (["0.05", "1"], ["-1e400", *NUMBERS]),
+                 "--out": (["a.csv"], PATHS)},
+    "plot": {"--kind": (["square", "cp1", "cp2"], ["triangle", ""]),
+             "--out": (["a.svg"], PATHS),
+             "--grid": (["2", "3"], ["502", "100000", *NUMBERS]),
+             "--trajectories": (["2,-1,0.5,0.5", "2,-1,0"],
+                                ["0.2,0.3", "1,0;0", ";", "a,b", "2,-1,0,1", "1e400,0,0", "nan,nan,nan",
+                                 "", "0.5,0.5;"])},
+    "verify": {"--trials": (["1", "2"], ["2.5", *(v for v in NUMBERS if v != "99999999999999999999")]),
+               "--size": (["2", "4"], ["6", *NUMBERS]),
+               "--seed": (["7"], NUMBERS)},
+}
+# the options each argv starts from: the required ones, which an argv may
+# leave out, and the capped ones, which it never does
+REQUIRED = {"restpoints": ["--counterpart"], "dynamics": ["--system", "--init", "--t-max", "--out"],
+            "plot": ["--kind", "--out", "--trajectories"], "verify": ["--trials"]}
+CAPPED = {"--t-max", "--trajectories", "--trials"}
+# bad.json does not parse; big.json's RK4 products and grid.json's field
+# grid overflow float64, which exits 3
+GAMES = ([*BUNDLED_GAMES, "big.json", "grid.json"], ["bad.json", "nope", "", ".", "-", "--json"])
+
+
+class TestArgvFuzz:
+    """Every argv returns 0-3, and a non-zero exit writes exactly one
+    `error: <category>:` line to stderr and nothing else.  Each test runs its
+    argv in one directory, so a later argv may meet what an earlier one
+    wrote."""
+
+    @pytest.fixture
+    def exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+        (tmp_path / "big.json").write_text(game_text("1e300"), encoding="utf-8")
+        (tmp_path / "grid.json").write_text(GRID_OVERFLOW, encoding="utf-8")
+
+        def run_argv(argv):
+            code = run_cli(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (argv, code, err)
+            if code:
+                assert re.fullmatch(r"error: (usage|input|numeric): [^\n]*\n", err), (argv, err)
+            else:
+                assert err == "", (argv, err)
+            return code
+
+        return run_argv
+
+    def test_each_hostile_value_alone(self, exit_code):
+        # each subcommand with the first well-formed value of its game and of
+        # every option that takes one, then with one of them hostile
+        for command, options in OPTIONS.items():
+            slots = [([name], pools) for name, pools in options.items() if pools is not None]
+            if command != "verify":
+                slots.insert(0, ([], GAMES))
+
+            def argv(k=None, hostile=None):
+                return [command, *(token for j, (head, pools) in enumerate(slots)
+                                   for token in (*head, hostile if j == k else pools[0][0]))]
+
+            assert exit_code(argv()) == (2 if command == "plot" else 0)
+            for k, (_, pools) in enumerate(slots):
+                for hostile in pools[1]:
+                    exit_code(argv(k, hostile))
+
+    def test_every_argv_ends_in_an_exit_code(self, exit_code):
+        # options drawn in any order and number, a required option or the
+        # game left out, and `--`, an unknown option or a dropped last token
+        # put anywhere
+        seen = set()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+        @given(st.sampled_from([*OPTIONS, "bogus"]), st.booleans(), st.data())
+        def check(command, hostile, data):
+            def value(pools):
+                return data.draw(st.sampled_from(pools[hostile and data.draw(st.booleans())]))
+
+            def chance():
+                return hostile and data.draw(st.integers(0, 3)) == 0
+
+            options = OPTIONS.get(command, {})
+            names = [name for name in REQUIRED.get(command, ()) if name in CAPPED or not chance()]
+            if options:
+                names += data.draw(st.lists(st.sampled_from(sorted(set(options) - CAPPED)), max_size=2))
+            groups = [[name] if options[name] is None else [name, value(options[name])] for name in names]
+            if command != "verify" and not chance():
+                groups.append([value(GAMES)])
+            argv = [token for group in data.draw(st.permutations(groups)) for token in group]
+            for extra in ("--", "--bogus"):
+                if chance():
+                    argv.insert(data.draw(st.integers(0, len(argv))), extra)
+            if argv and chance():
+                argv.pop()
+            seen.add((command, exit_code([command, *argv])))
+
+        check()
+        assert {code for _, code in seen} >= {0, 1, 2}
+        assert {command for command, code in seen if code == 0} == set(OPTIONS) - {"plot"}
 
 
 class TestModuleEntry:

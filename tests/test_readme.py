@@ -1,12 +1,13 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples and CLI block run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from cpgames import serialize_game
-from cpgames.cli import load_game
+from cpgames.cli import load_game, run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +32,19 @@ def test_python_blocks_run_on_a_bundled_game(name, equilibria, tmp_path, monkeyp
     assert len(sketch.reconstructed) == equilibria
     # one line per equilibrium, then the classification
     assert capsys.readouterr().out.count("\n") == equilibria + 1
+
+
+def test_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # each `cpg` line of the sh block under "## CLI", continuation lines
+    # joined and comments dropped, exits 0, and writes what it names
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)[1]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) == 10 and all(argv[0] == "cpg" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+        for flag in ("--out", "--report"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).exists(), argv

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -195,8 +196,8 @@ def assert_filter_matches_oracle(g):
     skip."""
     table = SupportTable(g)
     assert enumerate_nash_bimatrix(g, table=table) == unpruned_enumeration(g), serialize_game(g)
-    skipped = sum(bool(bitmask(rows) & ~table._y.undominated(cols)
-                       or bitmask(cols) & ~table._x.undominated(rows))
+    skipped = sum(bool(bitmask(rows) & ~table._y.undominated(bitmask(cols))
+                       or bitmask(cols) & ~table._x.undominated(bitmask(rows)))
                   for k in range(1, min(g.n_rows, g.n_cols) + 1)
                   for rows, cols in itertools.product(itertools.combinations(range(g.n_rows), k),
                                                       itertools.combinations(range(g.n_cols), k)))
@@ -365,6 +366,24 @@ class TestBimatrixEnumeration:
             enumerate_rest_points(s)
         with pytest.raises(TooLarge):
             detect_degeneracy(g)
+        # the cap is checked where the 4**n minor store is allocated, so a
+        # table built by hand is refused too, with the matrix's own shape;
+        # at 12x12 the two stores would take 2 * 4**12 * 8 bytes, 268 MB
+        with pytest.raises(TooLarge, match="payoff matrix is 7x7"):
+            SupportTable(g)
+        with pytest.raises(TooLarge, match="payoff matrix is 7x3"):
+            SupportTable(_matrix_game("tall", [[0] * 3] * 7, [[0] * 3] * 7))
+        with pytest.raises(TooLarge, match="payoff matrix is 7x2"):
+            HalfTable(*integer_form([[F(1), F(0)]] * 7))
+        big = _matrix_game("big", [[0] * 12] * 12, [[0] * 12] * 12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="payoff matrix is 12x12"):
+                SupportTable(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sorted_deterministically(self, bos):
         # outputs come in (len sx, len sy, sx, sy) order straight from the
@@ -511,9 +530,9 @@ class TestDominanceFilter:
         # pruned on {0, 1} and on {1} but not on {0}, where the rows are
         # equal; row 2 equals row 0 and neither prunes the other
         table = HalfTable(*integer_form([[F(3), F(2)], [F(3), F(1)], [F(3), F(2)]]))
-        assert table.undominated((0, 1)) == 0b101
-        assert table.undominated((1,)) == 0b101
-        assert table.undominated((0,)) == 0b111
+        assert table.undominated(0b11) == 0b101
+        assert table.undominated(0b10) == 0b101
+        assert table.undominated(0b01) == 0b111
 
 
 class TestHalfTable:
@@ -926,3 +945,84 @@ class TestDegeneracy:
         assert 0 < len(calls) <= 26
         assert len(report.witnesses) > 1
         assert len(calls) == 2 * sum(math.comb(4, k) ** 2 for k in range(1, 5)) == 138
+
+
+def assert_symmetric_structure(g):
+    """In a symmetric game (B = Aᵀ) both counterparts are A, and the diagonal
+    equilibria (x, x) are exactly the symmetric equilibria of A, in the same
+    order and with the same supports, strictness and payoffs.  The two paths
+    share the minor kernel but not the pruning.  Returns how many there are."""
+    cp1, cp2 = counterpart_games(g)
+    assert cp1.payoffs == cp2.payoffs
+    diagonal = [(c.x.probs, c.support_x, c.is_strict, c.payoffs)
+                for c in enumerate_nash_bimatrix(g) if c.x.probs == c.y.probs]
+    single = [(c.x.probs, c.support_x, c.is_strict, (c.payoffs, c.payoffs))
+              for c in enumerate_nash_single(cp1)]
+    assert diagonal == single, serialize_game(g)
+    return len(single)
+
+
+def assert_constant_sum_structure(g, total):
+    """In a game with A + B = total, every equilibrium pays (u, total - u)
+    with u the game's value: the most a row earns against y and the least a
+    column concedes against x (the minimax theorem), so all equilibria share
+    one payoff pair.  A non-degenerate game has exactly one.  Returns the
+    equilibria."""
+    eqs = enumerate_nash_bimatrix(g)
+    for c in eqs:
+        u, v = c.payoffs
+        ay = [sum(a * q for a, q in zip(row, c.y.probs)) for row in g.row_payoffs]
+        xa = [sum(p * row[j] for p, row in zip(c.x.probs, g.row_payoffs)) for j in range(g.n_cols)]
+        assert u + v == total and u == max(ay) == min(xa), (serialize_game(g), c)
+    assert len({c.payoffs for c in eqs}) <= 1, serialize_game(g)
+    if not detect_degeneracy(g).degenerate:
+        assert len(eqs) == 1, serialize_game(g)
+    return eqs
+
+
+class TestStructure:
+    def test_symmetric_bundled_games(self, pd, rps):
+        for g in (pd, rps):
+            assert g.col_payoffs == tuple(zip(*g.row_payoffs))
+            assert assert_symmetric_structure(g) == 1
+
+    def test_symmetric_property(self):
+        # games (A, Aᵀ) with 1-4 actions and few payoff values, so ties,
+        # degenerate games and off-diagonal equilibria are common
+        seen = collections.Counter()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+        @given(st.integers(1, 4), st.integers(1, 3), st.data())
+        def check(n, r, data):
+            a = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
+                                   min_size=n, max_size=n))
+            g = _matrix_game("sym", a, [list(col) for col in zip(*a)])
+            seen["diagonal"] += assert_symmetric_structure(g)
+            seen["off-diagonal"] += sum(c.x.probs != c.y.probs for c in enumerate_nash_bimatrix(g))
+
+        check()
+        assert seen["diagonal"] > 300 and seen["off-diagonal"] > 300
+
+    def test_constant_sum_bundled_games(self, rps, leduc):
+        for g in (rps, leduc):
+            assert {a + b for ra, rb in zip(g.row_payoffs, g.col_payoffs) for a, b in zip(ra, rb)} == {0}
+            assert len(assert_constant_sum_structure(g, 0)) == 1
+        assert enumerate_nash_bimatrix(leduc)[0].payoffs == (F("1/350"), F("-1/350"))
+
+    def test_constant_sum_property(self):
+        # games (A, total - A) of 1-4 x 1-4 actions; the degenerate ones
+        # often report several equilibria, which must share one payoff pair
+        seen = collections.Counter()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+        @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(-3, 7), st.data())
+        def check(m, n, r, total, data):
+            a = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
+                                   min_size=m, max_size=m))
+            g = _matrix_game("const", a, [[total - v for v in row] for row in a])
+            eqs = assert_constant_sum_structure(g, total)
+            seen["several"] += len(eqs) > 1
+            seen["non-degenerate"] += not detect_degeneracy(g).degenerate
+
+        check()
+        assert seen["several"] > 60 and seen["non-degenerate"] > 30
