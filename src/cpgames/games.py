@@ -392,10 +392,12 @@ def pad_to_square(g: BimatrixGame) -> tuple[BimatrixGame, PaddingRecord]:
 
     Every payoff in a dummy-involving cell is (min entry over both matrices)
     minus 1 for both players, so dummies can never be played in equilibrium.
-    Square games come back unchanged with added_count 0.
+    The minimum is read off each matrix's cached integer form, whose
+    denominator is positive.  Square games come back unchanged with
+    added_count 0.
     """
-    flat = [v for row in g.row_payoffs for v in row] + [v for row in g.col_payoffs for v in row]
-    dummy = min(flat) - 1
+    (a, da), (b, db) = g.int_row_payoffs, g.int_col_payoffs
+    dummy = min(Fraction(min(map(min, a)), da), Fraction(min(map(min, b)), db)) - 1
     n = max(g.n_rows, g.n_cols)
     add_rows, add_cols = n - g.n_rows, n - g.n_cols
     record = PaddingRecord("col" if add_cols else "row", add_rows + add_cols, dummy, (g.n_rows, g.n_cols))

@@ -27,8 +27,11 @@ search methods for finding a Nash equilibrium", GEB 63).  It tests each
 pair with bit operations before any call.  The rest points, and so the
 symmetric equilibria, solve no support S on which a row of S weakly
 dominates another row of S: against a mix positive on S the two rows earn
-different payoffs, so S has no positive half.  The degeneracy scan and the
-n! per-permutation view still read every half, since a singular half is a
+different payoffs, so S has no positive half.  Each table answers both
+questions by reading a list with one entry per bitmask, built once from
+its matrix, and the minors' Laplace expansion reads each bitmask's plan
+from one module-level list.  The degeneracy scan and the n!
+per-permutation view still read every half, since a singular half is a
 witness whatever its sign.
 """
 
@@ -132,6 +135,15 @@ def _bits(indices: tuple[int, ...]) -> int:
     return sum(1 << i for i in indices)
 
 
+# The Laplace plan of each bitmask of up to MAX_ACTIONS bits: for each of
+# its set bits, from the lowest, (index, mask without it, odd position).
+# Expanding along a row of a minor, and the cofactors of a half, read these
+# triples instead of taking the mask apart bit by bit on every term.
+_PLANS = tuple(tuple((j, mask ^ 1 << j, k % 2 == 1)
+                     for k, j in enumerate(j for j in range(MAX_ACTIONS) if mask >> j & 1))
+               for mask in range(1 << MAX_ACTIONS))
+
+
 class Half:
     """The solved indifference system of one half of a support pair; halves
     compare equal field by field.  A positive half's `solution` is a mix
@@ -211,7 +223,8 @@ class HalfTable:
     of M, each computed once per table and kept in one flat list: with
     shift the larger side of M, the minor on the rows of bitmask rmask and
     the columns of cmask is at rmask << shift | cmask, and slot 0 holds the
-    empty minor, 1.  With
+    empty minor, 1; the expansion and the cofactors take a bitmask apart by
+    its plan in `_PLANS`.  With
     c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j), total = sum_j c_j
     is the determinant of its bordered system, so total != 0 gives the
     unique half y = c / total, whose common payoff is M_r . c / total for
@@ -228,7 +241,11 @@ class HalfTable:
     direct enumeration reads it to skip pairs that cannot be Nash.
     `holds_dominated(mask)` answers whether a row of a square support weakly
     dominates another row of it there: the single-population scan reads it
-    to skip supports that have no positive half.
+    to skip supports that have no positive half.  Each question is a list
+    read.  On its first call the table builds that list for every mask at
+    once: row a weakly dominates row b on exactly the column sets inside
+    the columns where a pays at least as much and that meet those where it
+    pays more, so it enumerates those submasks for each pair of rows.
     """
 
     def __init__(self, mat, scale):
@@ -241,13 +258,12 @@ class HalfTable:
         self._minors: list[int | None] = [None] * (1 << 2 * shift)
         self._minors[0] = 1
 
-    @functools.cached_property
-    def _beats(self) -> list[tuple[int, int, int, int]]:
+    def _beats(self):
         """(ge, gt, a's bit, b's bit) for each ordered pair of rows (a, b):
         ge and gt are the bitmasks of the columns where a pays at least, and
-        more than, b.  Pairs whose gt is empty are left out: there a
-        dominates b on no column set."""
-        beats = []
+        more than, b, so a weakly dominates b on exactly the column sets
+        that lie in ge and meet gt.  Pairs whose gt is empty are left out:
+        there a dominates b on no column set."""
         for b, low in enumerate(self.mat):
             for a, high in enumerate(self.mat):
                 ge = gt = 0
@@ -258,8 +274,34 @@ class HalfTable:
                     elif p == q:
                         ge |= 1 << j
                 if gt:
-                    beats.append((ge, gt, 1 << a, 1 << b))
-        return beats
+                    yield ge, gt, 1 << a, 1 << b
+
+    @functools.cached_property
+    def _undominated(self) -> list[int]:
+        """`undominated` of every column bitmask."""
+        free = [(1 << len(self.mat)) - 1] * (1 << len(self.mat[0]))
+        for ge, gt, _, b in self._beats():
+            want = ge
+            while want:
+                if want & gt:
+                    free[want] &= ~b
+                want = (want - 1) & ge
+        return free
+
+    @functools.cached_property
+    def _holds_dominated(self) -> list[bool]:
+        """`holds_dominated` of every support bitmask of a square matrix."""
+        held = [False] * (1 << len(self.mat[0]))
+        for ge, gt, a, b in self._beats():
+            pair = a | b
+            if ge & pair != pair:
+                continue
+            want = ge
+            while want:
+                if want & gt and want & pair == pair:
+                    held[want] = True
+                want = (want - 1) & ge
+        return held
 
     def undominated(self, want: int) -> int:
         """The bitmask of the rows that no other row weakly dominates on the
@@ -267,21 +309,14 @@ class HalfTable:
         on one.  A weakly dominated row earns strictly less than its dominator
         against every mix that is positive on `want`, so it is in no Nash
         half's support there; rows equal on `want` do not prune each other."""
-        mask = (1 << len(self.mat)) - 1
-        for ge, gt, _, bit in self._beats:
-            if gt & want and ge & want == want:
-                mask &= ~bit
-        return mask
+        return self._undominated[want]
 
     def holds_dominated(self, want: int) -> bool:
         """Whether some row in the bitmask `want` weakly dominates another row
         in it on the columns of `want`.  Then the two rows earn different
         payoffs against every mix that is positive on `want`, so the half
-        (want, want) is not positive."""
-        for ge, gt, a, b in self._beats:
-            if a & want and b & want and gt & want and ge & want == want:
-                return True
-        return False
+        (want, want) is not positive.  The matrix must be square."""
+        return self._holds_dominated[want]
 
     def get(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Half:
         half = self.entries.get((rows, cols))
@@ -294,44 +329,38 @@ class HalfTable:
         non-empty bitmasks, by Laplace expansion along the lowest row; it is
         stored, and the minors it reads are expanded only when missing."""
         minors, shift = self._minors, self._shift
-        low = rmask & -rmask
-        row, rest = self.mat[low.bit_length() - 1], rmask ^ low
-        base, det, odd, bits = rest << shift, 0, False, cmask
-        while bits:
-            bit = bits & -bits
-            v = row[bit.bit_length() - 1]
+        low, rest, _ = _PLANS[rmask][0]
+        row, base, det = self.mat[low], rest << shift, 0
+        for j, sub, odd in _PLANS[cmask]:
+            v = row[j]
             if v:
-                sub = minors[base | cmask ^ bit]
-                if sub is None:
-                    sub = self._expand(rest, cmask ^ bit)
+                minor = minors[base | sub]
+                if minor is None:
+                    minor = self._expand(rest, sub)
                 if odd:
-                    det -= v * sub
+                    det -= v * minor
                 else:
-                    det += v * sub
-            odd, bits = not odd, bits ^ bit
+                    det += v * minor
         minors[rmask << shift | cmask] = det
         return det
 
     def _solve(self, rows, cols) -> Half:
         # c = adj(M_rows,cols) @ 1, and total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
         minors, shift = self._minors, self._shift
-        rmask, cmask = _bits(rows), _bits(cols)
-        c, total, odd_col = [], 0, False
-        for col in cols:
-            sub, cj, odd = cmask ^ (1 << col), 0, odd_col
-            for r in rows:
-                rm = rmask ^ (1 << r)
+        row_plan = _PLANS[_bits(rows)]
+        c, total = [], 0
+        for _, sub, odd_col in _PLANS[_bits(cols)]:
+            cj = 0
+            for _, rm, odd_row in row_plan:
                 det = minors[rm << shift | sub]
                 if det is None:
                     det = self._expand(rm, sub)
-                if odd:
-                    cj -= det
-                else:
+                if odd_row is odd_col:
                     cj += det
-                odd = not odd
+                else:
+                    cj -= det
             c.append(cj)
             total += cj
-            odd_col = not odd_col
         if total:
             if total < 0:
                 c, total = [-v for v in c], -total

@@ -14,6 +14,7 @@ from cpgames import (CpgError, DomainEscape, MixedStrategy, NotRestPoint, PlotSp
                      cli, counterpart_games, export_csv, integrate, is_nash_bimatrix, pad_to_square,
                      parse_game, plot_simplex)
 from cpgames.cli import BUNDLED_GAMES, main, run_cli
+from cpgames.decomposition import MAX_TRIALS
 from conftest import HOSTILE_DOCUMENTS, game_text
 
 
@@ -312,11 +313,28 @@ class TestVerify:
             x, y = MixedStrategy.exact(eq["x"]), MixedStrategy.exact(eq["y"])
             assert is_nash_bimatrix(game, x, y, tol=0.0)
 
-    @pytest.mark.parametrize("argv", [("--trials", "-3"), ("--size", "0"), ("--size", "6")])
+    @pytest.mark.parametrize("argv", [("--trials", "-3"), ("--size", "0"), ("--size", "6"),
+                                      ("--trials", "99999999999999999999")])
     def test_arguments_it_cannot_honour_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: input:")
+
+    def test_trials_capped_before_any_draw(self, capsys, monkeypatch):
+        # one past the cap is refused before a game is drawn; the cap itself
+        # reaches the first draw, which here stops the run
+        class Drawn(Exception):
+            pass
+
+        def draw(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(cpgames.decomposition, "random_game", draw)
+        code, out, err = run(capsys, "verify", "--trials", str(MAX_TRIALS + 1), "--size", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: input: round-trip check capped at {MAX_TRIALS} trials\n"
+        with pytest.raises(Drawn):
+            run_cli(["verify", "--trials", str(MAX_TRIALS), "--size", "2"])
 
 
 class TestDeterminism:
@@ -580,7 +598,7 @@ OPTIONS = {  # name: (well-formed values, hostile values), or None for a flag
              "--trajectories": (["2,-1,0.5,0.5", "2,-1,0"],
                                 ["0.2,0.3", "1,0;0", ";", "a,b", "2,-1,0,1", "1e400,0,0", "nan,nan,nan",
                                  "", "0.5,0.5;"])},
-    "verify": {"--trials": (["1", "2"], ["2.5", *(v for v in NUMBERS if v != "99999999999999999999")]),
+    "verify": {"--trials": (["1", "2"], ["2.5", *NUMBERS]),
                "--size": (["2", "4"], ["6", *NUMBERS]),
                "--seed": (["7"], NUMBERS)},
 }

@@ -242,6 +242,31 @@ class TestPadding:
         assert all(row[2] == -5 for row in padded.row_payoffs)
         assert all(row[2] == -5 for row in padded.col_payoffs)
 
+    def test_dummy_payoff_is_the_fraction_minimum_less_one(self):
+        # the dummy is read off the integer forms, whose common denominators
+        # differ between the two matrices here; the minimum lies in either
+        rng = random.Random(2027)
+        cases, mixed = set(), 0
+        for i in range(200):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+
+            def mat():
+                return [[Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 10])) for _ in range(n)]
+                        for _ in range(m)]
+
+            a, b = mat(), mat()
+            g = make_bimatrix(f"g{i}", [f"r{k}" for k in range(m)], [f"c{k}" for k in range(n)], a, b)
+            low_a, low_b = min(map(min, a)), min(map(min, b))
+            padded, rec = pad_to_square(g)
+            assert rec.dummy_payoff == min(low_a, low_b) - 1, (a, b)
+            dummies = [payoffs[i][j] for payoffs in (padded.row_payoffs, padded.col_payoffs)
+                       for i in range(padded.n_rows) for j in range(padded.n_cols) if i >= m or j >= n]
+            assert len(dummies) == 2 * (max(m, n) ** 2 - m * n)
+            assert all(v == rec.dummy_payoff for v in dummies)
+            cases.add((m == n, low_a < low_b))
+            mixed += g.int_row_payoffs[1] != g.int_col_payoffs[1]
+        assert len(cases) == 4 and mixed > 100
+
     def test_padding_preserves_equilibria(self):
         # Oracle: solve both games directly and compare the projected sets.
         from cpgames import enumerate_nash_bimatrix

@@ -34,8 +34,8 @@ from cpgames.cli import BUNDLED_GAMES, run_cli
 from cpgames.decomposition import random_game, report_json
 from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
-from cpgames.solver import (DegeneracyWitness, Half, HalfTable, RestPoint, SupportTable,
-                            _full_vector, _indifference)
+from cpgames.solver import (MAX_ACTIONS, _PLANS, DegeneracyWitness, Half, HalfTable, RestPoint,
+                            SupportTable, _full_vector, _indifference)
 from conftest import count_calls, exact_payoffs
 
 
@@ -533,6 +533,57 @@ class TestDominanceFilter:
         assert table.undominated(0b11) == 0b101
         assert table.undominated(0b10) == 0b101
         assert table.undominated(0b01) == 0b111
+
+
+def weakly_dominates(mat, a, b, cols):
+    """Row a pays at least as much as row b on each column of `cols` and
+    more on one."""
+    return all(mat[a][j] >= mat[b][j] for j in cols) and any(mat[a][j] > mat[b][j] for j in cols)
+
+
+def reference_undominated(mat, want):
+    """Oracle for `HalfTable.undominated`: the rows that no row weakly
+    dominates on the columns of the bitmask `want`."""
+    cols = [j for j in range(len(mat[0])) if want >> j & 1]
+    return bitmask(b for b in range(len(mat))
+                   if not any(weakly_dominates(mat, a, b, cols) for a in range(len(mat))))
+
+
+def reference_holds_dominated(mat, want):
+    """Oracle for `HalfTable.holds_dominated` on a square matrix: some row of
+    the bitmask `want` weakly dominates another on its columns."""
+    support = [i for i in range(len(mat)) if want >> i & 1]
+    return any(weakly_dominates(mat, a, b, support) for a in support for b in support)
+
+
+class TestDominanceTables:
+    """The per-table dominance lists and the module's Laplace plans against
+    their plain loop definitions."""
+
+    def test_plans_match_bit_extraction(self):
+        assert len(_PLANS) == 1 << MAX_ACTIONS
+        for mask, plan in enumerate(_PLANS):
+            expected, bits = [], mask
+            while bits:
+                bit = bits & -bits
+                expected.append((bit.bit_length() - 1, mask ^ bit, len(expected) % 2 == 1))
+                bits ^= bit
+            assert plan == tuple(expected), mask
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, MAX_ACTIONS), st.integers(1, MAX_ACTIONS), st.sampled_from([2, 1000]),
+           st.booleans(), st.data())
+    def test_tables_match_loop_definitions(self, m, n, r, square, data):
+        # narrow entries in [-2, 2] tie often, so rows equal on part of a
+        # column set, which must not prune each other, are common
+        n = m if square else n
+        entries = st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n), min_size=m, max_size=m)
+        mat = data.draw(entries)
+        table = HalfTable(mat, 1)
+        for want in range(1 << n):
+            assert table.undominated(want) == reference_undominated(mat, want), (mat, want)
+            if square:
+                assert table.holds_dominated(want) == reference_holds_dominated(mat, want), (mat, want)
 
 
 class TestHalfTable:
