@@ -217,6 +217,16 @@ def random_game(rng: random.Random, size: int, name: str = "random") -> Bimatrix
     return make_bimatrix(name, rows, cols, a, b)
 
 
+def _shown(value: int) -> str:
+    """`value` in decimal for a refusal message, or a note in its place when
+    it is past CPython's int-to-str limit, whose ValueError would hide the
+    refusal."""
+    try:
+        return str(value)
+    except ValueError:
+        return "an integer too long to print"
+
+
 def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
     """Generate seeded random games, discard degenerate ones, and check that
     the reconstructed equilibrium set matches the direct solver on the rest.
@@ -227,15 +237,15 @@ def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
     Stops at the first disagreement and reports it as a counterexample.
     Raises ValidationError for `trials` < 0 or `size` < 1, and TooLarge for
     `trials` above MAX_TRIALS or `size` above MAX_DECOMPOSE_ACTIONS, before
-    any game is drawn."""
+    any game is drawn, however many digits the refused value has."""
     if trials < 0:
-        raise ValidationError(f"trials must be non-negative, got {trials}")
+        raise ValidationError(f"trials must be non-negative, got {_shown(trials)}")
     if trials > MAX_TRIALS:
         raise TooLarge(f"round-trip check capped at {MAX_TRIALS} trials")
     if size < 1:
-        raise ValidationError(f"size must be at least 1, got {size}")
+        raise ValidationError(f"size must be at least 1, got {_shown(size)}")
     if size > MAX_DECOMPOSE_ACTIONS:
-        raise TooLarge(f"decomposition capped at {MAX_DECOMPOSE_ACTIONS} actions, got size {size}")
+        raise TooLarge(f"decomposition capped at {MAX_DECOMPOSE_ACTIONS} actions, got size {_shown(size)}")
     rng = random.Random(seed)
     tested = 0
     discarded = 0

@@ -10,11 +10,15 @@ of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
 status, positivity and the best responses, counted in integers, and the
 mix and common payoff as integers whose `Fraction` solution is built on
-first read.  A square half is read off the integer minors its table shares
-(Cramer's rule); only a singular one is eliminated.  Degeneracy detection
-and direct enumeration visit the equal-size pairs in one order, and the
-decomposition reads the direct enumeration of its padded game, so all of
-them read one table per game.  Every decision and
+first read.  A square half on k rows R is read off k integer minors, not
+k**2 minors of M: its rows are indifferent exactly when the differences
+M_r - M_r0 from its lowest row r0 vanish on the mix, and the null vector
+of that (k-1) x k system is its vector of signed maximal minors.  A table
+keeps these difference minors in one flat list indexed by row and column
+bitmasks (see HalfTable), and only a singular half is eliminated.
+Degeneracy detection and direct enumeration visit the equal-size pairs in
+one order, and the decomposition reads the direct enumeration of its
+padded game, so all of them read one table per game.  Every decision and
 every result is exact, so ties are classified correctly; `cpg solve --float`
 renders the exact equilibria in float64 in the CLI.
 
@@ -219,20 +223,27 @@ class HalfTable:
     M is the integer form of the payoffs: `mat` scaled by `scale`, the
     common denominator of its entries (a game's cached integer form, see
     `games.integer_form`).  Scaling leaves every system's solutions
-    unchanged.  A half (k rows, k columns) is read off the minors
-    of M, each computed once per table and kept in one flat list: with
-    shift the larger side of M, the minor on the rows of bitmask rmask and
-    the columns of cmask is at rmask << shift | cmask, and slot 0 holds the
-    empty minor, 1; the expansion and the cofactors take a bitmask apart by
-    its plan in `_PLANS`.  With
-    c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j), total = sum_j c_j
-    is the determinant of its bordered system, so total != 0 gives the
-    unique half y = c / total, whose common payoff is M_r . c / total for
-    any r in rows.  Positivity and the best responses are decided on those
-    integers, and a positive half keeps them: its `Fraction` solution is
-    built only when first read.  A half with total = 0 is singular, so
-    inconsistent or underdetermined, and only it goes to `solve_linear`, as
-    an integer system.  A singular half is positive (a continuum) when its
+    unchanged.  A half (k rows R, k columns C) is read off k difference
+    minors.  With r_0 the lowest row of R, diff(R, C') is the determinant
+    of the rows M_r - M_r0, r in R - r_0, on k - 1 columns C'.  Let c_j be
+    the determinant of M_R,C with its column j replaced by ones, the j-th
+    entry of adj(M_R,C) . 1.  Subtracting row r_0 from the other rows turns
+    that column into e_0, so c_j = (-1)^j diff(R, C - c_j), with no
+    cofactor sum.  Each difference minor is computed once per table and
+    kept in one flat list of 4**shift slots, shift the larger side of M
+    (32 KiB for a 6x6 matrix): diff(R, C') is at R << shift | C', as
+    bitmasks, each single-row slot is seeded with diff({r}, {}) = 1, and
+    slot 0 is unused.  `_expand` expands along the difference row of R's
+    second-lowest row r_1 and reads diff(R - r_1, .), whose lowest row is
+    r_0 again, so every read stays in the one list; the expansion and the
+    cofactors take a bitmask apart by its plan in `_PLANS`.
+    total = sum_j c_j is the determinant of the bordered system, so
+    total != 0 gives the unique half y = c / total, whose common payoff is
+    M_r . c / total for any r in rows.  Positivity and the best responses
+    are decided on those integers, and a positive half keeps them: its
+    `Fraction` solution is built only when first read.  A half with
+    total = 0 is singular, so inconsistent or underdetermined, and only it
+    goes to `solve_linear`, as an integer system.  A singular half is positive (a continuum) when its
     solutions form a line with a positive segment, and keeps its midpoint;
     a solution set of 2 or more dimensions is never positive.
 
@@ -256,7 +267,8 @@ class HalfTable:
         self.mat, self.scale = mat, scale
         self._shift = shift = max(m, n)
         self._minors: list[int | None] = [None] * (1 << 2 * shift)
-        self._minors[0] = 1
+        for r in range(m):
+            self._minors[1 << r << shift] = 1
 
     def _beats(self):
         """(ge, gt, a's bit, b's bit) for each ordered pair of rows (a, b):
@@ -325,14 +337,15 @@ class HalfTable:
         return half
 
     def _expand(self, rmask: int, cmask: int) -> int:
-        """The determinant of M on the rows and columns of two equal-size,
-        non-empty bitmasks, by Laplace expansion along the lowest row; it is
-        stored, and the minors it reads are expanded only when missing."""
+        """The difference minor of a row bitmask of 2 or more rows and a
+        column bitmask of one column fewer, by Laplace expansion along the
+        difference row of the second-lowest row; it is stored, and the
+        minors it reads are expanded only when missing."""
         minors, shift = self._minors, self._shift
-        low, rest, _ = _PLANS[rmask][0]
-        row, base, det = self.mat[low], rest << shift, 0
+        (r0, _, _), (r1, rest, _) = _PLANS[rmask][:2]
+        low, row, base, det = self.mat[r0], self.mat[r1], rest << shift, 0
         for j, sub, odd in _PLANS[cmask]:
-            v = row[j]
+            v = row[j] - low[j]
             if v:
                 minor = minors[base | sub]
                 if minor is None:
@@ -344,23 +357,24 @@ class HalfTable:
         minors[rmask << shift | cmask] = det
         return det
 
-    def _solve(self, rows, cols) -> Half:
-        # c = adj(M_rows,cols) @ 1, and total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
+    def _cofactors(self, rows, cols) -> list[int]:
+        """The integers c of the half (rows, cols), in column order: c_j is
+        the determinant of M_rows,cols with its column j replaced by ones,
+        which is (-1)^j times the difference minor on rows and cols - c_j."""
         minors, shift = self._minors, self._shift
-        row_plan = _PLANS[_bits(rows)]
-        c, total = [], 0
-        for _, sub, odd_col in _PLANS[_bits(cols)]:
-            cj = 0
-            for _, rm, odd_row in row_plan:
-                det = minors[rm << shift | sub]
-                if det is None:
-                    det = self._expand(rm, sub)
-                if odd_row is odd_col:
-                    cj += det
-                else:
-                    cj -= det
-            c.append(cj)
-            total += cj
+        rmask = _bits(rows)
+        base, c = rmask << shift, []
+        for _, sub, odd in _PLANS[_bits(cols)]:
+            cj = minors[base | sub]
+            if cj is None:
+                cj = self._expand(rmask, sub)
+            c.append(-cj if odd else cj)
+        return c
+
+    def _solve(self, rows, cols) -> Half:
+        # total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
+        c = self._cofactors(rows, cols)
+        total = sum(c)
         if total:
             if total < 0:
                 c, total = [-v for v in c], -total

@@ -11,6 +11,7 @@ from cpgames import (
     MixedStrategy,
     TheoremViolation,
     TooLarge,
+    ValidationError,
     counterpart_games,
     decompose,
     detect_degeneracy,
@@ -255,6 +256,27 @@ class TestRoundtrip:
         report = verify_roundtrip(trials=40, size=3, seed=42)
         assert report.passed
         assert report.tested + report.discarded_degenerate == 40
+
+    @pytest.mark.parametrize("trials, size, error, prefix", [
+        (1, 10**5000, TooLarge, "decomposition capped at 5 actions, got size "),
+        (-10**5000, 2, ValidationError, "trials must be non-negative, got "),
+        (1, -10**5000, ValidationError, "size must be at least 1, got "),
+    ], ids=["huge-size", "huge-negative-trials", "huge-negative-size"])
+    def test_unprintable_arguments_refused(self, trials, size, error, prefix):
+        # a value past CPython's int-to-str limit is refused with the error a
+        # small one gets, not with the limit's ValueError from its message
+        with pytest.raises(error) as info:
+            verify_roundtrip(trials, size, 1)
+        assert str(info.value).startswith(prefix) and len(str(info.value)) < 100
+
+    def test_printable_arguments_keep_their_text(self):
+        for trials, size, error, text in (
+                (1, 7, TooLarge, "decomposition capped at 5 actions, got size 7"),
+                (-3, 2, ValidationError, "trials must be non-negative, got -3"),
+                (1, 0, ValidationError, "size must be at least 1, got 0")):
+            with pytest.raises(error) as info:
+                verify_roundtrip(trials, size, 1)
+            assert str(info.value) == text
 
     def test_degenerate_games_discarded(self):
         # A seed-independent check that the filter counts discards.

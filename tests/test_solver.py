@@ -35,7 +35,7 @@ from cpgames.decomposition import random_game, report_json
 from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 from cpgames.solver import (MAX_ACTIONS, _PLANS, DegeneracyWitness, Half, HalfTable, RestPoint,
-                            SupportTable, _full_vector, _indifference)
+                            SupportTable, _equal_size_pairs, _full_vector, _indifference)
 from conftest import count_calls, exact_payoffs
 
 
@@ -113,6 +113,35 @@ def reference_half(table, rows, cols):
     payoffs = [sum(row[j] * w for j, w in weights) for row in table.mat]
     top = max(payoffs)
     return Half(UNIQUE, res.solution, True, payoffs.count(top), payoffs[rows[0]] == top)
+
+
+def fraction_det(rows):
+    """Oracle: the determinant of a square list of rows, by Fraction
+    elimination with row swaps; 1 for no rows."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(a)):
+        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            for j in range(i, len(a)):
+                a[r][j] -= f * a[i][j]
+    return det
+
+
+def reference_cofactors(mat, rows, cols):
+    """Oracle: a half's integers as the table read them before difference
+    minors, c_j = sum_i (-1)^(i+j) minor(rows - r_i, cols - c_j) of M."""
+    return [sum((-1) ** (i + j) * fraction_det([[mat[r][col] for col in cols if col != cj]
+                                                 for r in rows if r != ri])
+                for i, ri in enumerate(rows))
+            for j, cj in enumerate(cols)]
 
 
 def seeded_game(rng, name):
@@ -692,8 +721,64 @@ class TestHalfTable:
         assert len(expanded) > 1000
         assert max(collections.Counter(expanded).values()) == 1
         for table in {args[0] for args in expanded}:
-            stored = sum(det is not None for det in table._minors) - 1  # less the empty minor
+            stored = sum(det is not None for det in table._minors) - len(table.mat)  # less the seeds
             assert stored == sum(args[0] is table for args in expanded)
+
+    def test_difference_minor_work_gate(self, monkeypatch):
+        # a machine-independent work gate: a half reads k difference minors
+        # of its rows, not k^2 minors of M, so enumerating the degenerate 6x6
+        # game expands at most 455 minors (932 when halves read the cofactor
+        # sums of M), and reading every half fills exactly the slots
+        # diff(R, C') with |C'| = |R| - 1, seeds included
+        g = random_game(random.Random(3), 6)
+        expanded = count_calls(monkeypatch, HalfTable, "_expand")
+        table = SupportTable(g)
+        enumerate_nash_bimatrix(g, table=table)
+        assert 0 < len(expanded) <= 455
+        for rows, cols in _equal_size_pairs(6, 6):
+            table.y_half(rows, cols)
+            table.x_half(rows, cols)
+        slots = 2 * sum(math.comb(6, k) * math.comb(6, k - 1) for k in range(1, 7))
+        assert slots == 1584
+        assert sum(det is not None for half in (table._y, table._x) for det in half._minors) == slots
+
+    def test_difference_minors_match_fraction_determinants(self):
+        # every stored slot diff(R, C') against a Fraction determinant of the
+        # rows M_r - M_r0, r in R - r0, on C', and every half's integers c
+        # against the cofactor sums of M, on matrices of 1-6 actions with
+        # narrow, wide and rational payoffs, half of them square; reading
+        # every half stores the slots with |C'| = |R| - 1 and no others
+        kinds = [st.integers(-2, 2), st.integers(-10**6, 10**6),
+                 st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))]
+        sizes = set()
+
+        # not shrunk: each step would re-check thousands of determinants of a 6x6
+        @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                  phases=[Phase.generate])
+        @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.sampled_from(kinds), st.data())
+        def check(m, n, square, kind, data):
+            n = m if square else n
+            table = HalfTable(*integer_form([[Fraction(data.draw(kind)) for _ in range(n)]
+                                             for _ in range(m)]))
+            mat, shift = table.mat, max(m, n)
+            sizes.add((m, n))
+            for rows, cols in _equal_size_pairs(m, n):
+                table.get(rows, cols)
+                assert table._cofactors(rows, cols) == reference_cofactors(mat, rows, cols), (mat, rows, cols)
+            stored = 0
+            for slot, det in enumerate(table._minors):
+                if det is None:
+                    continue
+                rows = [r for r in range(shift) if slot >> shift >> r & 1]
+                cols = [j for j in range(shift) if slot >> j & 1]
+                assert len(cols) == len(rows) - 1, (mat, rows, cols)
+                low = mat[rows[0]]
+                assert det == fraction_det([[mat[r][j] - low[j] for j in cols] for r in rows[1:]]), (mat, rows, cols)
+                stored += 1
+            assert stored == sum(math.comb(m, k) * math.comb(n, k - 1) for k in range(1, min(m, n) + 1))
+
+        check()
+        assert (6, 6) in sizes and any(m < n for m, n in sizes) and any(m > n for m, n in sizes)
 
     def test_wide_and_tall_tables(self):
         # the minor store is indexed by the larger side of the matrix, so a
