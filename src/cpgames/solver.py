@@ -8,14 +8,15 @@ of a bimatrix game (A, B) has two halves: the y half makes the rows in `rows`
 indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
-status, positivity and the best responses, counted in integers, and the
-mix and common payoff as integers whose `Fraction` solution is built on
-first read.  A square half on k rows R is read off k integer minors, not
-k**2 minors of M: its rows are indifferent exactly when the differences
-M_r - M_r0 from its lowest row r0 vanish on the mix, and the null vector
-of that (k-1) x k system is its vector of signed maximal minors.  A table
-keeps these difference minors in one flat list indexed by row and column
-bitmasks (see HalfTable), and only a singular half is eliminated.
+whether it is underdetermined, positivity and the best responses, counted
+in integers, and the mix and common payoff as integers whose `Fraction`
+solution is built on first read.  A square half on k rows R is read off k
+integer minors, not k**2 minors of M: its rows are indifferent exactly
+when the differences M_r - M_r0 from its lowest row r0 vanish on the mix,
+and the null vector of that (k-1) x k system is its vector of signed
+maximal minors.  A table keeps these difference minors in one flat list
+indexed by row and column bitmasks, 2**(m + n) slots for an m x n matrix
+(see HalfTable), and only a singular half is eliminated.
 Degeneracy detection and direct enumeration visit the equal-size pairs in
 one order, and the decomposition reads the direct enumeration of its
 padded game, so all of them read one table per game.  Every decision and
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 from .errors import TooLarge
 from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, is_nash_single
-from .linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
+from .linsolve import UNDERDETERMINED, solve_linear
 
 MAX_ACTIONS = 6
 
@@ -150,16 +151,18 @@ _PLANS = tuple(tuple((j, mask ^ 1 << j, k % 2 == 1)
 
 class Half:
     """The solved indifference system of one half of a support pair; halves
-    compare equal field by field.  A positive half's `solution` is a mix
+    compare equal field by field.  `underdetermined` says that its solutions
+    form a line or more; no reader tells an inconsistent half from a unique
+    one that is not positive.  A positive half's `solution` is a mix
     positive on the support: a unique half's, or the midpoint of a solution
     line's positive segment.  A unique positive half is made from its
     integers, the mix c over total and the common payoff u over total times
     the table's scale, and builds its `solution` on first read."""
 
-    __slots__ = ("status", "_solution", "positive", "best", "nash", "_integers")
+    __slots__ = ("underdetermined", "_solution", "positive", "best", "nash", "_integers")
 
-    def __init__(self, status, solution, positive, best=0, nash=False, integers=None):
-        self.status = status
+    def __init__(self, underdetermined, solution, positive, best=0, nash=False, integers=None):
+        self.underdetermined = underdetermined
         self._solution = solution
         self.positive = positive  # every in-support entry of `solution` is positive
         self.best = best  # unique and positive: rows earning the top payoff
@@ -176,7 +179,7 @@ class Half:
         return self._solution
 
     def _fields(self) -> tuple:
-        return self.status, self.solution, self.positive, self.best, self.nash
+        return self.underdetermined, self.solution, self.positive, self.best, self.nash
 
     def __eq__(self, other):
         return isinstance(other, Half) and self._fields() == other._fields()
@@ -185,28 +188,26 @@ class Half:
         return f"Half{self._fields()!r}"
 
 
-# Shared halves without a mix: no reader needs a non-positive solution.  Not
-# keeping one per entry, nor a Fraction solution before it is read, keeps the
-# table of the degenerate 6x6 game random_game(Random(3), 6) at 0.495 MB
-# under tracemalloc (Python 3.11) once its witnesses have read every half.
-# Of that, each HalfTable's minor store is a fixed 8 * 4**6 bytes, 32 KiB.
-_NO_MIX = {status: Half(status, None, False) for status in (UNIQUE, INCONSISTENT, UNDERDETERMINED)}
+# The two shared halves without a mix, by `underdetermined`: no reader needs
+# a non-positive solution.  Not keeping one per entry, nor a Fraction solution
+# before it is read, keeps the table of the degenerate 6x6 game
+# random_game(Random(3), 6) at 0.495 MB under tracemalloc (Python 3.11) once
+# its witnesses have read every half, 32 KiB of it in each minor store.
+_NO_MIX = (Half(False, None, False), Half(True, None, False))
 
 
 def _segment_barycentre(particular, direction):
     """Midpoint of the positive segment {p + t*d > 0} of a 1-dim solution set,
     over the in-support coordinates (the common-payoff unknown rides along)."""
-    lo, hi = None, None
+    lo, hi = [], []
     for p, d in zip(particular[:-1], direction[:-1]):
-        if d > 0:
-            bound = -p / d
-            lo = bound if lo is None else max(lo, bound)
-        elif d < 0:
-            bound = -p / d
-            hi = bound if hi is None else min(hi, bound)
+        if d:
+            (lo if d > 0 else hi).append(-p / d)
         elif p <= 0:
             return None
-    if lo is None or hi is None or lo >= hi:
+    # both filled: the null vector (d, d_u) has M d = scale d_u 1 and sum(d) = 0, so d != 0 has both signs
+    lo, hi = max(lo), min(hi)
+    if lo >= hi:
         return None
     t = (lo + hi) / 2
     return [p + t * d for p, d in zip(particular, direction)]
@@ -217,8 +218,8 @@ class HalfTable:
     pair: every row in `rows` earns the same payoff u against a column mix y
     on `cols`, and y sums to one.  Each pair is solved once, on first read.
     A matrix with more than MAX_ACTIONS rows or columns raises TooLarge
-    before the minor store below, 4**n slots for n its larger side, is
-    allocated: every solver, and `SupportTable(g)` itself, meets the cap here.
+    before the minor store below is allocated: every solver, and
+    `SupportTable(g)` itself, meets the cap here.
 
     M is the integer form of the payoffs: `mat` scaled by `scale`, the
     common denominator of its entries (a game's cached integer form, see
@@ -229,23 +230,24 @@ class HalfTable:
     the determinant of M_R,C with its column j replaced by ones, the j-th
     entry of adj(M_R,C) . 1.  Subtracting row r_0 from the other rows turns
     that column into e_0, so c_j = (-1)^j diff(R, C - c_j), with no
-    cofactor sum.  Each difference minor is computed once per table and
-    kept in one flat list of 4**shift slots, shift the larger side of M
-    (32 KiB for a 6x6 matrix): diff(R, C') is at R << shift | C', as
-    bitmasks, each single-row slot is seeded with diff({r}, {}) = 1, and
-    slot 0 is unused.  `_expand` expands along the difference row of R's
-    second-lowest row r_1 and reads diff(R - r_1, .), whose lowest row is
-    r_0 again, so every read stays in the one list; the expansion and the
-    cofactors take a bitmask apart by its plan in `_PLANS`.
+    cofactor sum; `_solve` reads these k minors.  Each difference minor is
+    computed once per table and kept in one flat list of 2**(m + n) slots
+    for an m x n matrix (32 KiB for 6x6): diff(R, C') is at R << n | C', as
+    bitmasks, the whole range of that index.  Each single-row slot is
+    seeded with diff({r}, {}) = 1, and slot 0 is unused.  `_expand` expands along the difference row of
+    R's second-lowest row r_1 and reads diff(R - r_1, .), whose lowest row
+    is r_0 again, so every read stays in the one list; the expansion and
+    `_solve` take a bitmask apart by its plan in `_PLANS`.
     total = sum_j c_j is the determinant of the bordered system, so
     total != 0 gives the unique half y = c / total, whose common payoff is
     M_r . c / total for any r in rows.  Positivity and the best responses
     are decided on those integers, and a positive half keeps them: its
     `Fraction` solution is built only when first read.  A half with
-    total = 0 is singular, so inconsistent or underdetermined, and only it
-    goes to `solve_linear`, as an integer system.  A singular half is positive (a continuum) when its
-    solutions form a line with a positive segment, and keeps its midpoint;
-    a solution set of 2 or more dimensions is never positive.
+    total = 0 is singular, and only it goes to `solve_linear`, as an
+    integer system; it is `underdetermined` when its solutions form a line
+    or more, and positive (a continuum) when they form a line with a
+    positive segment, whose midpoint it keeps.  A solution set of 2 or more
+    dimensions is never positive.
 
     `undominated(mask)` answers, without solving anything, which rows can be
     best responses to a mix that is positive on the columns of `mask`:
@@ -265,10 +267,10 @@ class HalfTable:
             raise TooLarge(f"support enumeration capped at {MAX_ACTIONS} actions, payoff matrix is {m}x{n}")
         self.entries: dict[tuple, Half] = {}
         self.mat, self.scale = mat, scale
-        self._shift = shift = max(m, n)
-        self._minors: list[int | None] = [None] * (1 << 2 * shift)
+        self._shift = n
+        self._minors: list[int | None] = [None] * (1 << m + n)
         for r in range(m):
-            self._minors[1 << r << shift] = 1
+            self._minors[1 << r << n] = 1
 
     def _beats(self):
         """(ge, gt, a's bit, b's bit) for each ordered pair of rows (a, b):
@@ -357,10 +359,9 @@ class HalfTable:
         minors[rmask << shift | cmask] = det
         return det
 
-    def _cofactors(self, rows, cols) -> list[int]:
-        """The integers c of the half (rows, cols), in column order: c_j is
-        the determinant of M_rows,cols with its column j replaced by ones,
-        which is (-1)^j times the difference minor on rows and cols - c_j."""
+    def _solve(self, rows, cols) -> Half:
+        # c_j = (-1)^j diff(rows, cols - c_j), in column order, and
+        # total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
         minors, shift = self._minors, self._shift
         rmask = _bits(rows)
         base, c = rmask << shift, []
@@ -369,25 +370,20 @@ class HalfTable:
             if cj is None:
                 cj = self._expand(rmask, sub)
             c.append(-cj if odd else cj)
-        return c
-
-    def _solve(self, rows, cols) -> Half:
-        # total = sum(c) = det [[M_rows,cols, -1], [1, 0]]
-        c = self._cofactors(rows, cols)
         total = sum(c)
         if total:
             if total < 0:
                 c, total = [-v for v in c], -total
             for v in c:
                 if v <= 0:
-                    return _NO_MIX[UNIQUE]
+                    return _NO_MIX[False]
             return self._mixed(rows, cols, c, total)
         # a singular bordered system has no unique solution
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
         point = _segment_barycentre(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
         if point is None:
-            return _NO_MIX[res.status]
-        return Half(UNDERDETERMINED, point, True)
+            return _NO_MIX[res.status == UNDERDETERMINED]
+        return Half(True, point, True)
 
     def _mixed(self, rows, cols, c, total) -> Half:
         """The unique positive half whose mix is the integers `c` over `total`."""
@@ -399,7 +395,7 @@ class HalfTable:
                 p += row[j] * w
             payoffs.append(p)
         top, u = max(payoffs), payoffs[rows[0]]
-        return Half(UNIQUE, None, True, payoffs.count(top), u == top, (c, total, u, self.scale))
+        return Half(False, None, True, payoffs.count(top), u == top, (c, total, u, self.scale))
 
 
 class SupportTable:
@@ -437,7 +433,7 @@ class SupportTable:
         for rows, cols in _equal_size_pairs(self.game.n_rows, self.game.n_cols):
             reasons = []
             for half in (self.y_half(rows, cols), self.x_half(rows, cols)):
-                if half.status == UNDERDETERMINED:
+                if half.underdetermined:
                     reason = "continuum" if half.positive else "singular-system"
                 elif half.positive and half.best > len(rows):
                     reason = "excess-best-responses"
@@ -581,7 +577,7 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     for supp, half in _single_halves(s):
         if half.positive:
             x = _full_vector(s.n, supp, half.solution[:-1])
-            continuum = half.status == UNDERDETERMINED
+            continuum = half.underdetermined
             is_nash = is_nash_single(s, x) if continuum else half.nash
             found.append(RestPoint(x, supp, is_nash, half.solution[-1], continuum))
     return found

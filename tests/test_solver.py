@@ -1,6 +1,7 @@
 """Support enumeration: equilibria, rest points, degeneracy detection."""
 
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from cpgames import (
     EquilibriumCandidate,
@@ -30,7 +31,7 @@ from cpgames import (
     serialize_game,
 )
 import cpgames.solver
-from cpgames.cli import BUNDLED_GAMES, run_cli
+from cpgames.cli import BUNDLED_GAMES, load_game, run_cli
 from cpgames.decomposition import random_game, report_json
 from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
@@ -67,7 +68,7 @@ def reference_witnesses(table):
             for cols in itertools.combinations(range(g.n_cols), k):
                 reasons = []
                 for half in (table.y_half(rows, cols), table.x_half(rows, cols)):
-                    if half.status == UNDERDETERMINED:
+                    if half.underdetermined:
                         reason = "continuum" if half.positive else "singular-system"
                     elif half.positive and half.best > k:
                         reason = "excess-best-responses"
@@ -93,26 +94,33 @@ def reference_midpoint(particular, direction):
     return None
 
 
-def reference_half(table, rows, cols):
-    """Oracle: `HalfTable._solve` as it was before the integer read-off.  The
-    solution is made Fractions first, then its signs and best responses are
-    decided, with y scaled by the common denominator of its entries.  A
-    singular half is positive exactly when its solutions form a line with a
-    positive segment, and then keeps the segment's midpoint."""
+def reference_solve(table, rows, cols):
+    """Oracle: `HalfTable._solve` as it was before the integer read-off, as
+    (elimination's status, half).  The solution is made Fractions first,
+    then its signs and best responses are decided, with y scaled by the
+    common denominator of its entries.  A singular half is positive exactly
+    when its solutions form a line with a positive segment, and then keeps
+    the segment's midpoint.  The status tells the inconsistent halves from
+    the unique ones that are not positive, which the half itself does not."""
     res = solve_linear(*_indifference(table.mat, rows, cols, table.scale))
     if res.status == INCONSISTENT:
-        return Half(INCONSISTENT, None, False)
+        return res.status, Half(False, None, False)
     if res.status == UNDERDETERMINED:
         point = reference_midpoint(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
-        return Half(UNDERDETERMINED, point, point is not None)
+        return res.status, Half(True, point, point is not None)
     if not all(v.numerator > 0 for v in res.solution[:-1]):
-        return Half(UNIQUE, None, False)
+        return res.status, Half(False, None, False)
     y = res.solution[:-1]
     scale = math.lcm(*(v.denominator for v in y))
     weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
     payoffs = [sum(row[j] * w for j, w in weights) for row in table.mat]
     top = max(payoffs)
-    return Half(UNIQUE, res.solution, True, payoffs.count(top), payoffs[rows[0]] == top)
+    return res.status, Half(False, res.solution, True, payoffs.count(top), payoffs[rows[0]] == top)
+
+
+def reference_half(table, rows, cols):
+    """Oracle: the half of `reference_solve`."""
+    return reference_solve(table, rows, cols)[1]
 
 
 def fraction_det(rows):
@@ -142,6 +150,19 @@ def reference_cofactors(mat, rows, cols):
                                                  for r in rows if r != ri])
                 for i, ri in enumerate(rows))
             for j, cj in enumerate(cols)]
+
+
+@st.composite
+def matrices(draw, kinds, sizes=st.integers(1, 6)):
+    """A matrix of `sizes` rows and columns whose Fraction entries are all
+    drawn from one of the strategies `kinds`."""
+    m, n, kind = draw(sizes), draw(sizes), draw(st.sampled_from(kinds))
+    return [[Fraction(draw(kind)) for _ in range(n)] for _ in range(m)]
+
+
+def cyclic_matrix(m, n):
+    """An m x n matrix of entries in [-3, 3] that tie across rows and columns."""
+    return [[Fraction((5 * i + 3 * j) % 7 - 3) for j in range(n)] for i in range(m)]
 
 
 def seeded_game(rng, name):
@@ -203,7 +224,7 @@ def unpruned_single(s):
             if not half.positive:
                 continue
             x = _full_vector(s.n, supp, half.solution[:-1])
-            if half.status == UNDERDETERMINED:
+            if half.underdetermined:
                 rest.append(RestPoint(x, supp, is_nash_single(s, x), half.solution[-1], continuum=True))
                 continue
             rest.append(RestPoint(x, supp, half.nash, half.solution[-1]))
@@ -246,6 +267,26 @@ def assert_filter_matches_oracle(g):
 def _matrix_game(name, a, b):
     return make_bimatrix(name, [f"r{i}" for i in range(len(a))],
                          [f"c{j}" for j in range(len(a[0]))], a, b)
+
+
+@st.composite
+def tied_games(draw):
+    """A game of 1-5 actions a side whose payoffs in [-2, 2] tie often."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=m, max_size=m)
+    return _matrix_game("tied", draw(entries), draw(entries))
+
+
+def solved(g):
+    """The equilibria of `g` and its degeneracy witnesses as sorted
+    (supports, reason) pairs, both read from one table."""
+    table = SupportTable(g)
+    witnesses = detect_degeneracy(g, table=table).witnesses
+    return enumerate_nash_bimatrix(g, table=table), sorted((w.supports, w.reason) for w in witnesses)
+
+
+def enumeration_order(c):
+    return len(c.support_x), c.support_x, c.support_y
 
 
 def brute_pure_equilibria(g):
@@ -346,13 +387,61 @@ class TestBimatrixEnumeration:
                 assert len(c.support_x) == len(c.support_y)
             checked += 1
 
-    def test_affine_transform_invariance(self, bos, pd):
-        for g in (bos, pd):
-            transformed = make_bimatrix(
-                "t", g.row_actions, g.col_actions,
-                [[2 * v + 3 for v in row] for row in g.row_payoffs],
-                [[5 * v - 1 for v in row] for row in g.col_payoffs])
-            assert profiles(enumerate_nash_bimatrix(g)) == profiles(enumerate_nash_bimatrix(transformed))
+    # The invariance properties run on tied games, where the witnesses and the
+    # continuum halves are common.  Swapping the players turns each m x n
+    # table into an n x m one, so it reads the minor store in both shapes.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(tied_games())
+    def test_player_swap_transposes_equilibria_and_witnesses(self, g):
+        # (A, B) -> (B^T, A^T): x and y, and the supports, trade places
+        swapped = make_bimatrix("swapped", g.col_actions, g.row_actions,
+                                [list(col) for col in zip(*g.col_payoffs)],
+                                [list(col) for col in zip(*g.row_payoffs)])
+        eqs, witnesses = solved(g)
+        assert solved(swapped) == (
+            sorted((EquilibriumCandidate(c.y, c.x, c.support_y, c.support_x, c.is_strict, c.payoffs[::-1])
+                    for c in eqs), key=enumeration_order),
+            sorted(((cols, rows), reason) for (rows, cols), reason in witnesses))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(tied_games(), st.fractions(Fraction(1, 9), 9, max_denominator=9),
+           st.fractions(-9, 9, max_denominator=9), st.fractions(Fraction(1, 9), 9, max_denominator=9),
+           st.fractions(-9, 9, max_denominator=9))
+    @example(load_game("bos"), 2, 3, 5, -1)
+    @example(load_game("pd"), 2, 3, 5, -1)
+    def test_affine_transform_invariance(self, g, a, b, c, d):
+        # A -> a A + b and B -> c B + d with a, c > 0 keep every equilibrium,
+        # its supports and strictness, and every witness; the payoffs follow
+        transformed = make_bimatrix("affine", g.row_actions, g.col_actions,
+                                    [[a * v + b for v in row] for row in g.row_payoffs],
+                                    [[c * v + d for v in row] for row in g.col_payoffs])
+        eqs, witnesses = solved(g)
+        assert solved(transformed) == (
+            [dataclasses.replace(e, payoffs=(a * e.payoffs[0] + b, c * e.payoffs[1] + d)) for e in eqs],
+            witnesses)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(tied_games(), st.data())
+    def test_action_permutation_permutes_equilibria_and_witnesses(self, g, data):
+        # row i of the permuted game is row rp[i] of g, column j column cp[j]
+        rp = data.draw(st.permutations(range(g.n_rows)))
+        cp = data.draw(st.permutations(range(g.n_cols)))
+        permuted = make_bimatrix("permuted", [g.row_actions[i] for i in rp], [g.col_actions[j] for j in cp],
+                                 [[g.row_payoffs[i][j] for j in cp] for i in rp],
+                                 [[g.col_payoffs[i][j] for j in cp] for i in rp])
+
+        def moved(perm, support):
+            return tuple(sorted(perm.index(i) for i in support))
+
+        def mixed(perm, strategy):
+            return MixedStrategy(tuple(strategy.probs[i] for i in perm), "exact")
+
+        eqs, witnesses = solved(g)
+        assert solved(permuted) == (
+            sorted((EquilibriumCandidate(mixed(rp, e.x), mixed(cp, e.y), moved(rp, e.support_x),
+                                         moved(cp, e.support_y), e.is_strict, e.payoffs)
+                    for e in eqs), key=enumeration_order),
+            sorted(((moved(rp, rows), moved(cp, cols)), reason) for (rows, cols), reason in witnesses))
 
     def test_float_mode_agrees_on_bundled(self, capsys):
         # `cpg solve --float` renders each exact equilibrium within 1e-9
@@ -634,8 +723,9 @@ class TestHalfTable:
                 for rows in itertools.combinations(range(m), k):
                     for cols in itertools.combinations(range(n), k):
                         half = table.get(rows, cols)
-                        assert half == reference_half(table, rows, cols), (mat, rows, cols)
-                        seen.add((half.status, half.positive, half.best > k, half.nash))
+                        status, expected = reference_solve(table, rows, cols)
+                        assert half == expected, (mat, rows, cols)
+                        seen.add((status, half.positive, half.best > k, half.nash))
         assert {(INCONSISTENT, False, False, False), (UNIQUE, False, False, False),
                 (UNDERDETERMINED, True, False, False), (UNDERDETERMINED, False, False, False),
                 (UNIQUE, True, False, True), (UNIQUE, True, False, False),
@@ -645,25 +735,32 @@ class TestHalfTable:
         # every equal-size half against the elimination oracle, on
         # matrices of 1-6 actions with small, rational and wide payoffs and
         # forced duplicate or zero rows, or a dominant negative diagonal,
-        # whose diagonal halves are positive at every size; the halves cover
+        # whose diagonal halves are positive at every size (the explicit
+        # examples make sure of 4x4, 5x5, 6x6, 4x6 and 6x4); the halves cover
         # a singular bordered system (total = 0) and a singular M_rows,cols
         # whose bordered system is not (total != 0, common payoff 0)
         kinds = [st.integers(-3, 3), st.integers(-10**6, 10**6),
                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))]
-        seen = set()
+        seen, diagonal_shapes = set(), set()
 
         # not shrunk: each step would re-check thousands of halves of a 6x6
         @settings(derandomize=True, database=None, deadline=None, max_examples=50,
-                  phases=[Phase.generate])
-        @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(kinds),
-               st.sampled_from(["", "duplicate", "zero", "diagonal"]), st.data())
-        def check(m, n, kind, force, data):
-            mat = [[Fraction(data.draw(kind)) for _ in range(n)] for _ in range(m)]
+                  phases=[Phase.explicit, Phase.generate])
+        @given(matrices(kinds), st.sampled_from(["", "duplicate", "zero", "diagonal"]))
+        @example(cyclic_matrix(4, 4), "diagonal")
+        @example(cyclic_matrix(5, 5), "diagonal")
+        @example(cyclic_matrix(6, 6), "diagonal")
+        @example(cyclic_matrix(4, 6), "diagonal")
+        @example(cyclic_matrix(6, 4), "diagonal")
+        def check(mat, force):
+            m, n = len(mat), len(mat[0])
+            mat = [list(row) for row in mat]
             if force == "duplicate" and m > 1:
                 mat[-1] = list(mat[0])
             elif force == "zero":
                 mat[-1] = [Fraction(0)] * n
             elif force == "diagonal":
+                diagonal_shapes.add((m, n))
                 for i in range(min(m, n)):
                     mat[i][i] -= 10**7
             table = HalfTable(*integer_form(mat))
@@ -671,8 +768,11 @@ class TestHalfTable:
                 for rows in itertools.combinations(range(m), k):
                     for cols in itertools.combinations(range(n), k):
                         half = table.get(rows, cols)
-                        assert half == reference_half(table, rows, cols), (mat, rows, cols)
-                        if half.status != UNIQUE:
+                        status, expected = reference_solve(table, rows, cols)
+                        assert half == expected, (mat, rows, cols)
+                        if force == "diagonal" and rows == cols:
+                            assert half.positive, (mat, rows)
+                        if status != UNIQUE:
                             seen.add("total = 0")
                         elif solve_linear([[table.mat[r][c] for c in cols] for r in rows],
                                           [0] * k).status != UNIQUE:
@@ -680,6 +780,7 @@ class TestHalfTable:
 
         check()
         assert seen == {"total = 0", "singular, total != 0"}
+        assert {(4, 4), (5, 5), (6, 6), (4, 6), (6, 4)} <= diagonal_shapes
 
     def test_solutions_built_on_first_read(self):
         # a machine-independent work gate: the verdict and its witnesses read
@@ -744,10 +845,12 @@ class TestHalfTable:
 
     def test_difference_minors_match_fraction_determinants(self):
         # every stored slot diff(R, C') against a Fraction determinant of the
-        # rows M_r - M_r0, r in R - r0, on C', and every half's integers c
-        # against the cofactor sums of M, on matrices of 1-6 actions with
-        # narrow, wide and rational payoffs, half of them square; reading
-        # every half stores the slots with |C'| = |R| - 1 and no others
+        # rows M_r - M_r0, r in R - r0, on C', and every half's integers
+        # c_j = (-1)^j diff(R, C - c_j), read from the slots, against the
+        # cofactor sums of M, on matrices of 1-6 actions with narrow, wide
+        # and rational payoffs, half of them square; the store has
+        # 2**(m + n) slots, slot R << n | C' for n the column count, and
+        # reading every half stores the slots with |C'| = |R| - 1 and no others
         kinds = [st.integers(-2, 2), st.integers(-10**6, 10**6),
                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))]
         sizes = set()
@@ -760,17 +863,20 @@ class TestHalfTable:
             n = m if square else n
             table = HalfTable(*integer_form([[Fraction(data.draw(kind)) for _ in range(n)]
                                              for _ in range(m)]))
-            mat, shift = table.mat, max(m, n)
+            mat, minors = table.mat, table._minors
             sizes.add((m, n))
+            assert len(minors) == 1 << m + n
             for rows, cols in _equal_size_pairs(m, n):
                 table.get(rows, cols)
-                assert table._cofactors(rows, cols) == reference_cofactors(mat, rows, cols), (mat, rows, cols)
+                base, cmask = bitmask(rows) << n, bitmask(cols)
+                c = [(-1) ** j * minors[base | cmask ^ 1 << col] for j, col in enumerate(cols)]
+                assert c == reference_cofactors(mat, rows, cols), (mat, rows, cols)
             stored = 0
-            for slot, det in enumerate(table._minors):
+            for slot, det in enumerate(minors):
                 if det is None:
                     continue
-                rows = [r for r in range(shift) if slot >> shift >> r & 1]
-                cols = [j for j in range(shift) if slot >> j & 1]
+                rows = [r for r in range(m) if slot >> n >> r & 1]
+                cols = [j for j in range(n) if slot >> j & 1]
                 assert len(cols) == len(rows) - 1, (mat, rows, cols)
                 low = mat[rows[0]]
                 assert det == fraction_det([[mat[r][j] - low[j] for j in cols] for r in rows[1:]]), (mat, rows, cols)
@@ -781,12 +887,12 @@ class TestHalfTable:
         assert (6, 6) in sizes and any(m < n for m, n in sizes) and any(m > n for m, n in sizes)
 
     def test_wide_and_tall_tables(self):
-        # the minor store is indexed by the larger side of the matrix, so a
-        # store sized by one side alone goes wrong on the other orientation:
-        # every equal-size half of 1x6, 6x1, 2x5 and 5x2 matrices with tied
-        # and zero entries against the elimination oracle, and enumeration
-        # and the degeneracy witnesses of a 2x6 and a 6x2 game, whose halves
-        # are checked against the oracle too
+        # the minor store puts diff(R, C') at R << n | C' for n the column
+        # count, so a store that takes one side for the other goes wrong on
+        # one orientation: every equal-size half of 1x6, 6x1, 2x5 and 5x2
+        # matrices with tied and zero entries against the elimination
+        # oracle, and enumeration and the degeneracy witnesses of a 2x6 and
+        # a 6x2 game, whose halves are checked against the oracle too
         rng = random.Random(19)
         for m, n in ((1, 6), (6, 1), (2, 5), (5, 2)):
             for _ in range(5):
@@ -1000,7 +1106,7 @@ class TestDegeneracy:
         table = SupportTable(g)
         res = solve_linear(*_indifference(table._y.mat, (0, 2), (0, 2), table._y.scale))
         assert res.solution[:-1] == [0, 1] and len(res.nullspace) == 1
-        assert table.x_half((0, 2), (0, 2)).status == INCONSISTENT
+        assert reference_solve(table._x, (0, 2), (0, 2)) == (INCONSISTENT, table.x_half((0, 2), (0, 2)))
         witnesses = detect_degeneracy(g, table=table).witnesses
         assert [w.reason for w in witnesses if w.supports == ((0, 2), (0, 2))] == ["continuum"]
         cp1, _ = counterpart_games(g)
