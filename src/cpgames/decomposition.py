@@ -95,12 +95,13 @@ class DecompositionReport:
             for s in supports:
                 cols = tuple(sorted(mapping[j] for j in s))
                 yh, xh = table.y_half(s, cols), table.x_half(s, cols)
-                if yh.nash:  # counterpart 1's state is y in permuted column order
-                    y = dict(zip(cols, yh.solution))
-                    eqs1.append(_single_candidate(n, s, [y[mapping[j]] for j in s], yh))
+                if yh.nash:  # counterpart 1's state is y in permuted column order:
+                    # the mix's entry for column cols[i] sits at the j with mapping[j] == cols[i]
+                    state = yh.strategy(n, tuple(sorted(s, key=mapping.__getitem__)))
+                    eqs1.append(_single_candidate(state, s, yh))
                 if xh.nash:  # counterpart 2's state is x, the same for every sigma
                     if (s, cols) not in row_mixes:
-                        row_mixes[(s, cols)] = _single_candidate(n, s, xh.solution[:-1], xh)
+                        row_mixes[(s, cols)] = _single_candidate(xh.strategy(n, s), s, xh)
                     eqs2.append(row_mixes[(s, cols)])
                 if yh.nash and xh.nash:
                     pairs.append(self.matched[(s, cols)])

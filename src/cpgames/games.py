@@ -247,14 +247,43 @@ def _check_simplex(values, what: str) -> None:
         raise ValidationError(f"{what} is not on the probability simplex: {[float(v) for v in values]}")
 
 
+def _check_exact(nums, den: int) -> None:
+    """The one rule for an exact strategy, on its integer form: the entries
+    nums / den, with den > 0, read in order, are nonnegative and sum to
+    exactly 1, that is, sum(nums) == den."""
+    total = 0
+    for v in nums:
+        if v < 0:
+            raise ValidationError(f"negative probability {Fraction(v, den)}")
+        total += v
+    if total != den:
+        raise ValidationError(f"probabilities sum to {Fraction(total, den)}, expected 1")
+
+
+def _numerators(probs, den: int):
+    """Exact entries as integers over their common denominator `den`, in
+    order; a non-Fraction entry is refused when it is reached, so an entry's
+    sign is checked before the type of the next."""
+    for p in probs:
+        if not isinstance(p, Fraction):
+            raise ValidationError("exact strategy entries must be Fractions")
+        yield p.numerator * (den // p.denominator)
+
+
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability vector on a simplex, exact (Fraction) or float entries.
 
-    Exact entries must be nonnegative and sum to exactly 1.  Float entries
-    follow `_check_simplex`, the rule the dynamics apply to their states:
-    finite, none below -1e-9, summing to 1 within 1e-9.  Negative float
-    entries are then clamped to zero, and the support uses a 1e-9 threshold.
+    Exact entries must be nonnegative and sum to exactly 1, a rule checked
+    on their integers over a common denominator (`_check_exact`); the
+    solvers build their mixes from integers with `from_integers`, which
+    applies the same rule.  Float entries follow `_check_simplex`, the rule
+    the dynamics apply to their states: finite, none below -1e-9, summing to
+    1 within 1e-9.  Negative float entries are then clamped to zero, and the
+    support uses a 1e-9 threshold.
     """
 
     probs: tuple
@@ -266,18 +295,31 @@ class MixedStrategy:
         if not self.probs:
             raise ValidationError("strategy must have at least one component")
         if self.mode == "exact":
-            for p in self.probs:
-                if not isinstance(p, Fraction):
-                    raise ValidationError("exact strategy entries must be Fractions")
-                if p.numerator < 0:
-                    raise ValidationError(f"negative probability {p}")
-            nums, den = _integers(self.probs)  # the sum in integers
-            if sum(nums) != den:
-                raise ValidationError(f"probabilities sum to {Fraction(sum(nums), den)}, expected 1")
+            den = math.lcm(*(p.denominator for p in self.probs if isinstance(p, Fraction)))
+            _check_exact(_numerators(self.probs, den), den)
         else:
             probs = tuple(float(p) for p in self.probs)
             _check_simplex(probs, "strategy")
             object.__setattr__(self, "probs", tuple(0.0 if p < 0.0 else p for p in probs))
+
+    @classmethod
+    def from_integers(cls, n: int, support, nums, den: int) -> "MixedStrategy":
+        """The exact strategy on n >= 1 actions whose entries at the distinct
+        indices `support` are nums / den, den > 0, and zero elsewhere: the
+        strategy of those Fractions, refused with the same ValidationError
+        when `support` is increasing (entries are read in support order).
+        The rule is checked on the integers (`_check_exact`) and each
+        Fraction is built once."""
+        if den <= 0:
+            raise ValidationError(f"strategy denominator {den} is not positive")
+        _check_exact(nums, den)
+        probs = [_ZERO] * n
+        for i, v in zip(support, nums):
+            probs[i] = Fraction(v, den)
+        strategy = cls.__new__(cls)
+        object.__setattr__(strategy, "probs", tuple(probs))
+        object.__setattr__(strategy, "mode", "exact")
+        return strategy
 
     @classmethod
     def exact(cls, values: Iterable) -> "MixedStrategy":

@@ -9,12 +9,13 @@ indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
 equal-size pair once, on first read, and keeps the facts its readers need:
 whether it is underdetermined, positivity and the best responses, counted
-in integers, and the mix and common payoff as integers whose `Fraction`
-solution is built on first read.  A square half on k rows R is read off k
-integer minors, not k**2 minors of M: its rows are indifferent exactly
-when the differences M_r - M_r0 from its lowest row r0 vanish on the mix,
-and the null vector of that (k-1) x k system is its vector of signed
-maximal minors.  A table keeps these difference minors in one flat list
+in integers, and the mix and common payoff as integers.  The solvers build
+each reported strategy once from those integers (`Half.strategy`, through
+`MixedStrategy.from_integers`), and its payoff as one Fraction.  A square
+half on k rows R is read off k integer minors, not k**2 minors of M: its
+rows are indifferent exactly when the differences M_r - M_r0 from its
+lowest row r0 vanish on the mix, and the null vector of that (k-1) x k
+system is its vector of signed maximal minors.  A table keeps these difference minors in one flat list
 indexed by row and column bitmasks, 2**(m + n) slots for an m x n matrix
 (see HalfTable), and only a singular half is eliminated.
 Degeneracy detection and direct enumeration visit the equal-size pairs in
@@ -157,7 +158,10 @@ class Half:
     positive on the support: a unique half's, or the midpoint of a solution
     line's positive segment.  A unique positive half is made from its
     integers, the mix c over total and the common payoff u over total times
-    the table's scale, and builds its `solution` on first read."""
+    the table's scale.  The solvers read its mix as a strategy and its
+    payoff (`strategy`, `payoff`), each built once from those integers; its
+    `solution` list is built only when read, which no solver does: only
+    `__eq__` and `repr` read it."""
 
     __slots__ = ("underdetermined", "_solution", "positive", "best", "nash", "_integers")
 
@@ -167,16 +171,33 @@ class Half:
         self.positive = positive  # every in-support entry of `solution` is positive
         self.best = best  # unique and positive: rows earning the top payoff
         self.nash = nash  # ... and the support rows are among them
-        self._integers = integers  # (c, total, u, scale) until `solution` is read
+        self._integers = integers  # (c, total, u, scale) of a unique positive half
 
     @property
     def solution(self) -> list | None:
         """The mix in support order, then the common payoff."""
-        if self._integers:
+        if self._solution is None and self._integers:
             c, total, u, scale = self._integers
             self._solution = [Fraction(v, total) for v in c] + [Fraction(u, total * scale)]
-            self._integers = None
         return self._solution
+
+    def strategy(self, n: int, support) -> MixedStrategy:
+        """A positive half's mix as a strategy on n actions whose i-th entry
+        sits at support[i]: a unique half's from its integers, a continuum's
+        midpoint from its `solution`.  The n! view passes its support in
+        permuted order."""
+        if self._integers:
+            c, total, _, _ = self._integers
+            return MixedStrategy.from_integers(n, support, c, total)
+        return _full_vector(n, support, self._solution[:-1])
+
+    @property
+    def payoff(self) -> Fraction:
+        """A positive half's common payoff."""
+        if self._integers:
+            _, total, u, scale = self._integers
+            return Fraction(u, total * scale)
+        return self._solution[-1]
 
     def _fields(self) -> tuple:
         return self.underdetermined, self.solution, self.positive, self.best, self.nash
@@ -242,8 +263,8 @@ class HalfTable:
     total != 0 gives the unique half y = c / total, whose common payoff is
     M_r . c / total for any r in rows.  Positivity and the best responses
     are decided on those integers, and a positive half keeps them: its
-    `Fraction` solution is built only when first read.  A half with
-    total = 0 is singular, and only it goes to `solve_linear`, as an
+    strategy and payoff are built from them when read (see Half).  A half
+    with total = 0 is singular, and only it goes to `solve_linear`, as an
     integer system; it is `underdetermined` when its solutions form a line
     or more, and positive (a continuum) when they form a line with a
     positive segment, whose midpoint it keeps.  A solution set of 2 or more
@@ -377,7 +398,7 @@ class HalfTable:
             for v in c:
                 if v <= 0:
                     return _NO_MIX[False]
-            return self._mixed(rows, cols, c, total)
+            return self._mixed(rows, rmask, cols, c, total)
         # a singular bordered system has no unique solution
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
         point = _segment_barycentre(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
@@ -385,17 +406,29 @@ class HalfTable:
             return _NO_MIX[res.status == UNDERDETERMINED]
         return Half(True, point, True)
 
-    def _mixed(self, rows, cols, c, total) -> Half:
-        """The unique positive half whose mix is the integers `c` over `total`."""
+    def _mixed(self, rows, rmask, cols, c, total) -> Half:
+        """The unique positive half on `rows` (bitmask `rmask`) whose mix is
+        the integers `c` over `total`.  Every row in `rows` earns
+        u = M_r0 . c, r0 the lowest, since c is the null vector of their
+        difference rows, so only the other rows are multiplied, against a
+        running top and the count of rows that earn it."""
         weights = list(zip(cols, c))
-        payoffs = []
-        for row in self.mat:
+        row = self.mat[rows[0]]
+        u = 0
+        for j, w in weights:
+            u += row[j] * w
+        top, best = u, len(rows)
+        for r, row in enumerate(self.mat):
+            if rmask >> r & 1:
+                continue
             p = 0
             for j, w in weights:
                 p += row[j] * w
-            payoffs.append(p)
-        top, u = max(payoffs), payoffs[rows[0]]
-        return Half(False, None, True, payoffs.count(top), u == top, (c, total, u, self.scale))
+            if p > top:
+                top, best = p, 1
+            elif p == top:
+                best += 1
+        return Half(False, None, True, best, u == top, (c, total, u, self.scale))
 
 
 class SupportTable:
@@ -445,18 +478,18 @@ class SupportTable:
                 yield DegeneracyWitness((rows, cols), reason)
 
 
-def _single_candidate(n: int, support, values, half: Half) -> EquilibriumCandidate:
-    """The symmetric equilibrium on `support` of a single-population game
-    whose indifference system is `half` (unique, positive and Nash), with
-    `values` its mix in support order.  It is strict when it is pure and its
-    action is the only best response to itself."""
+def _single_candidate(x: MixedStrategy, support, half: Half) -> EquilibriumCandidate:
+    """The symmetric equilibrium `x` on `support` of a single-population
+    game whose indifference system is `half` (unique, positive and Nash).
+    It is strict when it is pure and its action is the only best response
+    to itself."""
     return EquilibriumCandidate(
-        x=_full_vector(n, support, values),
+        x=x,
         y=None,
         support_x=support,
         support_y=None,
         is_strict=len(support) == 1 and half.best == 1,
-        payoffs=half.solution[-1],
+        payoffs=half.payoff,
     )
 
 
@@ -474,12 +507,12 @@ def _bimatrix_candidate(table: SupportTable, rows, cols):
     if not xh.nash:
         return None
     return EquilibriumCandidate(
-        x=_full_vector(g.n_rows, rows, xh.solution[:-1]),
-        y=_full_vector(g.n_cols, cols, yh.solution[:-1]),
+        x=xh.strategy(g.n_rows, rows),
+        y=yh.strategy(g.n_cols, cols),
         support_x=rows,
         support_y=cols,
         is_strict=len(rows) == 1 and yh.best == 1 and xh.best == 1,
-        payoffs=(yh.solution[-1], xh.solution[-1]),  # x.Ay and x.By: the halves' common payoffs
+        payoffs=(yh.payoff, xh.payoff),  # x.Ay and x.By: the halves' common payoffs
     )
 
 
@@ -556,7 +589,7 @@ def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
     visited, and equilibria reported, by (size, support).
     """
     # a Nash half is unique and positive (see HalfTable._mixed)
-    return [_single_candidate(s.n, supp, half.solution[:-1], half)
+    return [_single_candidate(half.strategy(s.n, supp), supp, half)
             for supp, half in _single_halves(s) if half.nash]
 
 
@@ -576,10 +609,10 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     found = []
     for supp, half in _single_halves(s):
         if half.positive:
-            x = _full_vector(s.n, supp, half.solution[:-1])
+            x = half.strategy(s.n, supp)
             continuum = half.underdetermined
             is_nash = is_nash_single(s, x) if continuum else half.nash
-            found.append(RestPoint(x, supp, is_nash, half.solution[-1], continuum))
+            found.append(RestPoint(x, supp, is_nash, half.payoff, continuum))
     return found
 
 

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from cpgames import BimatrixGame, SizeMismatch
+from cpgames import BimatrixGame, SizeMismatch, make_bimatrix
 from cpgames.cli import load_game
 
 
@@ -17,6 +18,20 @@ def permute_columns(g: BimatrixGame, cols: tuple[int, ...]) -> BimatrixGame:
         row_payoffs=tuple(tuple(row[k] for k in cols) for row in g.row_payoffs),
         col_payoffs=tuple(tuple(row[k] for k in cols) for row in g.col_payoffs),
     )
+
+
+def matrix_game(name, a, b) -> BimatrixGame:
+    """The game (a, b) with actions named r0.. and c0.."""
+    return make_bimatrix(name, [f"r{i}" for i in range(len(a))],
+                         [f"c{j}" for j in range(len(a[0]))], a, b)
+
+
+@st.composite
+def tied_games(draw):
+    """A game of 1-5 actions a side whose payoffs in [-2, 2] tie often."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=m, max_size=m)
+    return matrix_game("tied", draw(entries), draw(entries))
 
 
 def fraction_is_nash_bimatrix(g: BimatrixGame, x, y) -> bool:

@@ -5,11 +5,12 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cpgames
 import cpgames.dynamics
@@ -33,7 +34,7 @@ from cpgames import (
     to_fraction,
 )
 from conftest import (HOSTILE_DOCUMENTS, fraction_is_nash_bimatrix, fraction_is_nash_single,
-                      game_text, permute_columns)
+                      game_text, matrix_game, permute_columns, tied_games)
 
 
 def F(s):
@@ -219,6 +220,19 @@ class TestFractions:
             to_fraction(text)
 
 
+def _seeded_padding_examples(test):
+    """The padding property's fixed examples: twelve seeded games of 2-4 x
+    3-5 actions with payoffs in [-5, 5]."""
+    rng = random.Random(11)
+    for _ in range(12):
+        n_rows, n_cols = rng.choice([2, 3, 4]), rng.choice([3, 4, 5])
+        if n_rows == n_cols:
+            n_cols += 1
+        a, b = ([[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(n_rows)] for _ in range(2))
+        test = example(matrix_game("t", a, b))(test)
+    return test
+
+
 class TestPadding:
     def test_extended_bos_dummy_row(self, bos_extended):
         padded, rec = pad_to_square(bos_extended)
@@ -267,30 +281,22 @@ class TestPadding:
             mixed += g.int_row_payoffs[1] != g.int_col_payoffs[1]
         assert len(cases) == 4 and mixed > 100
 
-    def test_padding_preserves_equilibria(self):
-        # Oracle: solve both games directly and compare the projected sets.
-        from cpgames import enumerate_nash_bimatrix
-        rng = random.Random(11)
-        for _ in range(12):
-            n_rows = rng.choice([2, 3, 4])
-            n_cols = rng.choice([3, 4, 5])
-            if n_rows == n_cols:
-                n_cols += 1
-            g = make_bimatrix(
-                "t", [f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)],
-                [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(n_rows)],
-                [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(n_rows)])
-            padded, rec = pad_to_square(g)
-            direct = {(c.x.probs, c.y.probs) for c in enumerate_nash_bimatrix(g)}
-            projected = set()
-            for c in enumerate_nash_bimatrix(padded):
-                if rec.player == "row":
-                    assert all(p == 0 for p in c.x.probs[n_rows:])
-                    projected.add((c.x.probs[:n_rows], c.y.probs))
-                else:
-                    assert all(p == 0 for p in c.y.probs[n_cols:])
-                    projected.add((c.x.probs, c.y.probs[:n_cols]))
-            assert projected == direct
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(tied_games().filter(lambda g: not g.is_square))
+    @_seeded_padding_examples
+    def test_padding_preserves_equilibria(self, g):
+        # the padded game's equilibria put no mass on a dummy, and with the
+        # dummies stripped they are g's, in order, with the same supports,
+        # strictness and payoffs: a dummy is strictly dominated, so it is no
+        # best response and pads every support pair of g by nothing
+        padded, rec = pad_to_square(g)
+        stripped = []
+        for c in enumerate_nash_bimatrix(padded):
+            assert not any(c.x.probs[g.n_rows:] + c.y.probs[g.n_cols:])
+            stripped.append(replace(c, x=MixedStrategy(c.x.probs[:g.n_rows], "exact"),
+                                    y=MixedStrategy(c.y.probs[:g.n_cols], "exact")))
+        assert stripped == enumerate_nash_bimatrix(g)
+        assert rec.added_count == abs(g.n_rows - g.n_cols)
 
 
 class TestPermutation:
@@ -461,6 +467,20 @@ class TestPayoffsAndNash:
             is_nash_single(counterpart_games(bos)[0], x3)
 
 
+@st.composite
+def integer_mixes(draw):
+    """(n, support, nums, den): integers in [-12, 12] over a den in
+    [-2, 12], on a support of n <= 6 actions in any order, half of them with
+    the last entry set so that the sum is right."""
+    n = draw(st.integers(1, 6))
+    support = tuple(draw(st.permutations(sorted(draw(st.sets(st.integers(0, n - 1)))))))
+    den = draw(st.integers(-2, 12))
+    nums = draw(st.lists(st.integers(-12, 12), min_size=len(support), max_size=len(support)))
+    if nums and draw(st.booleans()):
+        nums[-1] = den - sum(nums[:-1])
+    return n, support, nums, den
+
+
 class TestMixedStrategy:
     def test_exact_validation(self):
         with pytest.raises(ValidationError):
@@ -489,6 +509,46 @@ class TestMixedStrategy:
     def test_exact_check_messages(self, probs, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             MixedStrategy(probs, "exact")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(integer_mixes())
+    @example((3, (0, 2), (1, 2), 3))  # accepted
+    @example((3, (2, 0), (1, 2), 3))  # accepted, on a permuted support
+    @example((3, (0, 1, 2), (-1, -2, 0), -3))  # a negative den: refused, though the Fractions sum to one
+    @example((2, (0, 1), (2, -1), 1))  # sums to one, one entry negative
+    @example((2, (1,), (1,), 2))  # sums to one half
+    @example((1, (), (), 1))  # sums to zero
+    @example((2, (0, 1), (0, 0), 0))  # zero denominator
+    def test_from_integers_matches_fraction_constructor(self, mix):
+        # from_integers(n, support, nums, den) is MixedStrategy of the
+        # Fractions nums / den at `support`: the same strategy, or the same
+        # ValidationError; a den <= 0, outside its domain, is refused.  It
+        # reads the entries in support order, so on a permuted support only
+        # the refusal, not the negative entry it names, must agree.  The two
+        # share their rule, so an accepted strategy is also checked on its
+        # Fractions: nonnegative, summing to one.
+        n, support, nums, den = mix
+
+        def outcome(build):
+            try:
+                return build()
+            except ValidationError as exc:
+                return str(exc)
+
+        built = outcome(lambda: MixedStrategy.from_integers(n, support, nums, den))
+        if den <= 0:
+            assert built == f"strategy denominator {den} is not positive"
+            return
+        probs = [Fraction(0)] * n
+        for i, v in zip(support, nums):
+            probs[i] = Fraction(v, den)
+        expected = outcome(lambda: MixedStrategy(tuple(probs), "exact"))
+        if isinstance(expected, str) and list(support) != sorted(support):
+            assert isinstance(built, str)
+        else:
+            assert built == expected
+        if isinstance(built, MixedStrategy):
+            assert min(built.probs) >= 0 and sum(built.probs) == 1
 
     def test_float_clamping(self):
         s = MixedStrategy.from_floats([1.0 + 5e-13, -5e-13])

@@ -2,8 +2,12 @@
 with small settings, against the SHA-256 digests in golden_outputs.json.
 
 Each command runs through `run_cli` in a fresh temporary directory, and the
-digests cover its exit code, stdout, stderr and every file it writes.  A
-change meant to leave outputs alone must pass this unchanged.  A change meant
+digests cover its exit code, stdout, stderr and every file it writes.  The
+file also pins the enumerations at sizes no CLI run reaches: the JSON of
+`enumerate_nash_bimatrix` and of both padded counterparts'
+`enumerate_rest_points` on seeded 5x5, 5x6 and 6x6 games, wide and narrow
+(see `enumeration_game`), under the key "enumerate <game>".  A change meant
+to leave outputs alone must pass this unchanged.  A change meant
 to alter outputs re-records the file with `python tests/test_golden_outputs.py`
 (with `src` on the path) and says which digests moved and why.
 """
@@ -13,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from cpgames.cli import BUNDLED_GAMES, load_game, run_cli
+from cpgames.games import counterpart_games, fraction_str, make_bimatrix, pad_to_square
+from cpgames.solver import candidate_json, enumerate_nash_bimatrix, enumerate_rest_points
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -55,6 +62,43 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# (rows, cols, kind, payoff bound, index): the wide bound of 1000 draws
+# generic games, the narrow bound of 5 mostly degenerate ones, as
+# decomposition.random_game does
+ENUMERATION_SIZES = [(rows, cols, kind, bound, index)
+                     for rows, cols in ((5, 5), (5, 6), (6, 6))
+                     for kind, bound in (("wide", 1000), ("narrow", 5))
+                     for index in range(2)]
+
+
+def enumeration_game(rows: int, cols: int, kind: str, bound: int, index: int):
+    """A seeded rows x cols game with integer payoffs in [-bound, bound]."""
+    name = f"{rows}x{cols}-{kind}-{index}"
+    rng = random.Random(f"golden-{name}")
+    a, b = ([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)] for _ in range(2))
+    return make_bimatrix(name, [f"R{i}" for i in range(rows)], [f"C{j}" for j in range(cols)], a, b)
+
+
+def enumeration_digests(g) -> dict:
+    """Digests of the game's equilibria and of both padded counterparts'
+    rest points, each as canonical JSON."""
+    def sha_json(doc) -> str:
+        return _sha(json.dumps(doc, sort_keys=True).encode())
+
+    padded, _ = pad_to_square(g)
+    doc = {"equilibria": sha_json([candidate_json(c) for c in enumerate_nash_bimatrix(g)])}
+    for i, s in enumerate(counterpart_games(padded), 1):
+        doc[f"rest_points_{i}"] = sha_json([
+            {"point": rp.point.to_jsonable(), "support": list(rp.support), "nash": rp.is_nash,
+             "payoff": fraction_str(rp.common_payoff), "continuum": rp.continuum}
+            for rp in enumerate_rest_points(s)])
+    return doc
+
+
+def enumeration_key(g) -> str:
+    return f"enumerate {g.name}"
+
+
 def record(commands, tmp_root: Path) -> dict:
     """{command line: digests} of each command, run in its own empty
     directory under `tmp_root`: the exit code and the digests of stdout,
@@ -88,14 +132,24 @@ def test_outputs_match_golden(name, golden, tmp_path):
     assert record(commands, tmp_path) == {" ".join(argv): golden[" ".join(argv)] for argv in commands}
 
 
+@pytest.mark.parametrize("size", ENUMERATION_SIZES, ids=lambda size: "{}x{}-{}-{}-{}".format(*size))
+def test_enumerations_match_golden(size, golden):
+    g = enumeration_game(*size)
+    assert enumeration_digests(g) == golden[enumeration_key(g)]
+
+
 def test_golden_file_covers_exactly_these_commands(golden):
     commands = [argv for name in BUNDLED_GAMES for argv in game_commands(name)] + verify_commands()
-    assert sorted(golden) == sorted(" ".join(argv) for argv in commands)
+    enumerations = [enumeration_key(enumeration_game(*size)) for size in ENUMERATION_SIZES]
+    assert sorted(golden) == sorted([" ".join(argv) for argv in commands] + enumerations)
 
 
 if __name__ == "__main__":
     commands = [argv for name in BUNDLED_GAMES for argv in game_commands(name)] + verify_commands()
     with tempfile.TemporaryDirectory() as tmp:
         recorded = record(commands, Path(tmp))
+    for size in ENUMERATION_SIZES:
+        g = enumeration_game(*size)
+        recorded[enumeration_key(g)] = enumeration_digests(g)
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({len(recorded)} commands)", file=sys.stderr)

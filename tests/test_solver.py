@@ -37,7 +37,7 @@ from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
 from cpgames.solver import (MAX_ACTIONS, _PLANS, DegeneracyWitness, Half, HalfTable, RestPoint,
                             SupportTable, _equal_size_pairs, _full_vector, _indifference)
-from conftest import count_calls, exact_payoffs
+from conftest import count_calls, exact_payoffs, matrix_game, tied_games
 
 
 def F(s):
@@ -264,19 +264,6 @@ def assert_filter_matches_oracle(g):
     return skipped, supports
 
 
-def _matrix_game(name, a, b):
-    return make_bimatrix(name, [f"r{i}" for i in range(len(a))],
-                         [f"c{j}" for j in range(len(a[0]))], a, b)
-
-
-@st.composite
-def tied_games(draw):
-    """A game of 1-5 actions a side whose payoffs in [-2, 2] tie often."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    entries = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=m, max_size=m)
-    return _matrix_game("tied", draw(entries), draw(entries))
-
-
 def solved(g):
     """The equilibria of `g` and its degeneracy witnesses as sorted
     (supports, reason) pairs, both read from one table."""
@@ -490,10 +477,10 @@ class TestBimatrixEnumeration:
         with pytest.raises(TooLarge, match="payoff matrix is 7x7"):
             SupportTable(g)
         with pytest.raises(TooLarge, match="payoff matrix is 7x3"):
-            SupportTable(_matrix_game("tall", [[0] * 3] * 7, [[0] * 3] * 7))
+            SupportTable(matrix_game("tall", [[0] * 3] * 7, [[0] * 3] * 7))
         with pytest.raises(TooLarge, match="payoff matrix is 7x2"):
             HalfTable(*integer_form([[F(1), F(0)]] * 7))
-        big = _matrix_game("big", [[0] * 12] * 12, [[0] * 12] * 12)
+        big = matrix_game("big", [[0] * 12] * 12, [[0] * 12] * 12)
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge, match="payoff matrix is 12x12"):
@@ -597,7 +584,7 @@ class TestDominanceFilter:
         games += [random_game(rng, 6, name=f"narrow-6-{i}") for i in range(2)]
         for i in range(24):
             m, n = rng.randint(2, 5), rng.randint(2, 5)
-            games.append(_matrix_game(
+            games.append(matrix_game(
                 f"wide-{i}", [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)],
                 [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]))
         for i in range(24):
@@ -610,18 +597,18 @@ class TestDominanceFilter:
             else:  # duplicate a column
                 k = rng.randrange(len(a[0]))
                 a, b = [r + [r[k]] for r in a], [r + [r[k]] for r in b]
-            games.append(_matrix_game(g.name, a, b))
+            games.append(matrix_game(g.name, a, b))
         for i in range(24):
             m, n = rng.sample(range(1, 6), 2)
             r = rng.choice([1, 5, 1000])
-            g = _matrix_game(f"rect-{i}", [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)],
-                             [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)])
+            g = matrix_game(f"rect-{i}", [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)],
+                            [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)])
             games += [g, pad_to_square(g)[0]]
         # all ties, so a continuum on every edge; and rows 0 and 1 of A, and
         # of Bᵀ, equal on columns {0, 1}, which must not prune each other
-        games.append(_matrix_game("ties", [[1] * 3] * 3, [[1] * 3] * 3))
-        games.append(_matrix_game("equal-rows", [[1, 2, 3], [1, 2, 0], [0, 0, 4]],
-                                  [[1, 1, 3], [2, 2, 0], [0, 5, 0]]))
+        games.append(matrix_game("ties", [[1] * 3] * 3, [[1] * 3] * 3))
+        games.append(matrix_game("equal-rows", [[1, 2, 3], [1, 2, 0], [0, 0, 4]],
+                                 [[1, 1, 3], [2, 2, 0], [0, 5, 0]]))
         skipped = [sum(counts) for counts in zip(*map(assert_filter_matches_oracle, games))]
         verdicts = [detect_degeneracy(g).degenerate for g in games]
         assert verdicts.count(True) > 60 and verdicts.count(False) > 30
@@ -638,7 +625,7 @@ class TestDominanceFilter:
         # payoff values in reach, so ties and duplicated actions are common
         entries = st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
                            min_size=m, max_size=m)
-        g = _matrix_game("prop", data.draw(entries), data.draw(entries))
+        g = matrix_game("prop", data.draw(entries), data.draw(entries))
         assert_filter_matches_oracle(g)
         if not g.is_square:
             assert_filter_matches_oracle(pad_to_square(g)[0])
@@ -782,10 +769,14 @@ class TestHalfTable:
         assert seen == {"total = 0", "singular, total != 0"}
         assert {(4, 4), (5, 5), (6, 6), (4, 6), (6, 4)} <= diagonal_shapes
 
-    def test_solutions_built_on_first_read(self):
-        # a machine-independent work gate: the verdict and its witnesses read
-        # no half's solution, so the table builds none; decompose then builds
-        # exactly the two halves' solutions of each reconstructed equilibrium
+    def test_solutions_built_on_first_read(self, monkeypatch):
+        # a machine-independent work gate: neither the verdict and its
+        # witnesses nor decompose and its n! view read a half's solution
+        # list, so the table builds none; each reconstructed equilibrium
+        # builds its two strategies from its halves' integers, and the rest
+        # points run MixedStrategy's own check only on their continuum
+        # midpoints
+        from_integers = count_calls(monkeypatch, MixedStrategy, "from_integers")
         g = random_game(random.Random(1), 4)
         table = SupportTable(g)
 
@@ -794,11 +785,28 @@ class TestHalfTable:
 
         assert detect_degeneracy(g, table=table).witnesses == ()
         assert sum(h.positive for h in table._y.entries.values()) > 30
+        assert from_integers == []
+        report = decompose(g, table=table)
+        assert len(report.reconstructed) == 1
         assert built(table._y) == built(table._x) == set()
-        pairs = {(c.support_x, c.support_y) for c in decompose(g, table=table).reconstructed}
-        assert len(pairs) == 1
-        assert built(table._y) == pairs
-        assert built(table._x) == {(cols, rows) for rows, cols in pairs}
+        assert len(from_integers) == 2 * len(report.reconstructed)
+        assert sum(len(entry.cp1_equilibria) for entry in report.per_permutation) > 50
+        assert built(table._y) == built(table._x) == set()
+
+        checked = count_calls(monkeypatch, MixedStrategy, "__post_init__")
+        segment = [[1, 1, 0], [2, 2, 1], [1, -1, 0]]
+        games = [random_game(random.Random(3), 6), matrix_game("ties", [[1] * 3] * 3, [[1] * 3] * 3),
+                 matrix_game("segment", segment, segment)]
+        midpoints = unique = 0
+        for s in (s for g in games for s in counterpart_games(g)):
+            checked.clear()
+            from_integers.clear()
+            found = enumerate_rest_points(s)
+            continua = [rp.point for rp in found if rp.continuum]
+            assert [args[0] for args in checked] == continua
+            assert len(from_integers) == len(found) - len(continua)
+            midpoints, unique = midpoints + len(continua), unique + len(from_integers)
+        assert midpoints == 8 and unique > 40
 
     def test_each_minor_computed_once(self, all_games, monkeypatch):
         # a machine-independent work gate: the halves of one table share its
@@ -906,8 +914,8 @@ class TestHalfTable:
         b = [[-1, 1, 0, -1, -2, 1], [1, -1, 0, -1, 1, -3]]
         half, zero = F("1/2"), F(0)
         mixed = ((half, half), (half, half) + (zero,) * 4)
-        for g, profile in ((_matrix_game("wide", a, b), mixed),
-                           (_matrix_game("tall", [list(c) for c in zip(*b)], [list(c) for c in zip(*a)]),
+        for g, profile in ((matrix_game("wide", a, b), mixed),
+                           (matrix_game("tall", [list(c) for c in zip(*b)], [list(c) for c in zip(*a)]),
                             mixed[::-1])):
             table = SupportTable(g)
             eqs = enumerate_nash_bimatrix(g, table=table)
@@ -1102,7 +1110,7 @@ class TestDegeneracy:
         # rest point on that support does.  The x half there, Aᵀ's, is
         # inconsistent: column 0 pays 1 and column 2 pays 0 against any mix
         a = [[1, 1, 0], [2, 2, 1], [1, -1, 0]]
-        g = _matrix_game("segment", a, a)
+        g = matrix_game("segment", a, a)
         table = SupportTable(g)
         res = solve_linear(*_indifference(table._y.mat, (0, 2), (0, 2), table._y.scale))
         assert res.solution[:-1] == [0, 1] and len(res.nullspace) == 1
@@ -1126,7 +1134,7 @@ class TestDegeneracy:
         def check(n, r, data):
             a = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
                                    min_size=n, max_size=n))
-            g = _matrix_game("prop", a, a)
+            g = matrix_game("prop", a, a)
             reasons = collections.defaultdict(set)
             for w in detect_degeneracy(g).witnesses:
                 reasons[w.supports].add(w.reason)
@@ -1238,7 +1246,7 @@ class TestStructure:
         def check(n, r, data):
             a = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
                                    min_size=n, max_size=n))
-            g = _matrix_game("sym", a, [list(col) for col in zip(*a)])
+            g = matrix_game("sym", a, [list(col) for col in zip(*a)])
             seen["diagonal"] += assert_symmetric_structure(g)
             seen["off-diagonal"] += sum(c.x.probs != c.y.probs for c in enumerate_nash_bimatrix(g))
 
@@ -1261,7 +1269,7 @@ class TestStructure:
         def check(m, n, r, total, data):
             a = data.draw(st.lists(st.lists(st.integers(-r, r), min_size=n, max_size=n),
                                    min_size=m, max_size=m))
-            g = _matrix_game("const", a, [[total - v for v in row] for row in a])
+            g = matrix_game("const", a, [[total - v for v in row] for row in a])
             eqs = assert_constant_sum_structure(g, total)
             seen["several"] += len(eqs) > 1
             seen["non-degenerate"] += not detect_degeneracy(g).degenerate
