@@ -7,8 +7,9 @@ fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
 exact, so the work stays in Python integers.  The reduced row echelon form
 is unique, so the status, solution and null space equal those of
 `Fraction` elimination.  `HalfTable` reads every non-singular system off
-its minors, so elimination serves the singular systems: only it gives their
-status, and the solution line whose positive segment `HalfTable` searches.
+its minors, so elimination serves the singular systems: `HalfTable` reads
+their null space, which is empty exactly when the system is inconsistent,
+and the solution line whose positive segment it searches.
 There is no float path (`cpg solve --float` renders its digits in the CLI).
 """
 

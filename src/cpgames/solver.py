@@ -7,50 +7,39 @@ survive the best-response test are equilibria.  A support pair (rows, cols)
 of a bimatrix game (A, B) has two halves: the y half makes the rows in `rows`
 indifferent against a column mix on `cols` in A, and the x half is the y half
 of B transposed at (cols, rows).  A `SupportTable` solves each half of each
-equal-size pair once, on first read, and keeps the facts its readers need:
-whether it is underdetermined, positivity and the best responses, counted
-in integers, and the mix and common payoff as integers.  The solvers build
-each reported strategy once from those integers (`Half.strategy`, through
-`MixedStrategy.from_integers`), and its payoff as one Fraction.  A square
-half on k rows R is read off k integer minors, not k**2 minors of M: its
-rows are indifferent exactly when the differences M_r - M_r0 from its
-lowest row r0 vanish on the mix, and the null vector of that (k-1) x k
-system is its vector of signed maximal minors.  A table keeps these difference minors in one flat list
-indexed by row and column bitmasks, 2**(m + n) slots for an m x n matrix
-(see HalfTable), and only a singular half is eliminated.
-Degeneracy detection and direct enumeration visit the equal-size pairs in
-one order, and the decomposition reads the direct enumeration of its
-padded game, so all of them read one table per game.  Every decision and
-every result is exact, so ties are classified correctly; `cpg solve --float`
-renders the exact equilibria in float64 in the CLI.
+equal-size pair once, on first read, in integers (see HalfTable), and the
+solvers build each reported strategy and payoff from the half's integers
+(see Half).  Degeneracy detection and direct enumeration visit the
+equal-size pairs in one order, and the decomposition reads the direct
+enumeration of its padded game, so all of them read one table per game.
+Every decision and every result is exact, so ties are classified
+correctly; `cpg solve --float` renders the exact equilibria in float64 in
+the CLI.
 
 Direct enumeration, and so `decompose` and `cpg solve`, solves no pair in
 which some action is weakly dominated on the other side's support: a Nash
 half puts positive weight on every column of its support, and against such
 a mix a weakly dominated row earns strictly less, so it is no best response
 (conditional dominance, as in Porter, Nudelman & Shoham 2008, "Simple
-search methods for finding a Nash equilibrium", GEB 63).  It tests each
-pair with bit operations before any call.  The rest points, and so the
-symmetric equilibria, solve no support S on which a row of S weakly
-dominates another row of S: against a mix positive on S the two rows earn
-different payoffs, so S has no positive half.  Each table answers both
-questions by reading a list with one entry per bitmask, built once from
-its matrix, and the minors' Laplace expansion reads each bitmask's plan
-from one module-level list.  The degeneracy scan and the n!
-per-permutation view still read every half, since a singular half is a
-witness whatever its sign.
+search methods for finding a Nash equilibrium", GEB 63).  The rest points,
+and so the symmetric equilibria, solve no support S on which a row of S
+weakly dominates another row of S: against a mix positive on S the two
+rows earn different payoffs, so S has no positive half.  The degeneracy
+scan and the n! per-permutation view read every half, since a singular
+half is a witness whatever its sign.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLarge
-from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str, is_nash_single
-from .linsolve import UNDERDETERMINED, solve_linear
+from .games import BimatrixGame, MixedStrategy, SingleGame, fraction_str
+from .linsolve import solve_linear
 
 MAX_ACTIONS = 6
 
@@ -111,13 +100,6 @@ class DegeneracyReport:
         return tuple(self._found)
 
 
-def _full_vector(n: int, support, values) -> MixedStrategy:
-    probs = [Fraction(0)] * n
-    for idx, v in zip(support, values):
-        probs[idx] = v
-    return MixedStrategy(tuple(probs), "exact")
-
-
 def _indifference(mat, rows, cols, scale):
     """The system of the y half at (rows, cols) of `scale` times M: the rows
     earn the common payoff u against y, and y sums to one."""
@@ -151,77 +133,61 @@ _PLANS = tuple(tuple((j, mask ^ 1 << j, k % 2 == 1)
 
 
 class Half:
-    """The solved indifference system of one half of a support pair; halves
-    compare equal field by field.  `underdetermined` says that its solutions
-    form a line or more; no reader tells an inconsistent half from a unique
-    one that is not positive.  A positive half's `solution` is a mix
-    positive on the support: a unique half's, or the midpoint of a solution
-    line's positive segment.  A unique positive half is made from its
-    integers, the mix c over total and the common payoff u over total times
-    the table's scale.  The solvers read its mix as a strategy and its
-    payoff (`strategy`, `payoff`), each built once from those integers; its
-    `solution` list is built only when read, which no solver does: only
-    `__eq__` and `repr` read it."""
+    """The solved indifference system of one half of a support pair.
+    `underdetermined` says that its solutions form a line or more; no reader
+    tells an inconsistent half from a unique one that is not positive.  A
+    positive half holds a mix positive on the support as the integers
+    (c, total, u, scale): the mix c over total and the common payoff u over
+    total times the table's scale.  The mix is the unique solution or, on a
+    continuum (underdetermined and positive), the midpoint of the solution
+    line's positive segment.  `best` counts the rows that earn the top
+    payoff against it, and `top` says that the support rows are among them.
+    `nash` is `top` on a unique half and false on a continuum, so no
+    continuum becomes an equilibrium; a rest point's flag reads `top`."""
 
-    __slots__ = ("underdetermined", "_solution", "positive", "best", "nash", "_integers")
+    __slots__ = ("underdetermined", "positive", "best", "top", "_integers")
 
-    def __init__(self, underdetermined, solution, positive, best=0, nash=False, integers=None):
+    def __init__(self, underdetermined, positive, best=0, top=False, integers=None):
         self.underdetermined = underdetermined
-        self._solution = solution
-        self.positive = positive  # every in-support entry of `solution` is positive
-        self.best = best  # unique and positive: rows earning the top payoff
-        self.nash = nash  # ... and the support rows are among them
-        self._integers = integers  # (c, total, u, scale) of a unique positive half
+        self.positive = positive
+        self.best = best
+        self.top = top
+        self._integers = integers
 
     @property
-    def solution(self) -> list | None:
-        """The mix in support order, then the common payoff."""
-        if self._solution is None and self._integers:
-            c, total, u, scale = self._integers
-            self._solution = [Fraction(v, total) for v in c] + [Fraction(u, total * scale)]
-        return self._solution
+    def nash(self) -> bool:
+        """Whether the half is unique, positive and a best response."""
+        return self.top and not self.underdetermined
 
     def strategy(self, n: int, support) -> MixedStrategy:
         """A positive half's mix as a strategy on n actions whose i-th entry
-        sits at support[i]: a unique half's from its integers, a continuum's
-        midpoint from its `solution`.  The n! view passes its support in
-        permuted order."""
-        if self._integers:
-            c, total, _, _ = self._integers
-            return MixedStrategy.from_integers(n, support, c, total)
-        return _full_vector(n, support, self._solution[:-1])
+        sits at support[i].  The n! view passes its support in permuted
+        order."""
+        c, total, _, _ = self._integers
+        return MixedStrategy.from_integers(n, support, c, total)
 
     @property
     def payoff(self) -> Fraction:
         """A positive half's common payoff."""
-        if self._integers:
-            _, total, u, scale = self._integers
-            return Fraction(u, total * scale)
-        return self._solution[-1]
-
-    def _fields(self) -> tuple:
-        return self.underdetermined, self.solution, self.positive, self.best, self.nash
-
-    def __eq__(self, other):
-        return isinstance(other, Half) and self._fields() == other._fields()
-
-    def __repr__(self):
-        return f"Half{self._fields()!r}"
+        _, total, u, scale = self._integers
+        return Fraction(u, total * scale)
 
 
 # The two shared halves without a mix, by `underdetermined`: no reader needs
-# a non-positive solution.  Not keeping one per entry, nor a Fraction solution
-# before it is read, keeps the table of the degenerate 6x6 game
-# random_game(Random(3), 6) at 0.495 MB under tracemalloc (Python 3.11) once
-# its witnesses have read every half, 32 KiB of it in each minor store.
-_NO_MIX = (Half(False, None, False), Half(True, None, False))
+# a non-positive solution.  Sharing them keeps the table of the degenerate
+# 6x6 game random_game(Random(3), 6) at 0.483 MB under tracemalloc
+# (Python 3.11) once its witnesses have read every half, 32 KiB of it in
+# each minor store.
+_NO_MIX = (Half(False, False), Half(True, False))
 
 
 def _segment_barycentre(particular, direction):
-    """Midpoint of the positive segment {p + t*d > 0} of a 1-dim solution set,
-    over the in-support coordinates (the common-payoff unknown rides along)."""
+    """The mix at the midpoint of the positive segment {p + t*d > 0} of a
+    1-dim solution set, or None; the last coordinate, the common-payoff
+    unknown, is left out."""
+    particular, direction = particular[:-1], direction[:-1]
     lo, hi = [], []
-    for p, d in zip(particular[:-1], direction[:-1]):
+    for p, d in zip(particular, direction):
         if d:
             (lo if d > 0 else hi).append(-p / d)
         elif p <= 0:
@@ -250,25 +216,26 @@ class HalfTable:
     of the rows M_r - M_r0, r in R - r_0, on k - 1 columns C'.  Let c_j be
     the determinant of M_R,C with its column j replaced by ones, the j-th
     entry of adj(M_R,C) . 1.  Subtracting row r_0 from the other rows turns
-    that column into e_0, so c_j = (-1)^j diff(R, C - c_j), with no
-    cofactor sum; `_solve` reads these k minors.  Each difference minor is
-    computed once per table and kept in one flat list of 2**(m + n) slots
-    for an m x n matrix (32 KiB for 6x6): diff(R, C') is at R << n | C', as
-    bitmasks, the whole range of that index.  Each single-row slot is
-    seeded with diff({r}, {}) = 1, and slot 0 is unused.  `_expand` expands along the difference row of
-    R's second-lowest row r_1 and reads diff(R - r_1, .), whose lowest row
-    is r_0 again, so every read stays in the one list; the expansion and
-    `_solve` take a bitmask apart by its plan in `_PLANS`.
+    that column into e_0, so c_j = (-1)^j diff(R, C - c_j).  Each
+    difference minor is computed once per table and kept in one flat list
+    of 2**(m + n) slots for an m x n matrix (32 KiB for 6x6): diff(R, C') is
+    at R << n | C', as bitmasks, the whole range of that index.  Each
+    single-row slot is seeded with diff({r}, {}) = 1, and slot 0 is unused.
+    `_expand` expands along the difference row of R's second-lowest row r_1
+    and reads diff(R - r_1, .), whose lowest row is r_0 again, so every read
+    stays in the one list; the expansion and `_solve` take a bitmask apart
+    by its plan in `_PLANS`.
+
     total = sum_j c_j is the determinant of the bordered system, so
-    total != 0 gives the unique half y = c / total, whose common payoff is
-    M_r . c / total for any r in rows.  Positivity and the best responses
-    are decided on those integers, and a positive half keeps them: its
-    strategy and payoff are built from them when read (see Half).  A half
-    with total = 0 is singular, and only it goes to `solve_linear`, as an
-    integer system; it is `underdetermined` when its solutions form a line
-    or more, and positive (a continuum) when they form a line with a
-    positive segment, whose midpoint it keeps.  A solution set of 2 or more
-    dimensions is never positive.
+    total != 0 gives the unique half y = c / total.  A half with total = 0
+    is singular and goes to `solve_linear`, as an integer system.  It is
+    `underdetermined` when its solutions form a line or more, and positive
+    (a continuum) when they form a line with a positive segment: its mix c
+    is the segment's midpoint over the lcm of its denominators, which is
+    then total, since the midpoint sums to one.  A solution set of 2 or
+    more dimensions is never positive.  Every row of R earns one payoff
+    against either mix, so `_mixed` decides both kinds' best responses on
+    the integers c (see Half).
 
     `undominated(mask)` answers, without solving anything, which rows can be
     best responses to a mix that is positive on the columns of `mask`:
@@ -398,20 +365,22 @@ class HalfTable:
             for v in c:
                 if v <= 0:
                     return _NO_MIX[False]
-            return self._mixed(rows, rmask, cols, c, total)
+            return self._mixed(rows, rmask, cols, c, total, underdetermined=False)
         # a singular bordered system has no unique solution
         res = solve_linear(*_indifference(self.mat, rows, cols, self.scale))
-        point = _segment_barycentre(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
-        if point is None:
-            return _NO_MIX[res.status == UNDERDETERMINED]
-        return Half(True, point, True)
+        mix = _segment_barycentre(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
+        if mix is None:
+            return _NO_MIX[bool(res.nullspace)]
+        total = math.lcm(*(v.denominator for v in mix))
+        c = [v.numerator * (total // v.denominator) for v in mix]
+        return self._mixed(rows, rmask, cols, c, total, underdetermined=True)
 
-    def _mixed(self, rows, rmask, cols, c, total) -> Half:
-        """The unique positive half on `rows` (bitmask `rmask`) whose mix is
-        the integers `c` over `total`.  Every row in `rows` earns
-        u = M_r0 . c, r0 the lowest, since c is the null vector of their
-        difference rows, so only the other rows are multiplied, against a
-        running top and the count of rows that earn it."""
+    def _mixed(self, rows, rmask, cols, c, total, underdetermined) -> Half:
+        """The positive half on `rows` (bitmask `rmask`) whose mix is the
+        integers `c` over `total`.  Every row in `rows` earns u = M_r0 . c,
+        r0 the lowest, since c is a null vector of their difference rows, so
+        only the other rows are multiplied, against a running top and the
+        count of rows that earn it."""
         weights = list(zip(cols, c))
         row = self.mat[rows[0]]
         u = 0
@@ -428,7 +397,7 @@ class HalfTable:
                 top, best = p, 1
             elif p == top:
                 best += 1
-        return Half(False, None, True, best, u == top, (c, total, u, self.scale))
+        return Half(underdetermined, True, best, u == top, (c, total, u, self.scale))
 
 
 class SupportTable:
@@ -597,23 +566,16 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
     """Every interior-of-support rest point of the replicator dynamics.
 
     A state is a rest point exactly when all in-support fitnesses are equal,
-    so each support whose half is positive contributes its solution; every
+    so each support whose half is positive contributes its mix; every
     vertex qualifies trivially.  A singular positive half is reported once,
     as its segment's midpoint flagged `continuum` (see HalfTable).  Rest
     points are reported by (support size, support).  Every support that can
     hold a positive half is read, Nash or not, and one on which a row weakly
-    dominates another is skipped unsolved; a unique point's Nash flag is its
-    half's, decided in integers, and only a continuum midpoint is checked
-    against the game.
+    dominates another is skipped unsolved.  A point's Nash flag is its
+    half's `top`, decided in integers, continuum or not.
     """
-    found = []
-    for supp, half in _single_halves(s):
-        if half.positive:
-            x = half.strategy(s.n, supp)
-            continuum = half.underdetermined
-            is_nash = is_nash_single(s, x) if continuum else half.nash
-            found.append(RestPoint(x, supp, is_nash, half.payoff, continuum))
-    return found
+    return [RestPoint(half.strategy(s.n, supp), supp, half.top, half.payoff, half.underdetermined)
+            for supp, half in _single_halves(s) if half.positive]
 
 
 def candidate_json(c: EquilibriumCandidate) -> dict:

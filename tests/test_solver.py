@@ -8,6 +8,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -35,8 +36,8 @@ from cpgames.cli import BUNDLED_GAMES, load_game, run_cli
 from cpgames.decomposition import random_game, report_json
 from cpgames.games import integer_form
 from cpgames.linsolve import INCONSISTENT, UNDERDETERMINED, UNIQUE, solve_linear
-from cpgames.solver import (MAX_ACTIONS, _PLANS, DegeneracyWitness, Half, HalfTable, RestPoint,
-                            SupportTable, _equal_size_pairs, _full_vector, _indifference)
+from cpgames.solver import (MAX_ACTIONS, _PLANS, DegeneracyWitness, HalfTable, RestPoint,
+                            SupportTable, _equal_size_pairs, _indifference)
 from conftest import count_calls, exact_payoffs, matrix_game, tied_games
 
 
@@ -94,32 +95,62 @@ def reference_midpoint(particular, direction):
     return None
 
 
+class Facts(NamedTuple):
+    """A solved half by value: whether its solutions form a line or more,
+    whether it is positive, the count of rows at the top payoff against its
+    mix, whether its support rows are among them, its Nash verdict, and for
+    a positive half its mix as Fractions in support order and its common
+    payoff."""
+
+    underdetermined: bool
+    positive: bool
+    best: int = 0
+    top: bool = False
+    nash: bool = False
+    mix: tuple | None = None
+    payoff: Fraction | None = None
+
+
+def facts(half, k):
+    """The Facts of a table's half on k rows."""
+    if not half.positive:
+        return Facts(half.underdetermined, False, half.best, half.top, half.nash)
+    return Facts(half.underdetermined, True, half.best, half.top, half.nash,
+                 half.strategy(k, range(k)).probs, half.payoff)
+
+
 def reference_solve(table, rows, cols):
-    """Oracle: `HalfTable._solve` as it was before the integer read-off, as
-    (elimination's status, half).  The solution is made Fractions first,
-    then its signs and best responses are decided, with y scaled by the
-    common denominator of its entries.  A singular half is positive exactly
-    when its solutions form a line with a positive segment, and then keeps
-    the segment's midpoint.  The status tells the inconsistent halves from
-    the unique ones that are not positive, which the half itself does not."""
+    """Oracle: a half's Facts by Fraction elimination, as (elimination's
+    status, Facts).  The mix is the unique solution, or a singular half's
+    `reference_midpoint` when its solutions form a line, and the payoff is
+    elimination's common-payoff unknown there.  The best responses are then
+    decided with the mix scaled by the common denominator of its entries,
+    and only a unique half may be Nash.  The status tells the inconsistent
+    halves from the unique ones that are not positive, which the half
+    itself does not."""
     res = solve_linear(*_indifference(table.mat, rows, cols, table.scale))
     if res.status == INCONSISTENT:
-        return res.status, Half(False, None, False)
+        return res.status, Facts(False, False)
     if res.status == UNDERDETERMINED:
         point = reference_midpoint(res.solution, res.nullspace[0]) if len(res.nullspace) == 1 else None
-        return res.status, Half(True, point, point is not None)
-    if not all(v.numerator > 0 for v in res.solution[:-1]):
-        return res.status, Half(False, None, False)
-    y = res.solution[:-1]
+        if point is None:
+            return res.status, Facts(True, False)
+    elif all(v > 0 for v in res.solution[:-1]):
+        point = res.solution
+    else:
+        return res.status, Facts(False, False)
+    y = point[:-1]
     scale = math.lcm(*(v.denominator for v in y))
     weights = [(j, v.numerator * (scale // v.denominator)) for j, v in zip(cols, y)]
     payoffs = [sum(row[j] * w for j, w in weights) for row in table.mat]
-    top = max(payoffs)
-    return res.status, Half(False, res.solution, True, payoffs.count(top), payoffs[rows[0]] == top)
+    high = max(payoffs)
+    top = payoffs[rows[0]] == high
+    return res.status, Facts(res.status == UNDERDETERMINED, True, payoffs.count(high), top,
+                             top and res.status == UNIQUE, tuple(y), point[-1])
 
 
 def reference_half(table, rows, cols):
-    """Oracle: the half of `reference_solve`."""
+    """Oracle: the Facts of `reference_solve`."""
     return reference_solve(table, rows, cols)[1]
 
 
@@ -184,6 +215,15 @@ def count_halves(monkeypatch):
     return count_calls(monkeypatch, HalfTable, "_solve")
 
 
+def full_vector(n, support, mix):
+    """The exact strategy on n actions with `mix` at `support`, through
+    MixedStrategy's own check."""
+    probs = [Fraction(0)] * n
+    for i, v in zip(support, mix):
+        probs[i] = v
+    return MixedStrategy(tuple(probs), "exact")
+
+
 def unpruned_enumeration(g):
     """Oracle: `enumerate_nash_bimatrix` without the dominance filter.  Both
     halves of every equal-size pair of a fresh table are read, as
@@ -194,43 +234,37 @@ def unpruned_enumeration(g):
     for k in range(1, min(g.n_rows, g.n_cols) + 1):
         for rows in itertools.combinations(range(g.n_rows), k):
             for cols in itertools.combinations(range(g.n_cols), k):
-                yh, xh = table.y_half(rows, cols), table.x_half(rows, cols)
+                yh, xh = facts(table.y_half(rows, cols), k), facts(table.x_half(rows, cols), k)
                 if not (yh.nash and xh.nash):
                     continue
-                x, y = [Fraction(0)] * g.n_rows, [Fraction(0)] * g.n_cols
-                for i, v in zip(rows, xh.solution):
-                    x[i] = v
-                for j, v in zip(cols, yh.solution):
-                    y[j] = v
                 found.append(EquilibriumCandidate(
-                    x=MixedStrategy(tuple(x), "exact"), y=MixedStrategy(tuple(y), "exact"),
+                    x=full_vector(g.n_rows, rows, xh.mix), y=full_vector(g.n_cols, cols, yh.mix),
                     support_x=rows, support_y=cols,
                     is_strict=k == 1 and yh.best == 1 and xh.best == 1,
-                    payoffs=(yh.solution[-1], xh.solution[-1])))
+                    payoffs=(yh.payoff, xh.payoff)))
     return found
 
 
 def unpruned_single(s):
     """Oracle: `enumerate_nash_single` and `enumerate_rest_points` without
     the support pruning.  Every support's half is read from a fresh
-    `HalfTable`, and each positive one is a rest point: a continuum
-    midpoint when the half is singular, checked against the game; returns
+    `HalfTable`, and each positive one is a rest point, a continuum
+    midpoint when the half is singular, whose Nash flag is checked against
+    the game; the unique Nash ones are the equilibria.  Returns
     (equilibria, rest points)."""
     table = HalfTable(*s.int_payoffs)
     nash, rest = [], []
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
-            half = table.get(supp, supp)
+            half = facts(table.get(supp, supp), k)
             if not half.positive:
                 continue
-            x = _full_vector(s.n, supp, half.solution[:-1])
-            if half.underdetermined:
-                rest.append(RestPoint(x, supp, is_nash_single(s, x), half.solution[-1], continuum=True))
-                continue
-            rest.append(RestPoint(x, supp, half.nash, half.solution[-1]))
-            if half.nash:
+            x = full_vector(s.n, supp, half.mix)
+            is_nash = is_nash_single(s, x)
+            rest.append(RestPoint(x, supp, is_nash, half.payoff, half.underdetermined))
+            if is_nash and not half.underdetermined:
                 nash.append(EquilibriumCandidate(x, None, supp, None, k == 1 and half.best == 1,
-                                                 half.solution[-1]))
+                                                 half.payoff))
     return nash, rest
 
 
@@ -693,12 +727,13 @@ class TestDominanceTables:
 
 class TestHalfTable:
     def test_integer_decisions_match_fraction_oracle(self):
-        # status, solution, positivity, best-response count and Nash flag of
-        # every equal-size support pair's half, on seeded payoff matrices,
-        # against the Fraction-first oracle.  Two fixed matrices add the
-        # singular halves that are not positive: on the full support of the
-        # first the solutions form a line, y = (-t, t, 1), with no positive
-        # segment, and on that of the second, all zeros, a plane
+        # the Facts of every equal-size support pair's half, on seeded
+        # payoff matrices, against the Fraction-first oracle; continuum
+        # midpoints occur both at the top payoff and below it, and none is
+        # Nash.  Two fixed matrices add the singular halves that are not
+        # positive: on the full support of the first the solutions form a
+        # line, y = (-t, t, 1), with no positive segment, and on that of the
+        # second, all zeros, a plane
         rng = random.Random(404)
         mats = [seeded_game(rng, f"half-{i}").row_payoffs for i in range(60)]
         mats += [[[F(0)] * 3, [F(0)] * 3, [F(-1), F(-1), F(0)]], [[F(0)] * 3] * 3]
@@ -711,12 +746,13 @@ class TestHalfTable:
                     for cols in itertools.combinations(range(n), k):
                         half = table.get(rows, cols)
                         status, expected = reference_solve(table, rows, cols)
-                        assert half == expected, (mat, rows, cols)
-                        seen.add((status, half.positive, half.best > k, half.nash))
-        assert {(INCONSISTENT, False, False, False), (UNIQUE, False, False, False),
-                (UNDERDETERMINED, True, False, False), (UNDERDETERMINED, False, False, False),
-                (UNIQUE, True, False, True), (UNIQUE, True, False, False),
-                (UNIQUE, True, True, True)} <= seen
+                        assert facts(half, k) == expected, (mat, rows, cols)
+                        seen.add((status, half.positive, half.best > k, half.top, half.nash))
+        assert {(INCONSISTENT, False, False, False, False), (UNIQUE, False, False, False, False),
+                (UNDERDETERMINED, True, False, True, False), (UNDERDETERMINED, True, False, False, False),
+                (UNDERDETERMINED, True, True, True, False), (UNDERDETERMINED, False, False, False, False),
+                (UNIQUE, True, False, True, True), (UNIQUE, True, False, False, False),
+                (UNIQUE, True, True, True, True)} <= seen
 
     def test_minor_halves_match_elimination_oracle(self):
         # every equal-size half against the elimination oracle, on
@@ -756,7 +792,7 @@ class TestHalfTable:
                     for cols in itertools.combinations(range(n), k):
                         half = table.get(rows, cols)
                         status, expected = reference_solve(table, rows, cols)
-                        assert half == expected, (mat, rows, cols)
+                        assert facts(half, k) == expected, (mat, rows, cols)
                         if force == "diagonal" and rows == cols:
                             assert half.positive, (mat, rows)
                         if status != UNIQUE:
@@ -770,43 +806,36 @@ class TestHalfTable:
         assert {(4, 4), (5, 5), (6, 6), (4, 6), (6, 4)} <= diagonal_shapes
 
     def test_solutions_built_on_first_read(self, monkeypatch):
-        # a machine-independent work gate: neither the verdict and its
-        # witnesses nor decompose and its n! view read a half's solution
-        # list, so the table builds none; each reconstructed equilibrium
-        # builds its two strategies from its halves' integers, and the rest
-        # points run MixedStrategy's own check only on their continuum
-        # midpoints
+        # a machine-independent work gate: every reported strategy is built
+        # once, from its half's integers, and none runs MixedStrategy's own
+        # check.  The verdict and its witnesses build none, each
+        # reconstructed equilibrium builds its two, and the rest points
+        # build one each, continuum midpoints included
         from_integers = count_calls(monkeypatch, MixedStrategy, "from_integers")
+        checked = count_calls(monkeypatch, MixedStrategy, "__post_init__")
         g = random_game(random.Random(1), 4)
         table = SupportTable(g)
-
-        def built(halves):
-            return {key for key, half in halves.entries.items() if half._solution is not None}
-
         assert detect_degeneracy(g, table=table).witnesses == ()
         assert sum(h.positive for h in table._y.entries.values()) > 30
         assert from_integers == []
         report = decompose(g, table=table)
         assert len(report.reconstructed) == 1
-        assert built(table._y) == built(table._x) == set()
         assert len(from_integers) == 2 * len(report.reconstructed)
         assert sum(len(entry.cp1_equilibria) for entry in report.per_permutation) > 50
-        assert built(table._y) == built(table._x) == set()
+        assert checked == []
 
-        checked = count_calls(monkeypatch, MixedStrategy, "__post_init__")
         segment = [[1, 1, 0], [2, 2, 1], [1, -1, 0]]
         games = [random_game(random.Random(3), 6), matrix_game("ties", [[1] * 3] * 3, [[1] * 3] * 3),
                  matrix_game("segment", segment, segment)]
-        midpoints = unique = 0
+        midpoints = found = 0
         for s in (s for g in games for s in counterpart_games(g)):
-            checked.clear()
             from_integers.clear()
-            found = enumerate_rest_points(s)
-            continua = [rp.point for rp in found if rp.continuum]
-            assert [args[0] for args in checked] == continua
-            assert len(from_integers) == len(found) - len(continua)
-            midpoints, unique = midpoints + len(continua), unique + len(from_integers)
-        assert midpoints == 8 and unique > 40
+            rest = enumerate_rest_points(s)
+            assert checked == []
+            assert len(from_integers) == len(rest)
+            midpoints += sum(rp.continuum for rp in rest)
+            found += len(rest)
+        assert midpoints == 8 and found > 48
 
     def test_each_minor_computed_once(self, all_games, monkeypatch):
         # a machine-independent work gate: the halves of one table share its
@@ -909,7 +938,7 @@ class TestHalfTable:
                 for k in range(1, min(m, n) + 1):
                     for rows in itertools.combinations(range(m), k):
                         for cols in itertools.combinations(range(n), k):
-                            assert table.get(rows, cols) == reference_half(table, rows, cols), mat
+                            assert facts(table.get(rows, cols), k) == reference_half(table, rows, cols), mat
         a = [[1, -1, 0, 2, 0, 1], [-1, 1, 0, -2, 1, 1]]
         b = [[-1, 1, 0, -1, -2, 1], [1, -1, 0, -1, 1, -3]]
         half, zero = F("1/2"), F(0)
@@ -926,7 +955,7 @@ class TestHalfTable:
             assert len(witnesses) == 17 and witnesses == reference_witnesses(table)
             for halves in (table._y, table._x):
                 for (rows, cols), got in halves.entries.items():
-                    assert got == reference_half(halves, rows, cols), (g.name, rows, cols)
+                    assert facts(got, len(rows)) == reference_half(halves, rows, cols), (g.name, rows, cols)
 
     def test_solve_linear_gets_integer_systems(self, all_games, monkeypatch):
         # exact solve_linear takes integer systems, so every system the
@@ -1057,6 +1086,26 @@ class TestRestPoints:
             for i in r.support:
                 assert mx[i] == r.common_payoff
 
+    def test_continuum_is_a_nash_rest_point_but_no_equilibrium(self):
+        # in the all-ties 2x2 and 3x3 games every state is an equilibrium,
+        # and each support of two actions is a continuum whose midpoint is
+        # a Nash rest point; the enumerations report isolated equilibria
+        # only, so the pure ones, and no continuum midpoint
+        for n in (2, 3):
+            ones = [[1] * n] * n
+            g = matrix_game("ties", ones, ones)
+            assert [(c.support_x, c.support_y) for c in enumerate_nash_bimatrix(g)] == [
+                ((i,), (j,)) for i in range(n) for j in range(n)]
+            pairs = list(itertools.combinations(range(n), 2))
+            for cp in counterpart_games(g):
+                assert [c.support_x for c in enumerate_nash_single(cp)] == [(i,) for i in range(n)]
+                rest = enumerate_rest_points(cp)
+                assert [(rp.support, rp.is_nash, rp.continuum) for rp in rest] == (
+                    [((i,), True, False) for i in range(n)] + [(pair, True, True) for pair in pairs])
+                for rp in rest[n:]:
+                    assert sorted(rp.point.probs, reverse=True) == [F("1/2")] * 2 + [F(0)] * (n - 2)
+                    assert is_nash_single(cp, rp.point) and rp.common_payoff == 1
+
     def test_continuum_segment_barycentre(self):
         # All-ties matrix: every edge point is a rest point; each 2-support
         # system is singular and reports the edge midpoint with the flag.
@@ -1107,14 +1156,18 @@ class TestDegeneracy:
         # solutions of that half form a line whose positive segment has the
         # midpoint (1/2, 1/2), while elimination's particular solution, (0, 1),
         # is an end of it; the witness on the pair reads the segment, as the
-        # rest point on that support does.  The x half there, Aᵀ's, is
-        # inconsistent: column 0 pays 1 and column 2 pays 0 against any mix
+        # rest point on that support does; row 1 alone earns more there, 3/2
+        # against 1/2.  The x half there, Aᵀ's, is inconsistent: column 0
+        # pays 1 and column 2 pays 0 against any mix
         a = [[1, 1, 0], [2, 2, 1], [1, -1, 0]]
         g = matrix_game("segment", a, a)
         table = SupportTable(g)
         res = solve_linear(*_indifference(table._y.mat, (0, 2), (0, 2), table._y.scale))
         assert res.solution[:-1] == [0, 1] and len(res.nullspace) == 1
-        assert reference_solve(table._x, (0, 2), (0, 2)) == (INCONSISTENT, table.x_half((0, 2), (0, 2)))
+        pair, half = ((0, 2), (0, 2)), F("1/2")
+        assert reference_solve(table._x, *pair) == (INCONSISTENT, facts(table.x_half(*pair), 2))
+        assert reference_solve(table._y, *pair) == (UNDERDETERMINED, facts(table.y_half(*pair), 2)) == (
+            UNDERDETERMINED, (True, True, 1, False, False, (half, half), half))
         witnesses = detect_degeneracy(g, table=table).witnesses
         assert [w.reason for w in witnesses if w.supports == ((0, 2), (0, 2))] == ["continuum"]
         cp1, _ = counterpart_games(g)
