@@ -1,22 +1,11 @@
-"""Counterpart decomposition pipeline for asymmetric games.
+"""Counterpart decomposition of a bimatrix game (A, B) into the
+single-population games A and B^T (Tuyls et al., arXiv:1711.05074), and its
+randomized round-trip check.
 
-A square game (A, B) splits into the single-population games A and B^T.  For
-every column permutation sigma of the padded game, single-population
-equilibria of the two counterparts with identical supports combine into
-equilibria of the original bimatrix game.
-
-Under sigma, counterpart 1's indifference system on a support S is the y half
-of the support pair (S, sigma(S)) of the padded game, and counterpart 2's is
-the x half of the same pair, so two counterpart equilibria on S match
-exactly when both halves of (S, sigma(S)) are Nash, and the combined profile
-depends only on that pair.  The union over sigma of the pairs (S, sigma(S))
-is the set of equal-size support pairs, which is exhaustive for
-non-degenerate games.  `decompose` therefore reads the solver's direct
-enumeration of the padded game, which scans those pairs, sum_k C(n, k)^2 of
-them, and checks each matched pair once, on the original game; the n!
-per-permutation view is expanded from the same `SupportTable` only when it
-is read.  The degeneracy report and the direct solution read that table
-too.
+`decompose` reads the equilibria of the padded game's equal-size support
+pairs off one `SupportTable`, and expands the n! per-permutation view from
+the same table when it is read.  The README's "The method" states the
+correspondence this rests on, and the tests that check it.
 """
 
 from __future__ import annotations
@@ -138,34 +127,21 @@ def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
 
 def decompose(g: BimatrixGame, verify: bool = True, *,
               table: SupportTable | None = None) -> DecompositionReport:
-    """Run the full counterpart pipeline on a (possibly non-square) game.
+    """The counterpart decomposition of a (possibly non-square) game.
 
-    Pads to square and reads the solver's enumeration of the padded game's
-    support table, which visits the equal-size support pairs (S, T) by
-    (k, S, T).  A pair matches when both counterparts have an equilibrium on
-    S under the permutations that map S to T, that is when both halves are
-    unique, positive and Nash, which is exactly when the enumeration yields
-    the padded game's equilibrium on (S, T).  `reconstructed` holds the
-    matches in that order with the dummies stripped, each checked once,
-    exactly, on `g` (see `_strip_padding`).  A failed check raises
-    TheoremViolation since the counterpart correspondence guarantees it
-    cannot happen.  `per_permutation`, the n! view of the same matches, is
-    built only when first read.
+    `reconstructed` holds the padded game's matched pairs (S, T), the pairs
+    whose two halves are both Nash, by (k, S, T) with the dummies stripped,
+    each checked once, exactly, on `g` (see `_strip_padding`); a failed
+    check raises TheoremViolation.  `degeneracy` is the padded game's
+    report, read lazily off the same table.
 
-    With `verify`, `direct_solution` is the direct support enumeration of
-    `g` (equal-size supports only), and `agreement` says whether it holds
-    the same equilibria as `reconstructed`.  On a square game the padded
-    game is `g` and the reconstruction is that enumeration, so
-    `direct_solution` is `reconstructed`, no table is enumerated twice, and
-    `agreement` is True by construction.  On a non-square game `agreement`
-    is a real comparison: the padded table's enumeration, dummies stripped,
-    against the unpadded table's, which only this comparison reads (or
-    builds, when no `table` is given).  The correspondence itself is checked
-    against the counterparts' own enumerations under every permutation by
-    `test_scan_matches_single_enumeration`.  `degeneracy` is the padded
-    game's report, which reads the padded table lazily (see
-    SupportTable.degeneracy).  `table`, a SupportTable of `g`, shares solved
-    systems with other calls on the same game.
+    With `verify`, `direct_solution` is `enumerate_nash_bimatrix(g)` and
+    `agreement` says whether it holds the equilibria of `reconstructed`.
+    On a square game the padded game is `g`, so `direct_solution` is
+    `reconstructed` and `agreement` is True by construction.  On a
+    non-square game it compares the padded table's enumeration, stripped,
+    with the unpadded table's.  `table`, a SupportTable of `g`, shares
+    solved halves with other calls on the same game.
     """
     padded, padding = pad_to_square(g)
     n = padded.n_rows
@@ -229,13 +205,11 @@ def _shown(value: int) -> str:
 
 
 def verify_roundtrip(trials: int, size: int, seed: int) -> VerificationReport:
-    """Generate seeded random games, discard degenerate ones, and check that
-    the reconstructed equilibrium set matches the direct solver on the rest.
-    The games are square, so this reads `decompose`'s `agreement`, which
-    holds by construction there (see `decompose`); it exercises the pipeline
-    and its one exact check per equilibrium rather than testing the
-    correspondence.
-    Stops at the first disagreement and reports it as a counterexample.
+    """Draw `trials` seeded random square games, discard the degenerate
+    ones, and decompose the rest with `verify`, stopping at the first game
+    whose `agreement` fails, reported as the counterexample.  On square
+    games `agreement` holds by construction (see `decompose`), so what a
+    run checks is each reconstructed equilibrium's exact check.
     Raises ValidationError for `trials` < 0 or `size` < 1, and TooLarge for
     `trials` above MAX_TRIALS or `size` above MAX_DECOMPOSE_ACTIONS, before
     any game is drawn, however many digits the refused value has."""

@@ -1,16 +1,8 @@
-"""Rank-revealing Gauss–Jordan elimination for small indifference systems.
-
-All equilibrium and rest-point enumeration reduces to systems of at most
-seven equations.  `solve_linear` takes integer systems, which the solver's
-`HalfTable` builds from its payoff matrix scaled to integers once, and runs
-fraction-free Gauss–Jordan elimination (Bareiss 1968): every division is
-exact, so the work stays in Python integers.  The reduced row echelon form
-is unique, so the status, solution and null space equal those of
-`Fraction` elimination.  `HalfTable` reads every non-singular system off
-its minors, so elimination serves the singular systems: `HalfTable` reads
-their null space, which is empty exactly when the system is inconsistent,
-and the solution line whose positive segment it searches.
-There is no float path (`cpg solve --float` renders its digits in the CLI).
+"""Fraction-free Gauss–Jordan elimination (Bareiss 1968) for small integer
+systems.  Every division is exact, so the work stays in Python integers, and
+the reduced row echelon form is unique, so the status, solution and null
+space equal those of `Fraction` elimination.  `HalfTable` hands it only the
+singular systems it cannot read off its minors.
 """
 
 from __future__ import annotations

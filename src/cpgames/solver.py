@@ -1,32 +1,13 @@
-"""Exact support-enumeration solvers: all Nash equilibria of small bimatrix
-and single-population games, replicator rest points, and degeneracy detection.
+"""Exact support-enumeration solvers: the isolated Nash equilibria of small
+bimatrix and single-population games, replicator rest points, and
+degeneracy detection.
 
-For every candidate support the in-support indifference conditions form a
-small linear system; solutions with strictly positive in-support entries that
-survive the best-response test are equilibria.  A support pair (rows, cols)
-of a bimatrix game (A, B) has two halves: the y half makes the rows in `rows`
-indifferent against a column mix on `cols` in A, and the x half is the y half
-of B transposed at (cols, rows).  A `SupportTable` solves each half of each
-equal-size pair once, on first read, in integers (see HalfTable), and the
-solvers build each reported strategy and payoff from the half's integers
-(see Half).  Degeneracy detection and direct enumeration visit the
-equal-size pairs in one order, and the decomposition reads the direct
-enumeration of its padded game, so all of them read one table per game.
-Every decision and every result is exact, so ties are classified
-correctly; `cpg solve --float` renders the exact equilibria in float64 in
-the CLI.
-
-Direct enumeration, and so `decompose` and `cpg solve`, solves no pair in
-which some action is weakly dominated on the other side's support: a Nash
-half puts positive weight on every column of its support, and against such
-a mix a weakly dominated row earns strictly less, so it is no best response
-(conditional dominance, as in Porter, Nudelman & Shoham 2008, "Simple
-search methods for finding a Nash equilibrium", GEB 63).  The rest points,
-and so the symmetric equilibria, solve no support S on which a row of S
-weakly dominates another row of S: against a mix positive on S the two
-rows earn different payoffs, so S has no positive half.  The degeneracy
-scan and the n! per-permutation view read every half, since a singular
-half is a witness whatever its sign.
+A support pair (rows, cols) of a game (A, B) has two halves: the y half
+makes `rows` indifferent in A against a column mix on `cols`, and the x half
+is the y half of B transposed at (cols, rows).  Every solver here reads the
+halves of one `HalfTable` per payoff matrix (`SupportTable` holds a game's
+two), which solves each half once, in integers, and decides it in integers
+(see `HalfTable` and `Half`).  Every decision and every result is exact.
 """
 
 from __future__ import annotations
@@ -136,23 +117,27 @@ class Half:
     """The solved indifference system of one half of a support pair.
     `underdetermined` says that its solutions form a line or more; no reader
     tells an inconsistent half from a unique one that is not positive.  A
-    positive half holds a mix positive on the support as the integers
-    (c, total, u, scale): the mix c over total and the common payoff u over
-    total times the table's scale.  The mix is the unique solution or, on a
-    continuum (underdetermined and positive), the midpoint of the solution
-    line's positive segment.  `best` counts the rows that earn the top
+    half is positive exactly when it holds a mix positive on the support,
+    as the integers (c, total, u, scale): the mix c over total and the
+    common payoff u over total times the table's scale.  The mix is the
+    unique solution or, on a continuum (underdetermined and positive), the
+    midpoint of the solution line's positive segment.  `best` counts the rows that earn the top
     payoff against it, and `top` says that the support rows are among them.
     `nash` is `top` on a unique half and false on a continuum, so no
     continuum becomes an equilibrium; a rest point's flag reads `top`."""
 
-    __slots__ = ("underdetermined", "positive", "best", "top", "_integers")
+    __slots__ = ("underdetermined", "best", "top", "_integers")
 
-    def __init__(self, underdetermined, positive, best=0, top=False, integers=None):
+    def __init__(self, underdetermined, best=0, top=False, integers=None):
         self.underdetermined = underdetermined
-        self.positive = positive
         self.best = best
         self.top = top
         self._integers = integers
+
+    @property
+    def positive(self) -> bool:
+        """Whether the half holds its mix's integers."""
+        return self._integers is not None
 
     @property
     def nash(self) -> bool:
@@ -178,7 +163,7 @@ class Half:
 # 6x6 game random_game(Random(3), 6) at 0.483 MB under tracemalloc
 # (Python 3.11) once its witnesses have read every half, 32 KiB of it in
 # each minor store.
-_NO_MIX = (Half(False, False), Half(True, False))
+_NO_MIX = (Half(False), Half(True))
 
 
 def _segment_barycentre(particular, direction):
@@ -201,52 +186,33 @@ def _segment_barycentre(particular, direction):
 
 
 class HalfTable:
-    """The y halves of one payoff matrix M by sorted, equal-size support
-    pair: every row in `rows` earns the same payoff u against a column mix y
-    on `cols`, and y sums to one.  Each pair is solved once, on first read.
-    A matrix with more than MAX_ACTIONS rows or columns raises TooLarge
-    before the minor store below is allocated: every solver, and
-    `SupportTable(g)` itself, meets the cap here.
+    """The y halves of one payoff matrix by sorted, equal-size support pair:
+    every row in `rows` earns the same payoff u against a column mix y on
+    `cols`, and y sums to one.  Each pair is solved once, on first read.  A
+    matrix with more than MAX_ACTIONS rows or columns raises TooLarge before
+    the minor store is allocated, so every solver meets the cap here.
 
-    M is the integer form of the payoffs: `mat` scaled by `scale`, the
-    common denominator of its entries (a game's cached integer form, see
-    `games.integer_form`).  Scaling leaves every system's solutions
-    unchanged.  A half (k rows R, k columns C) is read off k difference
-    minors.  With r_0 the lowest row of R, diff(R, C') is the determinant
-    of the rows M_r - M_r0, r in R - r_0, on k - 1 columns C'.  Let c_j be
-    the determinant of M_R,C with its column j replaced by ones, the j-th
-    entry of adj(M_R,C) . 1.  Subtracting row r_0 from the other rows turns
-    that column into e_0, so c_j = (-1)^j diff(R, C - c_j).  Each
-    difference minor is computed once per table and kept in one flat list
-    of 2**(m + n) slots for an m x n matrix (32 KiB for 6x6): diff(R, C') is
-    at R << n | C', as bitmasks, the whole range of that index.  Each
-    single-row slot is seeded with diff({r}, {}) = 1, and slot 0 is unused.
+    M = `mat` is a payoff matrix times `scale`, the common denominator of its
+    entries (`games.integer_form`), which leaves each half's solutions as
+    they are.  A half on k rows R and k columns C is read off k difference
+    minors.  With r_0 the lowest row of R, diff(R, C') is the determinant of
+    the rows M_r - M_r0, r in R - r_0, on the k - 1 columns C'.  Let c_j be
+    the determinant of M_R,C with column j replaced by ones; subtracting row
+    r_0 from the others turns that column into e_0, so
+    c_j = (-1)^j diff(R, C - c_j), and total = sum_j c_j is the determinant
+    of the bordered system [[M_R,C, -1], [1, 0]].  total != 0 gives the
+    unique half y = c / total.  A half with total = 0 is singular and goes
+    to `solve_linear`; it is positive (a continuum) exactly when its
+    solutions form a line with a positive segment, whose midpoint, scaled
+    to integers over the lcm of its denominators, is its c over total.
+
+    Store layout: an m x n matrix keeps its difference minors in one flat
+    list of 2**(m + n) slots, diff(R, C') at R << n | C' as bitmasks, each
+    single-row slot seeded with diff({r}, {}) = 1 and slot 0 unused.
     `_expand` expands along the difference row of R's second-lowest row r_1
     and reads diff(R - r_1, .), whose lowest row is r_0 again, so every read
-    stays in the one list; the expansion and `_solve` take a bitmask apart
-    by its plan in `_PLANS`.
-
-    total = sum_j c_j is the determinant of the bordered system, so
-    total != 0 gives the unique half y = c / total.  A half with total = 0
-    is singular and goes to `solve_linear`, as an integer system.  It is
-    `underdetermined` when its solutions form a line or more, and positive
-    (a continuum) when they form a line with a positive segment: its mix c
-    is the segment's midpoint over the lcm of its denominators, which is
-    then total, since the midpoint sums to one.  A solution set of 2 or
-    more dimensions is never positive.  Every row of R earns one payoff
-    against either mix, so `_mixed` decides both kinds' best responses on
-    the integers c (see Half).
-
-    `undominated(mask)` answers, without solving anything, which rows can be
-    best responses to a mix that is positive on the columns of `mask`:
-    direct enumeration reads it to skip pairs that cannot be Nash.
-    `holds_dominated(mask)` answers whether a row of a square support weakly
-    dominates another row of it there: the single-population scan reads it
-    to skip supports that have no positive half.  Each question is a list
-    read.  On its first call the table builds that list for every mask at
-    once: row a weakly dominates row b on exactly the column sets inside
-    the columns where a pays at least as much and that meet those where it
-    pays more, so it enumerates those submasks for each pair of rows.
+    stays in the one list.  `undominated` and `holds_dominated` each read
+    one list, built for every mask on the first call.
     """
 
     def __init__(self, mat, scale):
@@ -310,7 +276,8 @@ class HalfTable:
         columns of the bitmask `want`: pays at least as much on each and more
         on one.  A weakly dominated row earns strictly less than its dominator
         against every mix that is positive on `want`, so it is in no Nash
-        half's support there; rows equal on `want` do not prune each other."""
+        half's support there (conditional dominance; Porter, Nudelman &
+        Shoham 2008).  Rows equal on `want` do not prune each other."""
         return self._undominated[want]
 
     def holds_dominated(self, want: int) -> bool:
@@ -397,7 +364,7 @@ class HalfTable:
                 top, best = p, 1
             elif p == top:
                 best += 1
-        return Half(underdetermined, True, best, u == top, (c, total, u, self.scale))
+        return Half(underdetermined, best, u == top, (c, total, u, self.scale))
 
 
 class SupportTable:
@@ -420,15 +387,11 @@ class SupportTable:
         return self._x.get(cols, rows)
 
     def degeneracy(self) -> DegeneracyReport:
-        """The game's degeneracy report, scanning the equal-size support
-        pairs' halves by (k, rows, cols) as it is read.
-
-        The game is degenerate when some valid mixed strategy admits more
-        pure best responses than its support size, or when a support system
-        is singular with a whole continuum of solutions.  The verdict stops
-        at the first witness and `witnesses` completes the scan; a second
-        report re-reads the solved halves and solves nothing again.
-        """
+        """The game's degeneracy report, scanning the equal-size pairs'
+        halves as it is read.  The game is degenerate when a unique positive
+        half has more best responses than its support size, or a half is
+        singular and consistent, positive or not; each such half is a
+        witness.  A second report solves nothing again."""
         return DegeneracyReport(self._witnesses())
 
     def _witnesses(self):
@@ -486,37 +449,21 @@ def _bimatrix_candidate(table: SupportTable, rows, cols):
 
 
 def detect_degeneracy(g: BimatrixGame, *, table: SupportTable | None = None) -> DegeneracyReport:
-    """Degeneracy report of the game: see `SupportTable.degeneracy`.  Reading
-    `.degenerate` stops the scan at the first witness; reading `.witnesses`
-    completes it.
-
-    `table`, a SupportTable of `g`, shares its solved systems with other
-    calls on the same game.  A game with more than MAX_ACTIONS actions on a
-    side raises TooLarge when its table is built (see HalfTable).
-    """
+    """`SupportTable.degeneracy` of `g`'s table; `table`, a SupportTable of
+    `g`, shares its solved halves with other calls on the same game."""
     return (table or SupportTable(g)).degeneracy()
 
 
 def enumerate_nash_bimatrix(g: BimatrixGame, *,
                             table: SupportTable | None = None) -> list[EquilibriumCandidate]:
     """Every isolated Nash equilibrium on an equal-size support pair, sorted
-    by (support size, support_x, support_y).
-
-    Each pair (rows, cols) with |rows| = |cols| yields at most one
-    equilibrium, whose supports are exactly the pair; the pairs are visited
-    in that order.  A pair with |rows| != |cols| is never read: one of its
-    halves has more unknowns than equations, so it has no unique mix.  Nor
-    is a pair in which a row is weakly dominated on `cols` in A or a column
-    on `rows` in B: against the other side's mix, positive on the pair, that
-    action earns less than its dominator, so it is no best response
-    (conditional dominance; Porter, Nudelman & Shoham 2008).  Only the pairs
-    left are solved.  For each size the column sets, their bitmasks and A's
-    undominated rows on each are made once, and for each row set B's
-    undominated columns, so a pair is tested with bit operations alone.
-    Equilibria inside a continuum are not reported, and that includes every
-    equilibrium whose supports differ in size; detect_degeneracy flags the
-    games that have them.  `table` is a SupportTable of `g` to share, and
-    the cap is checked when a table is built (as in detect_degeneracy).
+    by (support size, support_x, support_y), the order the pairs are visited
+    in.  Each pair yields at most one equilibrium, whose supports are the
+    pair, so the list holds no duplicates.  A pair holding a row or column
+    that `HalfTable.undominated` excludes is skipped unsolved.  Equilibria
+    inside a continuum, and so every one whose supports differ in size, are
+    not reported; `detect_degeneracy` flags the games that have them.
+    `table` is a SupportTable of `g` to share.
     """
     table = table or SupportTable(g)
     found = []
@@ -535,13 +482,10 @@ def enumerate_nash_bimatrix(g: BimatrixGame, *,
 
 
 def _single_halves(s: SingleGame):
-    """(support, half) for every support of a single-population game that
-    can hold a positive half, by (size, support): the support's indifference
-    system, each solved once on one table of the game's payoffs.  A support
-    on which one of its rows weakly dominates another is skipped unsolved
-    (see HalfTable.holds_dominated): it has no rest point, continuum or
-    symmetric equilibrium.  Both single-population enumerations read this
-    scan."""
+    """(support, half) by (size, support) for every support S of a
+    single-population game whose half (S, S) can be positive: the supports
+    that `HalfTable.holds_dominated` rules out are skipped unsolved.  Both
+    single-population enumerations read this scan."""
     table = HalfTable(*s.int_payoffs)
     for k in range(1, s.n + 1):
         for supp in itertools.combinations(range(s.n), k):
@@ -550,30 +494,17 @@ def _single_halves(s: SingleGame):
 
 
 def enumerate_nash_single(s: SingleGame) -> list[EquilibriumCandidate]:
-    """All symmetric Nash equilibria of a single-population game.
-
-    Only single-strategy (symmetric) equilibria are considered: for each
-    support solve the indifference system and keep positive solutions whose
-    out-of-support fitnesses do not exceed the common payoff.  Supports are
-    visited, and equilibria reported, by (size, support).
-    """
-    # a Nash half is unique and positive (see HalfTable._mixed)
+    """The isolated symmetric Nash equilibria of a single-population game,
+    by (size, support): the supports whose half is `nash`."""
     return [_single_candidate(half.strategy(s.n, supp), supp, half)
             for supp, half in _single_halves(s) if half.nash]
 
 
 def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
-    """Every interior-of-support rest point of the replicator dynamics.
-
-    A state is a rest point exactly when all in-support fitnesses are equal,
-    so each support whose half is positive contributes its mix; every
-    vertex qualifies trivially.  A singular positive half is reported once,
-    as its segment's midpoint flagged `continuum` (see HalfTable).  Rest
-    points are reported by (support size, support).  Every support that can
-    hold a positive half is read, Nash or not, and one on which a row weakly
-    dominates another is skipped unsolved.  A point's Nash flag is its
-    half's `top`, decided in integers, continuum or not.
-    """
+    """The replicator rest points of a single-population game, by (size,
+    support): a state is one exactly when its support earns one payoff, so
+    each positive half gives its mix.  A continuum gives its midpoint,
+    flagged `continuum`.  A point's Nash flag is its half's `top`."""
     return [RestPoint(half.strategy(s.n, supp), supp, half.top, half.payoff, half.underdetermined)
             for supp, half in _single_halves(s) if half.positive]
 

@@ -1,5 +1,7 @@
-"""The README's Python examples and CLI block run as written."""
+"""The README's Python examples and CLI block run as written, its CLI block
+shows what each command prints, and every test it cites exists."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -7,9 +9,16 @@ from pathlib import Path
 import pytest
 
 from cpgames import serialize_game
-from cpgames.cli import load_game, run_cli
+from cpgames.cli import _COMMANDS, load_game, run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+
+
+def section(title):
+    """The README's text under `## title`, up to the next `## ` heading."""
+    text = README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1]
+    return text.split("\n## ", 1)[0]
 
 
 @pytest.mark.parametrize("name, equilibria", [("bos_extended", 3), ("leduc_empirical", 1)])
@@ -35,16 +44,61 @@ def test_python_blocks_run_on_a_bundled_game(name, equilibria, tmp_path, monkeyp
 
 
 def test_cli_block_runs(tmp_path, monkeypatch, capsys):
-    # each `cpg` line of the sh block under "## CLI", continuation lines
-    # joined and comments dropped, exits 0, and writes what it names
-    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
-    block = re.search(r"^```sh\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)[1]
-    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
-    assert len(commands) == 10 and all(argv[0] == "cpg" for argv in commands)
+    # each `$ cpg` line of the console block under "## CLI", continuation
+    # lines joined, exits 0, prints the lines that follow it up to the next
+    # `$ ` and nothing on stderr, and writes what it names.  Trailing blanks
+    # are ignored: the decompose table pads its last column.  Every
+    # subcommand appears
+    block = re.search(r"^```console\n(.*?)^```$", section("CLI"), re.DOTALL | re.MULTILINE)[1]
+    runs = [chunk.partition("\n") for chunk in
+            re.split(r"^\$ ", block.replace("\\\n", " "), flags=re.MULTILINE)[1:]]
+    commands = [shlex.split(command) for command, _, _ in runs]
+    assert all(argv[0] == "cpg" for argv in commands)
+    assert {argv[1] for argv in commands} == set(_COMMANDS)
     monkeypatch.chdir(tmp_path)
-    for argv in commands:
+    for argv, (_, _, shown) in zip(commands, runs):
         assert run_cli(argv[1:]) == 0, argv
-        assert capsys.readouterr().err == "", argv
+        out, err = capsys.readouterr()
+        assert [line.rstrip() for line in out.splitlines()] == shown.splitlines(), argv
+        assert err == "", argv
         for flag in ("--out", "--report"):
             if flag in argv:
                 assert (tmp_path / argv[argv.index(flag) + 1]).exists(), argv
+
+
+def defined_tests():
+    """Every test class `TestX`, test function `test_x` and method
+    `TestX::test_x` under tests/, and each acceptance criterion's number."""
+    names, criteria = set(), set()
+    for path in TESTS.glob("test_*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+                if m := re.fullmatch(r"test_criterion_(\d+)_\w+", node.name):
+                    criteria.add(m[1])
+            elif isinstance(node, ast.ClassDef):
+                names.add(node.name)
+                names.update(f"{node.name}::{f.name}" for f in node.body
+                             if isinstance(f, ast.FunctionDef))
+                names.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+    return names, criteria
+
+
+CITED = r"`((?:Test\w+::)?test_\w+|Test\w+)`"
+
+
+def test_readme_cites_only_defined_tests():
+    # a renamed or deleted test breaks the README's trace to it here; each
+    # statement of "The method" names a test or says that it is unchecked
+    text = README.read_text(encoding="utf-8")
+    names, criteria = defined_tests()
+    cited = set(re.findall(CITED, text))
+    assert len(cited) > 10
+    assert cited <= names, sorted(cited - names)
+    numbers = set(re.findall(r"\b[Cc]riterion (\d+)", text))
+    assert numbers and numbers <= criteria, sorted(numbers - criteria)
+    statements = re.findall(r"^- (.*?)(?=^- |^\S|\Z)", section("The method"), re.DOTALL | re.MULTILINE)
+    assert len(statements) >= 8
+    for statement in statements:
+        assert re.search(CITED, statement) or re.search(r"\b(?:Unchecked|Not\s+yet\s+checked)\b", statement), \
+            statement

@@ -398,6 +398,36 @@ class TestBimatrixEnumeration:
                 assert is_nash_bimatrix(g, c.x, c.y, tol=0.0)
 
     def test_equal_supports_on_nondegenerate(self):
+        # equal-size pairs are exhaustive: on a pair whose sizes differ, the
+        # half of the larger side has more equations than unknowns, and an
+        # equilibrium there would solve it with a mix positive on the other
+        # side's support, at which that larger side earns the top payoff.
+        # By Fraction elimination, no such half of a non-degenerate game has
+        # a unique solution of that kind, nor a line of solutions.  In the
+        # degenerate game of test_degenerate_contract the columns tie against
+        # either pure row, and (T, (1/2, 1/2)) is an equilibrium
+        def larger_side_at_top(g, rows, cols):
+            if len(rows) > len(cols):
+                (mat, scale), r, c = g.int_row_payoffs, rows, cols
+            else:
+                b, scale = g.int_col_payoffs
+                mat, r, c = tuple(zip(*b)), cols, rows
+            res = solve_linear(*_indifference(mat, r, c, scale))
+            if res.status == UNDERDETERMINED:
+                return True
+            if res.status == INCONSISTENT or not all(v > 0 for v in res.solution[:-1]):
+                return False
+            payoffs = [sum(row[j] * v for j, v in zip(c, res.solution)) for row in mat]
+            return payoffs[r[0]] == max(payoffs)
+
+        def unequal_found(g):
+            subsets = [[s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+                       for n in (g.n_rows, g.n_cols)]
+            return [(rows, cols) for rows, cols in itertools.product(*subsets)
+                    if len(rows) != len(cols) and larger_side_at_top(g, rows, cols)]
+
+        ties = make_bimatrix("ties", ["T", "B"], ["L", "R"], [[1, 1], [0, 0]], [[1, 1], [0, 0]])
+        assert unequal_found(ties) == [((0,), (0, 1)), ((1,), (0, 1))]
         rng = random.Random(23)
         checked = 0
         while checked < 50:
@@ -406,7 +436,22 @@ class TestBimatrixEnumeration:
                 continue
             for c in enumerate_nash_bimatrix(g):
                 assert len(c.support_x) == len(c.support_y)
+            assert unequal_found(g) == [], serialize_game(g)
             checked += 1
+        # non-square games; on most degenerate ones the check finds a pair
+        rng = random.Random(31)
+        seen = collections.Counter()
+        while seen["non-degenerate"] < 20:
+            g = seeded_game(rng, "unequal")
+            if g.is_square:
+                continue
+            found = unequal_found(g)
+            if detect_degeneracy(g).degenerate:
+                seen["degenerate, found"] += bool(found)
+                continue
+            assert found == [], serialize_game(g)
+            seen["non-degenerate"] += 1
+        assert seen["degenerate, found"] > 10
 
     # The invariance properties run on tied games, where the witnesses and the
     # continuum halves are common.  Swapping the players turns each m x n
