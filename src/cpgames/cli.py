@@ -16,23 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import CpgError, ParseError, TheoremViolation, ValidationError
-from .games import (
-    FLOAT_SUPPORT_EPS,
-    BimatrixGame,
-    MixedStrategy,
-    counterpart_games,
-    fraction_str,
-    parse_game,
-    serialize_single,
-)
+from .games import BimatrixGame, counterpart_games, fraction_str, parse_game, serialize_single
 from .solver import candidate_json, enumerate_nash_bimatrix, enumerate_rest_points
 from .decomposition import decompose, report_json, verify_roundtrip
-from .dynamics import _float_matrix, integrate
+from .dynamics import SIMPLEX_TOL, _float_matrix, integrate
 from .viz import PlotSpec, export_csv, plot_simplex, plot_unit_square
 
 BUNDLED_GAMES = ("pd", "bos", "rps", "bos_extended", "leduc_empirical", "fullsupport")
@@ -100,14 +91,14 @@ def _parse_init(text: str, dims: tuple[int, ...]):
     return states if len(dims) == 2 else states[0]
 
 
-def _format_candidate(idx: int, cand) -> str:
-    """One line of a bimatrix equilibrium, as `solve` and `decompose` print it."""
-    doc = candidate_json(cand)
+def _format_candidate(idx: int, doc: dict) -> str:
+    """One line of a bimatrix equilibrium's `candidate_json` document, as
+    `solve` and `decompose` print it."""
     def fmt_vec(v):
         return "(" + ", ".join(str(c) for c in v) + ")"
     return "  ".join((f"{idx}. x={fmt_vec(doc['x'])}", f"y={fmt_vec(doc['y'])}",
-                      f"supports={list(cand.support_x)}/{list(cand.support_y)}",
-                      f"strict={'true' if cand.is_strict else 'false'}",
+                      f"supports={doc['support_x']}/{doc['support_y']}",
+                      f"strict={'true' if doc['strict'] else 'false'}",
                       f"payoffs={fmt_vec(doc['payoffs'])}"))
 
 
@@ -133,49 +124,50 @@ def _float_gauss_jordan(aug):
     return [row[-1] for row in aug]
 
 
-def _float_mix(mat, rows, cols, exact: MixedStrategy) -> MixedStrategy:
+def _float_mix(mat, rows, cols, exact) -> list[float]:
     """The mix on `cols` that makes `rows` indifferent in the float64 matrix
-    `mat`, solved and renormalised in float64; the rounded exact mix when
-    that solve finds no unique positive mix."""
+    `mat`, solved and renormalised in float64; the exact mix rounded when
+    that solve finds no unique mix positive beyond SIMPLEX_TOL."""
     aug = [[mat[i][j] for j in cols] + [-1.0, 0.0] for i in rows]
     aug.append([1.0] * len(cols) + [0.0, 1.0])
     sol = _float_gauss_jordan(aug)
-    if sol is None or not all(v > FLOAT_SUPPORT_EPS for v in sol[:-1]):
-        return MixedStrategy.from_floats(exact.probs)
+    if sol is None or not all(v > SIMPLEX_TOL for v in sol[:-1]):
+        return [float(p) for p in exact.probs]
     values = dict(zip(cols, sol[:-1]))
     total = sum(values.values())  # renormalise away elimination roundoff
-    return MixedStrategy.from_floats(values.get(j, 0.0) / total for j in range(len(exact)))
+    return [values.get(j, 0.0) / total for j in range(len(exact))]
 
 
-def _render_float(g: BimatrixGame, eqs) -> list:
-    """The exact equilibria of `g` in float64, for `solve --float`: each mix
-    re-solved on its exact supports, the payoffs evaluated at the float mixes
-    as numpy products x @ A @ y."""
+def _render_float(g: BimatrixGame, eqs) -> list[dict]:
+    """The `candidate_json` documents of the exact equilibria of `g` in
+    float64, for `solve --float`: each mix re-solved on its exact supports,
+    the payoffs evaluated at the float mixes as numpy products x @ A @ y."""
     import numpy as np
 
     a, b = _float_matrix(g.row_payoffs), _float_matrix(g.col_payoffs)
     a_rows, bt_rows = a.tolist(), b.T.tolist()
-    rendered = []
+    docs = []
     for c in eqs:
         x = _float_mix(bt_rows, c.support_y, c.support_x, c.x)
         y = _float_mix(a_rows, c.support_x, c.support_y, c.y)
-        xa, ya = np.array(x.probs), np.array(y.probs)
-        rendered.append(replace(c, x=x, y=y, payoffs=(float(xa @ a @ ya), float(xa @ b @ ya))))
-    return rendered
+        xa, ya = np.array(x), np.array(y)
+        doc = candidate_json(c)
+        doc.update(x=x, y=y, payoffs=[float(xa @ a @ ya), float(xa @ b @ ya)])  # keeps the key order
+        docs.append(doc)
+    return docs
 
 
 def _cmd_solve(args) -> int:
     g = load_game(args.game)
     mode = "float" if args.float else "exact"
     eqs = enumerate_nash_bimatrix(g)
-    if args.float:
-        eqs = _render_float(g, eqs)
+    docs = _render_float(g, eqs) if args.float else [candidate_json(c) for c in eqs]
     if args.json:
-        print(json.dumps([candidate_json(c) for c in eqs], indent=2))
+        print(json.dumps(docs, indent=2))
     else:
         print(f"{g.name}: {len(eqs)} equilibria ({mode} mode)")
-        for i, c in enumerate(eqs, 1):
-            print(_format_candidate(i, c))
+        for i, doc in enumerate(docs, 1):
+            print(_format_candidate(i, doc))
     return EXIT_OK
 
 
@@ -206,7 +198,7 @@ def _cmd_decompose(args) -> int:
               f"{len(entry.cp2_equilibria):^8} {len(entry.matched_pairs):^7}")
     print(f"reconstructed equilibria: {len(report.reconstructed)}")
     for i, c in enumerate(report.reconstructed, 1):
-        print(_format_candidate(i, c))
+        print(_format_candidate(i, candidate_json(c)))
     if report.agreement is None:
         print("agreement: skipped")
     else:

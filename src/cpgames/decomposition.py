@@ -118,9 +118,8 @@ def _strip_padding(cand: EquilibriumCandidate, g: BimatrixGame,
         rows0, cols0 = padding.original_dims
         if any(p != 0 for p in cand.x.probs[rows0:] + cand.y.probs[cols0:]):
             raise TheoremViolation("reconstructed candidate puts probability on a dummy action")
-        cand = replace(cand, x=MixedStrategy(cand.x.probs[:rows0], "exact"),
-                       y=MixedStrategy(cand.y.probs[:cols0], "exact"))
-    if not is_nash_bimatrix(g, cand.x, cand.y, tol=0.0):
+        cand = replace(cand, x=MixedStrategy(cand.x.probs[:rows0]), y=MixedStrategy(cand.y.probs[:cols0]))
+    if not is_nash_bimatrix(g, cand.x, cand.y):
         raise TheoremViolation(f"candidate x={cand.x.probs} y={cand.y.probs} fails on the original game")
     return cand
 

@@ -7,7 +7,7 @@ decoupled counterpart fields.  `_system` turns a system name into one
 (dims, mats) pair, and the field, RK4, grids and the Jacobian that
 `stability` reads all evaluate that pair.  All dynamics run in float64:
 `_system` converts the exact payoffs once, and every state or start passes
-the float simplex rule of `games`.
+the one float simplex rule, `_check_simplex`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainEscape, SizeMismatch, TooLarge, UnsupportedDimension, ValidationError
-from .games import SIMPLEX_TOL, BimatrixGame, MixedStrategy, SingleGame, _check_simplex, counterpart_games
+from .games import BimatrixGame, MixedStrategy, SingleGame, counterpart_games
 
 SYSTEMS = ("single", "coupled", "cp1", "cp2")
+# The simplex rule's bound: well above RK4 noise, far below any payoff scale.
+SIMPLEX_TOL = 1e-9
 CLAMP_EPS = 1e-12
 # float64 values an RK4 record may hold, (steps // stride + 2) * K * N: 400 MB
 MAX_RECORD_VALUES = 50_000_000
@@ -162,6 +164,16 @@ class Trajectory:
     @property
     def n_states(self) -> int:
         return self.xs.shape[0]
+
+
+def _check_simplex(values, what: str) -> None:
+    """The one rule for a float vector on the simplex, applied to every state
+    and start: every entry finite, none below -SIMPLEX_TOL, and the sum
+    within SIMPLEX_TOL of 1."""
+    # a NaN or infinite entry makes the sum NaN or infinite, which fails the
+    # second comparison, so no separate finiteness check is needed
+    if not (min(values) >= -SIMPLEX_TOL and abs(sum(values) - 1.0) <= SIMPLEX_TOL):
+        raise ValidationError(f"{what} is not on the probability simplex: {[float(v) for v in values]}")
 
 
 def _parse_state(dims, state) -> np.ndarray:

@@ -3,13 +3,13 @@
 Payoffs are stored as `fractions.Fraction` so ties and equilibrium supports
 are decided exactly.  The module is pure Python: float64 arrays belong to
 the dynamics layer and the CLI's `--float` output, which build them from
-the payoffs themselves.  The equilibrium checks compare an exact profile
-in integers: each payoff matrix over its common denominator, scaled once
-per game, and each strategy over its own.  A float strategy keeps the
-Fraction-times-float arithmetic, with a tolerance.  Game files
-are JSON documents with payoff entries given as numbers (decimals convert
-exactly, 0.55 becomes 11/20) or as "p/q" strings, each with at most
-MAX_PAYOFF_DIGITS digits in its numerator and its denominator.
+the payoffs themselves.  Strategies are exact too, and the module holds no
+tolerance: the equilibrium checks compare a profile in integers, each
+payoff matrix over its common denominator, scaled once per game, and each
+strategy over its own.  Game files are JSON documents with payoff entries
+given as numbers (decimals convert exactly, 0.55 becomes 11/20) or as "p/q"
+strings, each with at most MAX_PAYOFF_DIGITS digits in its numerator and
+its denominator.
 """
 
 from __future__ import annotations
@@ -20,15 +20,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import ParseError, SizeMismatch, TooLarge, ValidationError
-
-# Float-mode tolerances.  Well above RK4/linear-solve noise, far below any
-# payoff scale we care about.
-FLOAT_SUPPORT_EPS = 1e-9
-NASH_TOL_DEFAULT = 1e-9
-SIMPLEX_TOL = 1e-9
 
 # The most digits a payoff's numerator or denominator may have: CPython's
 # default limit on int-to-str conversion (sys.int_info.default_max_str_digits).
@@ -237,16 +231,6 @@ def make_bimatrix(name, row_actions, col_actions, row_payoffs, col_payoffs) -> B
     )
 
 
-def _check_simplex(values, what: str) -> None:
-    """The one rule for a float vector on the simplex, shared by float
-    strategies and the dynamics' states: every entry finite, none below
-    -SIMPLEX_TOL, and the sum within SIMPLEX_TOL of 1."""
-    # a NaN or infinite entry makes the sum NaN or infinite, which fails the
-    # second comparison, so no separate finiteness check is needed
-    if not (min(values) >= -SIMPLEX_TOL and abs(sum(values) - 1.0) <= SIMPLEX_TOL):
-        raise ValidationError(f"{what} is not on the probability simplex: {[float(v) for v in values]}")
-
-
 def _check_exact(nums, den: int) -> None:
     """The one rule for an exact strategy, on its integer form: the entries
     nums / den, with den > 0, read in order, are nonnegative and sum to
@@ -275,32 +259,23 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class MixedStrategy:
-    """Probability vector on a simplex, exact (Fraction) or float entries.
-
-    Exact entries must be nonnegative and sum to exactly 1, a rule checked
-    on their integers over a common denominator (`_check_exact`); the
-    solvers build their mixes from integers with `from_integers`, which
-    applies the same rule.  Float entries follow `_check_simplex`, the rule
-    the dynamics apply to their states: finite, none below -1e-9, summing to
-    1 within 1e-9.  Negative float entries are then clamped to zero, and the
-    support uses a 1e-9 threshold.
+    """Exact probability vector on a simplex: Fraction entries, nonnegative
+    and summing to exactly 1, a rule checked on their integers over a common
+    denominator (`_check_exact`).  The solvers build their mixes from
+    integers with `from_integers`, which applies the same rule.  A float
+    state is a float64 array, which the dynamics take as they take a
+    strategy.  `mode` is always "exact"; it stays while
+    perfbench/workloads.py reads it.
     """
 
     probs: tuple
-    mode: str  # "exact" | "float"
+    mode: ClassVar[str] = "exact"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ValidationError(f"unknown arithmetic mode {self.mode!r}")
         if not self.probs:
             raise ValidationError("strategy must have at least one component")
-        if self.mode == "exact":
-            den = math.lcm(*(p.denominator for p in self.probs if isinstance(p, Fraction)))
-            _check_exact(_numerators(self.probs, den), den)
-        else:
-            probs = tuple(float(p) for p in self.probs)
-            _check_simplex(probs, "strategy")
-            object.__setattr__(self, "probs", tuple(0.0 if p < 0.0 else p for p in probs))
+        den = math.lcm(*(p.denominator for p in self.probs if isinstance(p, Fraction)))
+        _check_exact(_numerators(self.probs, den), den)
 
     @classmethod
     def from_integers(cls, n: int, support, nums, den: int) -> "MixedStrategy":
@@ -318,30 +293,21 @@ class MixedStrategy:
             probs[i] = Fraction(v, den)
         strategy = cls.__new__(cls)
         object.__setattr__(strategy, "probs", tuple(probs))
-        object.__setattr__(strategy, "mode", "exact")
         return strategy
 
     @classmethod
     def exact(cls, values: Iterable) -> "MixedStrategy":
-        return cls(tuple(to_fraction(v) for v in values), "exact")
-
-    @classmethod
-    def from_floats(cls, values: Iterable) -> "MixedStrategy":
-        return cls(tuple(float(v) for v in values), "float")
+        return cls(tuple(to_fraction(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.probs)
 
     def support(self) -> tuple[int, ...]:
-        if self.mode == "exact":
-            return tuple(i for i, p in enumerate(self.probs) if p > 0)
-        return tuple(i for i, p in enumerate(self.probs) if p > FLOAT_SUPPORT_EPS)
+        return tuple(i for i, p in enumerate(self.probs) if p > 0)
 
     def to_jsonable(self) -> list:
-        """JSON-ready vector: fraction strings in exact mode, floats otherwise."""
-        if self.mode == "exact":
-            return [fraction_str(p) for p in self.probs]
-        return [float(p) for p in self.probs]
+        """JSON-ready vector of fraction strings."""
+        return [fraction_str(p) for p in self.probs]
 
 
 @dataclass(frozen=True)
@@ -477,10 +443,6 @@ def counterpart_games(g: BimatrixGame) -> tuple[SingleGame, SingleGame]:
     return cp1, cp2
 
 
-def _has_float(*strategies: MixedStrategy) -> bool:
-    return any(s.mode == "float" for s in strategies)
-
-
 def _mat_vec(mat, vec):
     return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
 
@@ -494,35 +456,30 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def is_nash_bimatrix(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy,
-                     tol: float = NASH_TOL_DEFAULT) -> bool:
+def is_nash_bimatrix(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy, tol: float = 0.0) -> bool:
     """Check the equilibrium condition via pure deviations (sufficient by
     linearity): no row beats x against y, no column beats y against x.
 
-    Exact strategies are compared in integers, on the game alone, never a
-    solver table.  With A = N / d (the game's integer form), x = n / dx and
-    y = m / dy, no row beats x exactly when dx * max(N m) <= n . (N m), and
-    likewise for the columns in B; the scales d and dy cancel.  A float
-    strategy keeps the Fraction-times-float products on the payoffs
-    themselves, with `tol` added to the payoff of the profile.
+    The exact strategies are compared in integers, on the game alone, never
+    a solver table.  With A = N / d (the game's integer form), x = n / dx
+    and y = m / dy, no row beats x exactly when dx * max(N m) <= n . (N m),
+    and likewise for the columns in B; the scales d and dy cancel.  `tol`
+    decides nothing and is refused when negative; it stays while
+    perfbench/workloads.py passes tol=0.0.
     """
     if len(x) != g.n_rows or len(y) != g.n_cols:
         raise SizeMismatch("strategy dimensions do not match the game")
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    if _has_float(x, y):
-        (nx, dx), (ny, dy), a, b = (x.probs, 1), (y.probs, 1), g.row_payoffs, g.col_payoffs
-    else:
-        (nx, dx), (ny, dy), tol = _integers(x.probs), _integers(y.probs), 0
-        a, b = g.int_row_payoffs[0], g.int_col_payoffs[0]
-    ay, xb = _mat_vec(a, ny), _vec_mat(nx, b)
-    return dx * max(ay) <= _dot(nx, ay) + tol and dy * max(xb) <= _dot(xb, ny) + tol
+    (nx, dx), (ny, dy) = _integers(x.probs), _integers(y.probs)
+    ay, xb = _mat_vec(g.int_row_payoffs[0], ny), _vec_mat(nx, g.int_col_payoffs[0])
+    return dx * max(ay) <= _dot(nx, ay) and dy * max(xb) <= _dot(xb, ny)
 
 
 def is_strict_equilibrium(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -> bool:
     """True for a strict Nash equilibrium: a pure profile from which every
-    unilateral deviation is strictly worse.  Decided on the exact payoffs
-    whatever the strategies' mode."""
+    unilateral deviation is strictly worse, decided on the exact payoffs at
+    the supports of the exact strategies."""
     sx, sy = x.support(), y.support()
     if len(sx) != 1 or len(sy) != 1:
         return False
@@ -532,17 +489,11 @@ def is_strict_equilibrium(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
             and all(b[i][l] < b[i][j] for l in range(g.n_cols) if l != j))
 
 
-def is_nash_single(s: SingleGame, x: MixedStrategy, tol: float = NASH_TOL_DEFAULT) -> bool:
-    """Single-population equilibrium check: no action beats x against x.
-    An exact strategy is compared in integers, a float one with `tol`, as in
-    `is_nash_bimatrix`."""
+def is_nash_single(s: SingleGame, x: MixedStrategy) -> bool:
+    """Single-population equilibrium check: no action beats x against x,
+    compared in integers as in `is_nash_bimatrix`."""
     if len(x) != s.n:
         raise SizeMismatch("strategy dimension does not match the game")
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    if _has_float(x):
-        (nx, dx), m = (x.probs, 1), s.payoffs
-    else:
-        (nx, dx), m, tol = _integers(x.probs), s.int_payoffs[0], 0
-    mx = _mat_vec(m, nx)
-    return dx * max(mx) <= _dot(nx, mx) + tol
+    nx, dx = _integers(x.probs)
+    mx = _mat_vec(s.int_payoffs[0], nx)
+    return dx * max(mx) <= _dot(nx, mx)

@@ -510,22 +510,16 @@ def enumerate_rest_points(s: SingleGame) -> list[RestPoint]:
 
 
 def candidate_json(c: EquilibriumCandidate) -> dict:
-    """JSON form of an equilibrium: fraction strings in exact mode."""
-    def vec(ms):
-        return ms.to_jsonable()
-
-    def val(v):
-        return fraction_str(v) if isinstance(v, Fraction) else float(v)
-
-    doc = {"x": vec(c.x)}
+    """JSON form of an equilibrium: mixes and payoffs as fraction strings."""
+    doc = {"x": c.x.to_jsonable()}
     if c.y is not None:
-        doc["y"] = vec(c.y)
+        doc["y"] = c.y.to_jsonable()
     doc["support_x"] = list(c.support_x)
     if c.support_y is not None:
         doc["support_y"] = list(c.support_y)
     doc["strict"] = c.is_strict
     if isinstance(c.payoffs, tuple):
-        doc["payoffs"] = [val(v) for v in c.payoffs]
+        doc["payoffs"] = [fraction_str(v) for v in c.payoffs]
     else:
-        doc["payoffs"] = val(c.payoffs)
+        doc["payoffs"] = fraction_str(c.payoffs)
     return doc

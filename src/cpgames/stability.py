@@ -19,10 +19,13 @@ import numpy as np
 
 from .errors import NotNash, NotRestPoint, ValidationError
 from .games import BimatrixGame, MixedStrategy, is_nash_bimatrix, is_strict_equilibrium
-from .dynamics import _jacobian, _parse_state, _system, _velocities
+from .dynamics import SIMPLEX_TOL, _jacobian, _parse_state, _system, _velocities
 
 REST_TOL = 1e-9
 EIG_TOL = 1e-7
+# The payoff gain a pure deviation may have at a float coupled point that
+# is called Nash (`classify_rest_point`).
+NASH_SLACK = 1e-9
 
 CATEGORY_ESS = "ess_stable"
 CATEGORY_NASH_NOT_ESS = "nash_not_ess"
@@ -38,7 +41,9 @@ class StabilityClassification:
 
 
 def _rest_jacobian(system: str, game, point):
-    """(dims, Jacobian) of the replicator field at a rest point on the simplex."""
+    """(dims, mats, s, Jacobian) of the replicator field at a rest point on
+    the simplex: the system of `_system`, the point parsed to the stacked
+    state s and the derivative there."""
     if system not in ("single", "coupled"):
         raise ValidationError(f"unknown system {system!r}; expected 'single' or 'coupled'")
     dims, mats = _system(system, game)
@@ -46,7 +51,7 @@ def _rest_jacobian(system: str, game, point):
     worst = float(np.max(np.abs(_velocities(dims, mats, s[None]))))
     if worst >= REST_TOL:
         raise NotRestPoint(f"velocity L-infinity norm {worst:.3e} exceeds {REST_TOL}")
-    return dims, _jacobian(dims, mats, s)
+    return dims, mats, s, _jacobian(dims, mats, s)
 
 
 def rd_jacobian(system: str, game, point) -> np.ndarray:
@@ -59,7 +64,7 @@ def rd_jacobian(system: str, game, point) -> np.ndarray:
     simplex (SizeMismatch for a wrong length, ValidationError otherwise),
     and NotRestPoint is raised if the velocity is not ~0.
     """
-    return _rest_jacobian(system, game, point)[1]
+    return _rest_jacobian(system, game, point)[3]
 
 
 def tangent_eigenvalues(jacobian: np.ndarray, dims) -> tuple[complex, ...]:
@@ -97,15 +102,33 @@ def two_species_ess_check(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy) -
     return is_strict_equilibrium(g, x, y)
 
 
+def _float_two_species_ess(g: BimatrixGame, dims, mats, s: np.ndarray) -> bool:
+    """`two_species_ess_check` at a float coupled state s = (x, y): NotNash
+    when a pure deviation gains more than NASH_SLACK, else whether s is a
+    pure profile (one entry above SIMPLEX_TOL per population) that is a
+    strict equilibrium of the exact payoffs."""
+    (a, b), x, y = mats, s[:dims[0]], s[dims[0]:]
+    ay, xb = a @ y, x @ b
+    if not (ay.max() <= x @ ay + NASH_SLACK and xb.max() <= xb @ y + NASH_SLACK):
+        raise NotNash("two-species ESS check requires a Nash equilibrium")
+    sx, sy = np.flatnonzero(x > SIMPLEX_TOL).tolist(), np.flatnonzero(y > SIMPLEX_TOL).tolist()
+    if len(sx) != 1 or len(sy) != 1:
+        return False
+    return is_strict_equilibrium(g, MixedStrategy.from_integers(dims[0], sx, (1,), 1),
+                                 MixedStrategy.from_integers(dims[1], sy, (1,), 1))
+
+
 def classify_rest_point(system: str, game, point, nash_status: bool) -> StabilityClassification:
     """Combine the tangent-space spectrum with the Nash status.
 
     Nash sinks are evolutionarily stable attractors; Nash non-sinks are
     equilibria without asymptotic stability; non-Nash rest points have an
     escaping direction.  Borderline eigenvalues report `degenerate` rather
-    than guessing a side.
+    than guessing a side.  At a Nash coupled point, `two_species_ess` is
+    `two_species_ess_check` of two exact strategies, and
+    `_float_two_species_ess` of the parsed state otherwise.
     """
-    dims, jac = _rest_jacobian(system, game, point)
+    dims, mats, s, jac = _rest_jacobian(system, game, point)
     eig = tangent_eigenvalues(jac, dims)
     local = _local_type(eig)
     if not nash_status:
@@ -117,11 +140,10 @@ def classify_rest_point(system: str, game, point, nash_status: bool) -> Stabilit
     ess_pair = False
     if system == "coupled" and nash_status:
         x, y = point
-        if not isinstance(x, MixedStrategy):
-            x = MixedStrategy.from_floats(x)
-        if not isinstance(y, MixedStrategy):
-            y = MixedStrategy.from_floats(y)
-        ess_pair = two_species_ess_check(game, x, y)
+        if isinstance(x, MixedStrategy) and isinstance(y, MixedStrategy):
+            ess_pair = two_species_ess_check(game, x, y)
+        else:
+            ess_pair = _float_two_species_ess(game, dims, mats, s)
     return StabilityClassification(
         category=category,
         local_type=local,

@@ -311,7 +311,7 @@ class TestVerify:
         assert doc["direct_solution"] and doc["direct_solution"] == doc["reconstructed"]
         for eq in doc["direct_solution"]:
             x, y = MixedStrategy.exact(eq["x"]), MixedStrategy.exact(eq["y"])
-            assert is_nash_bimatrix(game, x, y, tol=0.0)
+            assert is_nash_bimatrix(game, x, y)
 
     @pytest.mark.parametrize("argv", [("--trials", "-3"), ("--size", "0"), ("--size", "6"),
                                       ("--trials", "99999999999999999999")])

@@ -52,7 +52,7 @@ def reconstruct_candidates(cp1_eqs, cp2_eqs, perm):
             probs = [Fraction(0)] * len(y_cand.x)
             for j, p in enumerate(y_cand.x.probs):
                 probs[perm[j]] = p
-            y = MixedStrategy(tuple(probs), "exact")
+            y = MixedStrategy(tuple(probs))
             out.append(EquilibriumCandidate(
                 x=x_cand.x, y=y,
                 support_x=x_cand.x.support(), support_y=y.support(),
@@ -125,7 +125,7 @@ class TestDecompose:
     def test_every_candidate_verified_on_original(self, bos_extended, leduc):
         for g in (bos_extended, leduc):
             for c in decompose(g, verify=False).reconstructed:
-                assert is_nash_bimatrix(g, c.x, c.y, tol=0.0)
+                assert is_nash_bimatrix(g, c.x, c.y)
 
     def test_no_dummy_mass(self, bos_extended):
         report = decompose(bos_extended)
@@ -190,7 +190,7 @@ class TestDecompose:
             full2 = [c for c in enumerate_nash_single(cp2) if len(c.support_x) == cp2.n]
             for y_cand in full1:
                 for x_cand in full2:
-                    assert is_nash_bimatrix(square, x_cand.x, y_cand.x, tol=0.0)
+                    assert is_nash_bimatrix(square, x_cand.x, y_cand.x)
 
     def test_report_json_shape(self, bos):
         doc = report_json(decompose(bos))
@@ -398,7 +398,7 @@ class TestSafetyChecks:
 
     def test_rejected_on_original_raises(self, bos_extended, monkeypatch):
         # the check on the unpadded game stands on its own
-        def on_padded_only(g, x, y, tol):
+        def on_padded_only(g, x, y):
             return g.n_rows == 3
         monkeypatch.setattr("cpgames.decomposition.is_nash_bimatrix", on_padded_only)
         with pytest.raises(TheoremViolation, match="original game"):
@@ -407,8 +407,8 @@ class TestSafetyChecks:
     def test_dummy_mass_raises(self, bos_extended):
         _, padding = pad_to_square(bos_extended)
         assert padding.player == "row" and padding.added_count == 1
-        x = MixedStrategy((F(0), F(0), F(1)), "exact")  # all mass on the dummy row
-        y = MixedStrategy((F(1), F(0), F(0)), "exact")
+        x = MixedStrategy((F(0), F(0), F(1)))  # all mass on the dummy row
+        y = MixedStrategy((F(1), F(0), F(0)))
         cand = EquilibriumCandidate(x=x, y=y, support_x=(2,), support_y=(0,),
                                     is_strict=False, payoffs=None)
         with pytest.raises(TheoremViolation, match="dummy"):

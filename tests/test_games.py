@@ -23,8 +23,10 @@ from cpgames import (
     SizeMismatch,
     ValidationError,
     counterpart_games,
+    decompose,
     enumerate_nash_bimatrix,
     enumerate_nash_single,
+    enumerate_rest_points,
     is_nash_bimatrix,
     is_nash_single,
     make_bimatrix,
@@ -176,14 +178,10 @@ REFUSED = {
                    ValidationError, "row_payoffs has a row of length 1, expected 2"),
     "single-shape": (lambda: SingleGame("t", ("a", "b"), ((F(1), F(2)),)), ValidationError,
                      "payoff matrix must be 2x2 to match the action list"),
-    "strategy-mode": (lambda: MixedStrategy((F(1),), "approx"), ValidationError,
-                      "unknown arithmetic mode 'approx'"),
-    "strategy-empty": (lambda: MixedStrategy((), "exact"), ValidationError,
+    "strategy-empty": (lambda: MixedStrategy(()), ValidationError,
                        "strategy must have at least one component"),
     "negative-tol": (lambda: is_nash_bimatrix(ONE, E1, E1, tol=-1e-9), ValidationError,
                      "tolerance must be nonnegative"),
-    "negative-tol-single": (lambda: is_nash_single(counterpart_games(ONE)[0], E1, tol=-1e-9), ValidationError,
-                            "tolerance must be nonnegative"),
     "not-an-object": (lambda: parse_game("[]"), ParseError, "game document must be a JSON object"),
     "missing-keys": (lambda: parse_game('{"name": "t", "row_actions": ["a"]}'), ParseError,
                      "missing keys in game document: col_actions, row_payoffs, col_payoffs"),
@@ -293,8 +291,8 @@ class TestPadding:
         stripped = []
         for c in enumerate_nash_bimatrix(padded):
             assert not any(c.x.probs[g.n_rows:] + c.y.probs[g.n_cols:])
-            stripped.append(replace(c, x=MixedStrategy(c.x.probs[:g.n_rows], "exact"),
-                                    y=MixedStrategy(c.y.probs[:g.n_cols], "exact")))
+            stripped.append(replace(c, x=MixedStrategy(c.x.probs[:g.n_rows]),
+                                    y=MixedStrategy(c.y.probs[:g.n_cols])))
         assert stripped == enumerate_nash_bimatrix(g)
         assert rec.added_count == abs(g.n_rows - g.n_cols)
 
@@ -358,6 +356,18 @@ class TestCounterparts:
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             assert got[0].shape == got[1].shape == (231, 3)
 
+    def test_cp2_index_past_the_real_rows_is_the_dummy(self, bos_extended):
+        # counterpart 2's index i carries column i's label, but its state is
+        # the row player's mix x; on the padded game, index 2 is the dummy
+        # row D1, against which every column earns the dummy payoff
+        padded, record = pad_to_square(bos_extended)
+        _, cp2 = counterpart_games(bos_extended)
+        (rest,) = [r for r in enumerate_rest_points(cp2) if r.support == (2,)]
+        assert cp2.actions[2] == "M" and padded.row_actions[2] == "D1"
+        x = rest.point.probs
+        earned = [sum(padded.col_payoffs[i][j] * x[i] for i in range(3)) for j in range(3)]
+        assert earned == [record.dummy_payoff] * 3 and rest.common_payoff == record.dummy_payoff == -1
+
 
 class TestPayoffsAndNash:
     def test_is_nash_bimatrix_examples(self, pd, bos):
@@ -374,17 +384,6 @@ class TestPayoffsAndNash:
         assert not is_nash_single(cp1, MixedStrategy.exact(["1/2", "1/2"]))
         rps_cp1, _ = counterpart_games(rps)
         assert is_nash_single(rps_cp1, MixedStrategy.exact(["1/3", "1/3", "1/3"]))
-
-    def test_tol_applies_to_float_strategies_only(self, bos):
-        # y is 1e-10 off the mixed equilibrium, so the first row gains 2e-10
-        off = MixedStrategy.exact([F("2/5") + F("1/10000000000"), F("3/5") - F("1/10000000000")])
-        off_float = MixedStrategy.from_floats(float(p) for p in off.probs)
-        x = MixedStrategy.exact(["3/5", "2/5"])
-        cp1, _ = counterpart_games(bos)
-        assert not is_nash_bimatrix(bos, x, off) and not is_nash_single(cp1, off)
-        assert is_nash_bimatrix(bos, x, off_float) and is_nash_single(cp1, off_float)
-        assert not is_nash_bimatrix(bos, x, off_float, tol=0.0)
-        assert not is_nash_single(cp1, off_float, tol=0.0)
 
     def test_integer_checks_match_fraction_oracle(self):
         # exact checks against the Fraction oracle: rational payoffs with
@@ -407,7 +406,7 @@ class TestPayoffsAndNash:
                 weight = st.builds(Fraction, st.integers(0, 9), st.sampled_from([1, 2, 3, 7]))
                 w = data.draw(st.lists(weight, min_size=k, max_size=k))
                 w[0] += not any(w)
-                return MixedStrategy(tuple(v / sum(w) for v in w), "exact")
+                return MixedStrategy(tuple(v / sum(w) for v in w))
 
             def nudged(s):
                 if len(s) == 1:
@@ -416,7 +415,7 @@ class TestPayoffsAndNash:
                 j = data.draw(st.sampled_from([k for k in range(len(s)) if k != i]))
                 probs = list(s.probs)
                 probs[i], probs[j] = probs[i] - nudge, probs[j] + nudge
-                return [MixedStrategy(tuple(probs), "exact")]
+                return [MixedStrategy(tuple(probs))]
 
             g = make_bimatrix("prop", [f"r{k}" for k in range(m)], [f"c{k}" for k in range(n)],
                               matrix([1, 2, 4]), matrix([1, 3, 5]))
@@ -457,6 +456,19 @@ class TestPayoffsAndNash:
         for x, y in profiles:
             assert is_nash_bimatrix(bos, x, y) == is_nash_bimatrix(transformed, x, y)
 
+    def test_benchmark_reads_of_mode_and_tol(self, all_games):
+        """perfbench/workloads.py reads two names that no library code reads:
+        the `Solve.op` check asks `c.x.mode != "exact"` of each equilibrium,
+        and the `Solve.op` and `Roundtrip.op` checks call
+        `is_nash_bimatrix(g, c.x, c.y, tol=0.0)`.  Both must keep working
+        until the benchmark stops reading them (ROADMAP item 1)."""
+        for g in all_games.values():
+            for c in [*enumerate_nash_bimatrix(g), *decompose(g).reconstructed]:
+                assert c.x.mode == c.y.mode == "exact"
+                assert is_nash_bimatrix(g, c.x, c.y, tol=0.0)
+                with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+                    is_nash_bimatrix(g, c.x, c.y, tol=-1e-9)
+
     def test_size_mismatch(self, bos):
         x3, x2 = MixedStrategy.exact([1, 0, 0]), MixedStrategy.exact([1, 0])
         with pytest.raises(SizeMismatch):
@@ -492,12 +504,12 @@ class TestMixedStrategy:
         # 1/2 + 1/3 + 1/12 + 1/20 + 1/30 + 0 = 1 over the common denominator 60
         probs = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 12), Fraction(1, 20),
                  Fraction(1, 30), Fraction(0)]
-        assert MixedStrategy(tuple(probs), "exact").probs == tuple(probs)
+        assert MixedStrategy(tuple(probs)).probs == tuple(probs)
         for k, delta, total in ((5, 1, "61/60"), (4, -1, "59/60")):
             off = list(probs)
             off[k] += Fraction(delta, 60)
             with pytest.raises(ValidationError, match=f"^probabilities sum to {total}, expected 1$"):
-                MixedStrategy(tuple(off), "exact")
+                MixedStrategy(tuple(off))
 
     @pytest.mark.parametrize("probs, message", [
         ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-1, 12)), "negative probability -1/12"),
@@ -508,7 +520,7 @@ class TestMixedStrategy:
     ])
     def test_exact_check_messages(self, probs, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            MixedStrategy(probs, "exact")
+            MixedStrategy(probs)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(integer_mixes())
@@ -542,7 +554,7 @@ class TestMixedStrategy:
         probs = [Fraction(0)] * n
         for i, v in zip(support, nums):
             probs[i] = Fraction(v, den)
-        expected = outcome(lambda: MixedStrategy(tuple(probs), "exact"))
+        expected = outcome(lambda: MixedStrategy(tuple(probs)))
         if isinstance(expected, str) and list(support) != sorted(support):
             assert isinstance(built, str)
         else:
@@ -550,14 +562,8 @@ class TestMixedStrategy:
         if isinstance(built, MixedStrategy):
             assert min(built.probs) >= 0 and sum(built.probs) == 1
 
-    def test_float_clamping(self):
-        s = MixedStrategy.from_floats([1.0 + 5e-13, -5e-13])
-        assert s.probs[1] == 0.0
-        with pytest.raises(ValidationError):
-            MixedStrategy.from_floats([0.5, 0.5 + 1e-6])
-
     @pytest.mark.parametrize("values, accepted", [
-        ([1.0 + 5e-10, -5e-10], True),  # negative entries down to -1e-9 are clamped
+        ([1.0 + 5e-10, -5e-10], True),  # negative entries down to -1e-9 are accepted
         ([0.5, 0.5 + 9e-10], True),
         ([1.0 + 2e-9, -2e-9], False),
         ([0.5, 0.5 + 2e-9], False),
@@ -567,21 +573,12 @@ class TestMixedStrategy:
         ([float("-inf"), 1.0], False),
     ])
     def test_one_float_simplex_rule(self, values, accepted):
-        # a float strategy and a dynamics state accept the same vectors
-        for parse in (MixedStrategy.from_floats, lambda v: cpgames.dynamics._parse_state((2,), v)):
-            if accepted:
-                parse(values)
-            else:
-                with pytest.raises(ValidationError, match="not on the probability simplex"):
-                    parse(values)
-        if accepted and min(values) < 0.0:
-            assert min(MixedStrategy.from_floats(values).probs) == 0.0
-
-    def test_support_threshold(self):
-        exact = MixedStrategy.exact([1, 0])
-        assert exact.support() == (0,)
-        nearly = MixedStrategy.from_floats([1.0 - 1e-10, 1e-10])
-        assert nearly.support() == (0,)
+        # the dynamics' one rule for a float state
+        if accepted:
+            cpgames.dynamics._parse_state((2,), values)
+        else:
+            with pytest.raises(ValidationError, match="not on the probability simplex"):
+                cpgames.dynamics._parse_state((2,), values)
 
 
 # Blocks numpy, then imports the package's modules without running its

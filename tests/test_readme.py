@@ -1,13 +1,18 @@
 """The README's Python examples and CLI block run as written, its CLI block
-shows what each command prints, and every test it cites exists."""
+shows what each command prints, and every test and module name it cites
+exists."""
 
 import ast
+import functools
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import cpgames
 from cpgames import serialize_game
 from cpgames.cli import _COMMANDS, load_game, run_cli
 
@@ -102,3 +107,44 @@ def test_readme_cites_only_defined_tests():
     for statement in statements:
         assert re.search(CITED, statement) or re.search(r"\b(?:Unchecked|Not\s+yet\s+checked)\b", statement), \
             statement
+
+
+MODULES = {m.name: importlib.import_module(f"cpgames.{m.name}")
+           for m in pkgutil.iter_modules(cpgames.__path__) if not m.name.startswith("_")}
+
+
+def resolves(dotted):
+    """Whether a dotted name the README cites names something: `<module>.<NAME>`
+    in that module of cpgames, any other name in the package or one of its
+    modules."""
+    head, *rest = dotted.split(".")
+    if head in MODULES and rest:
+        owners, parts = [MODULES[head]], rest
+    else:
+        owners, parts = [cpgames, *MODULES.values()], [head, *rest]
+    for owner in owners:
+        try:
+            functools.reduce(getattr, parts, owner)
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+def test_readme_module_names_resolve():
+    # every backticked `<module>.<NAME>` resolves, except the removed name
+    # that a "Removed from the public API" bullet leads with, which must not;
+    # a bullet that leads with a kept name followed by " of" or "'s" names a
+    # removed form of it (`export_csv` of a list of field samples), and that
+    # name must resolve
+    text = README.read_text(encoding="utf-8")
+    removed = section("Library sketch").split("\n### Removed from the public API\n", 1)[1]
+    bullets = re.findall(r"^- (.*?)(?=^- |\Z)", removed, re.DOTALL | re.MULTILINE)
+    assert len(bullets) > 10
+    for bullet in bullets:
+        m = re.match(r"`(([\w.]+)(?:\([^`]*\))?)`('s\b| of\b)?", bullet)
+        assert resolves(m[2]) == bool(m[3]), bullet
+        text = text.replace(f"\n- `{m[1]}`", "\n- ", 1)
+    cited = re.findall(rf"`((?:{'|'.join(MODULES)})\.\w+)(?:\([^`]*\))?`", text)
+    assert len(cited) > 5
+    assert [name for name in cited if not resolves(name)] == []

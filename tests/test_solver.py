@@ -221,7 +221,7 @@ def full_vector(n, support, mix):
     probs = [Fraction(0)] * n
     for i, v in zip(support, mix):
         probs[i] = v
-    return MixedStrategy(tuple(probs), "exact")
+    return MixedStrategy(tuple(probs))
 
 
 def unpruned_enumeration(g):
@@ -395,7 +395,7 @@ class TestBimatrixEnumeration:
         for _ in range(25):
             g = random_game(rng, 3)
             for c in enumerate_nash_bimatrix(g):
-                assert is_nash_bimatrix(g, c.x, c.y, tol=0.0)
+                assert is_nash_bimatrix(g, c.x, c.y)
 
     def test_equal_supports_on_nondegenerate(self):
         # equal-size pairs are exhaustive: on a pair whose sizes differ, the
@@ -500,7 +500,7 @@ class TestBimatrixEnumeration:
             return tuple(sorted(perm.index(i) for i in support))
 
         def mixed(perm, strategy):
-            return MixedStrategy(tuple(strategy.probs[i] for i in perm), "exact")
+            return MixedStrategy(tuple(strategy.probs[i] for i in perm))
 
         eqs, witnesses = solved(g)
         assert solved(permuted) == (
@@ -648,7 +648,7 @@ class TestBimatrixEnumeration:
         ]
         assert decompose(g).agreement is True
         x, y = MixedStrategy.exact([1, 0]), MixedStrategy.exact(["1/2", "1/2"])
-        assert is_nash_bimatrix(g, x, y, tol=0.0)
+        assert is_nash_bimatrix(g, x, y)
         assert (x.probs, y.probs) not in profiles(enumerate_nash_bimatrix(g))
 
 

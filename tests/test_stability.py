@@ -185,13 +185,37 @@ class TestClassification:
         (([0.6, 0.4], [0.4, 0.6]), "nash_not_ess", "saddle", False),
     ])
     def test_bos_float_points(self, bos, point, category, local_type, ess):
-        # float lists take the MixedStrategy.from_floats branch of the two-species ESS check
+        # float lists take the float-state branch of the two-species ESS decision
         cls = classify_rest_point("coupled", bos, point, nash_status=True)
         assert (cls.category, cls.local_type, cls.two_species_ess) == (category, local_type, ess)
 
     def test_bos_float_non_nash_point_raises(self, bos):
         with pytest.raises(NotNash):
             classify_rest_point("coupled", bos, ([1.0, 0.0], [0.0, 1.0]), nash_status=True)
+
+    def test_float_support_threshold(self, bos):
+        # at a float coupled point only entries above 1e-9 are played: BoS's
+        # (O, O) with off-support entries in (0, 1e-9] is still that strict
+        # pure profile, and in BoS scaled by 1/10 (so that the point stays a
+        # rest point) an entry of 2e-9 makes the profile mixed
+        for off in (1e-10, 3e-10):
+            for point in (([1.0 - off, off], [1.0, 0.0]), ([1.0 - off, off], [1.0 - off, off])):
+                cls = classify_rest_point("coupled", bos, point, nash_status=True)
+                assert (cls.category, cls.two_species_ess) == ("ess_stable", True), point
+        tenth = make_bimatrix("bos/10", ["O", "M"], ["O", "M"], [[0.3, 0], [0, 0.2]], [[0.2, 0], [0, 0.3]])
+        for off, ess in ((5e-10, True), (2e-9, False)):
+            cls = classify_rest_point("coupled", tenth, ([1.0 - off, off], [1.0, 0.0]), nash_status=True)
+            assert (cls.category, cls.two_species_ess) == ("ess_stable", ess), off
+
+    def test_nash_slack_applies_to_float_points_only(self, bos):
+        # y is 1e-10 off BoS's mixed equilibrium, so the first row gains
+        # 2e-10: Nash within the slack at a float point, not at an exact one
+        x = MixedStrategy.exact(["3/5", "2/5"])
+        off = MixedStrategy.exact([Fraction(2, 5) + Fraction(1, 10**10), Fraction(3, 5) - Fraction(1, 10**10)])
+        cls = classify_rest_point("coupled", bos, ([0.6, 0.4], [float(p) for p in off.probs]), True)
+        assert (cls.category, cls.two_species_ess) == ("nash_not_ess", False)
+        with pytest.raises(NotNash):
+            classify_rest_point("coupled", bos, (x, off), True)
 
     def test_extended_bos_cp2_face_rest_point(self, bos_extended):
         padded, _ = pad_to_square(bos_extended)
